@@ -8,9 +8,8 @@ let class_subject (c : Query_class.t) = "class " ^ c.Query_class.id
 
 let overlaps alloc b (c : Query_class.t) =
   not
-    (Fragment.Set.is_empty
-       (Fragment.Set.inter c.Query_class.fragments
-          (Allocation.fragments_of alloc b)))
+    (Fragment.Set.disjoint c.Query_class.fragments
+       (Allocation.fragments_of alloc b))
 
 (* Eq. 8 plus sign sanity, per (backend, class). *)
 let check_locality alloc =

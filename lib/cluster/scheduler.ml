@@ -109,9 +109,7 @@ let targets_for_update t (c : Query_class.t) =
   List.filter
     (fun b ->
       t.up.(b)
-      && not
-           (Fragment.Set.is_empty
-              (Fragment.Set.inter c.Query_class.fragments t.live.(b))))
+      && not (Fragment.Set.disjoint c.Query_class.fragments t.live.(b)))
     (List.init (num_nodes t) (fun b -> b))
 
 let set_down t ~backend =

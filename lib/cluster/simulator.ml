@@ -32,12 +32,12 @@ type outcome = {
   errors : int;
 }
 
-(* (p50, p95, p99) of a response-time list; zeros when empty. *)
-let percentiles_of = function
-  | [] -> (0., 0., 0.)
-  | rs ->
-      let p q = Cdbs_util.Stats.percentile q rs in
-      (p 50., p 95., p 99.)
+(* (p50, p95, p99) of response times, sorted once; zeros when empty. *)
+let percentiles_of rs =
+  if Array.length rs = 0 then (0., 0., 0.)
+  else
+    let p = Cdbs_util.Stats.nearest_rank rs in
+    (p 50., p 95., p 99.)
 
 let find_class alloc id =
   let classes = Allocation.classes alloc in
@@ -71,6 +71,15 @@ let sorted_by_arrival requests =
     List.stable_sort
       (fun (a : Request.t) b -> Float.compare a.Request.arrival b.Request.arrival)
       requests
+
+(* The instant the last booked work drains, over backends [0, n). *)
+let makespan_of sched n =
+  let m = ref 0. in
+  for b = 0 to n - 1 do
+    if Scheduler.free_at sched ~backend:b > !m then
+      m := Scheduler.free_at sched ~backend:b
+  done;
+  !m
 
 let run ~respect_arrivals config alloc requests =
   let n = Allocation.num_backends alloc in
@@ -135,15 +144,8 @@ let run ~respect_arrivals config alloc requests =
           response_list := response :: !response_list;
           if response > !response_max then response_max := response)
     requests;
-  let p50, p95, p99 = percentiles_of !response_list in
-  let makespan =
-    let m = ref 0. in
-    for b = 0 to n - 1 do
-      if Scheduler.free_at sched ~backend:b > !m then
-        m := Scheduler.free_at sched ~backend:b
-    done;
-    !m
-  in
+  let p50, p95, p99 = percentiles_of (Array.of_list !response_list) in
+  let makespan = makespan_of sched n in
   {
     completed = !completed;
     makespan;
@@ -376,14 +378,7 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
     requests;
   (* Requests may dry up before the rebalance completes: finish it. *)
   apply_events infinity;
-  let makespan =
-    let m = ref 0. in
-    for b = 0 to n - 1 do
-      if Scheduler.free_at sched ~backend:b > !m then
-        m := Scheduler.free_at sched ~backend:b
-    done;
-    !m
-  in
+  let makespan = makespan_of sched n in
   let target_deployed =
     let ok = ref true in
     for b = 0 to n - 1 do
@@ -396,7 +391,9 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
     done;
     !ok
   in
-  let p50, p95, p99 = percentiles_of (List.map snd !responses) in
+  let p50, p95, p99 =
+    percentiles_of (Array.of_list (List.map snd !responses))
+  in
   (match (monitor, telemetry) with
   | Some m, Some sink when monitor_owns_attach ->
       Cdbs_analysis.Monitor.detach m sink
@@ -512,15 +509,14 @@ let dyn_time = function
   | Catchup_done { at; _ } -> at
   | Hedge_at { at; _ } -> at
 
-(* Everything the fault engine's event clock processes, unified so it can
-   ride a single priority queue.  [Partition] and [ZoneOutage] schedule
-   entries are expanded into start/heal pairs before the run so the clock
-   only ever sees instantaneous events. *)
+(* What the fault engine's event heap holds; arrivals stream past it.
+   [Partition] and [ZoneOutage] schedule entries are expanded into
+   start/heal pairs before the run so the clock only ever sees
+   instantaneous events. *)
 type sim_event =
   | Ev_fault of Fault.timed
   | Ev_cut of { backends : int list; heal : bool; zone : int option }
   | Ev_dyn of dyn_event
-  | Ev_arrival of Request.t
 
 module Resilience = Cdbs_resilience
 
@@ -588,11 +584,12 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     Array.init n (fun b ->
         Cdbs_core.Fragment.set_size (Allocation.fragments_of alloc b))
   in
-  (* uid -> (original arrival, response); reads are retracted from here
-     when a crash cancels them and re-inserted when a retry lands. *)
-  let results : (int, float * float) Hashtbl.t =
-    Hashtbl.create (max 16 offered)
-  in
+  (* Completed requests by uid (dense, issued in arrival order): arrival
+     and response.  A read is retracted when a crash or shed cancels it
+     and recorded again when a retry or hedge lands. *)
+  let arrival = Array.make offered 0. and response = Array.make offered 0. in
+  let present = Array.make offered false in
+  let record u resp = response.(u) <- resp; present.(u) <- true in
   let retried : (int, unit) Hashtbl.t = Hashtbl.create 16 in
   let pending_catchup : (int, recovery) Hashtbl.t = Hashtbl.create 4 in
   let retries = ref 0 and aborted = ref 0 and timeouts = ref 0 in
@@ -646,14 +643,12 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   let cancelled_work = ref 0. and catch_up_mb = ref 0. in
   let recoveries = ref [] in
   let cur_down = ref 0 and max_down = ref 0 in
-  let uid = ref 0 in
-  (* The event clock lives on one priority queue.  Ranks order the three
-     event categories at equal instants exactly as the historical
-     three-way sorted-list merge did — faults first, then internal events
-     (retries, catch-ups, hedges), then arrivals — and insertion order
-     breaks the remaining ties (FIFO within a category), so outcomes are
-     bit-identical to the list-based engine. *)
-  let q : sim_event Heap.t = Heap.create ~capacity:(max 256 (2 * offered)) () in
+  (* Faults, cuts and internal events (retries, catch-ups, hedges) wait on
+     a priority queue; arrivals stream past it from the sorted request
+     list (see the event clock below).  At equal instants faults (rank 0)
+     go before internal events (rank 1), and insertion order breaks the
+     remaining ties. *)
+  let q : sim_event Heap.t = Heap.create () in
   List.iter
     (fun (f : Fault.timed) ->
       match f.Fault.event with
@@ -681,10 +676,6 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
       | Fault.Workload_shift _ ->
           Heap.add q ~time:f.Fault.at ~rank:0 (Ev_fault f))
     (Fault.sort faults);
-  List.iter
-    (fun (r : Request.t) ->
-      Heap.add q ~time:r.Request.arrival ~rank:2 (Ev_arrival r))
-    requests;
   let insert_dyn e = Heap.add q ~time:(dyn_time e) ~rank:1 (Ev_dyn e) in
   (* Service quote: what booking this work on [b] right now would cost,
      without booking it.  Admission and deadline checks run on the quote;
@@ -705,23 +696,22 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     | Bk_update -> "update"
     | Bk_catchup -> "catchup"
   in
+  (* Per-request events build their attributes only when a sink is on. *)
+  let traced = Option.is_some telemetry in
   let serve_event ~at ~kind b ~start ~finish =
-    let base =
-      [
-        ("backend", Tel.Trace.Int b);
-        ("kind", Tel.Trace.Str (kind_label kind));
-        ("start", Tel.Trace.Float start);
-        ("finish", Tel.Trace.Float finish);
-      ]
-    in
-    (* Reads carry their query-class id so online estimators can harvest
-       measured per-class service times straight off the trace. *)
-    let attrs =
-      match kind with
-      | Bk_read rc -> base @ [ ("cls", Tel.Trace.Str rc.rc_class) ]
-      | Bk_update | Bk_catchup -> base
-    in
-    Tel.Sink.ev telemetry ~at "backend.serve" attrs
+    if traced then
+      Tel.Sink.ev telemetry ~at "backend.serve"
+        ([ ("backend", Tel.Trace.Int b);
+           ("kind", Tel.Trace.Str (kind_label kind));
+           ("start", Tel.Trace.Float start);
+           ("finish", Tel.Trace.Float finish) ]
+        @
+        (* Reads carry their query-class id so online estimators can
+           harvest measured per-class service times straight off the
+           trace. *)
+        match kind with
+        | Bk_read rc -> [ ("cls", Tel.Trace.Str rc.rc_class) ]
+        | Bk_update | Bk_catchup -> [])
   in
   let commit ~mb ~kind b (start, finish, service) =
     Scheduler.book sched ~backend:b ~finish;
@@ -775,12 +765,13 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     | None -> false
     | Some (rc, it) ->
         ignore (cancel_booking b it ~from_:now);
-        Hashtbl.remove results rc.rc_uid;
+        present.(rc.rc_uid) <- false;
         incr shed;
         incr aborted;
-        Tel.Sink.ev telemetry ~at:now "request.shed"
-          [ ("uid", Tel.Trace.Int rc.rc_uid);
-            ("reason", Tel.Trace.Str "evicted_oldest") ];
+        if traced then
+          Tel.Sink.ev telemetry ~at:now "request.shed"
+            [ ("uid", Tel.Trace.Int rc.rc_uid);
+              ("reason", Tel.Trace.Str "evicted_oldest") ];
         true
   in
   let find_read_booking b u =
@@ -811,16 +802,17 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
       end
       else begin
         incr retries;
-        Tel.Sink.ev telemetry ~at:now "request.retry"
-          ([ ("uid", Tel.Trace.Int rc.rc_uid);
-             ("attempt", Tel.Trace.Int attempt);
-             ("retry_at", Tel.Trace.Float at) ]
-          @
-          (* The budget left when the retry fires — the monitor checks it
-             decreases monotonically along the chain. *)
-          if deadline_on then
-            [ ("remaining_s", Tel.Trace.Float (rc.rc_deadline -. at)) ]
-          else []);
+        if traced then
+          Tel.Sink.ev telemetry ~at:now "request.retry"
+            ([ ("uid", Tel.Trace.Int rc.rc_uid);
+               ("attempt", Tel.Trace.Int attempt);
+               ("retry_at", Tel.Trace.Float at) ]
+            @
+            (* The budget left when the retry fires — the monitor checks it
+               decreases monotonically along the chain. *)
+            if deadline_on then
+              [ ("remaining_s", Tel.Trace.Float (rc.rc_deadline -. at)) ]
+            else []);
         Hashtbl.replace retried rc.rc_uid ();
         insert_dyn (Retry_at (at, { rc with rc_attempt = attempt }))
       end
@@ -834,10 +826,11 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
         let d = Resilience.Hedge.delay h in
         Resilience.Hedge.observe h (finish -. now);
         if finish -. now > d then begin
-          Tel.Sink.ev telemetry ~at:now "request.hedge_armed"
-            [ ("uid", Tel.Trace.Int rc.rc_uid);
-              ("primary", Tel.Trace.Int b);
-              ("fire_at", Tel.Trace.Float (now +. d)) ];
+          if traced then
+            Tel.Sink.ev telemetry ~at:now "request.hedge_armed"
+              [ ("uid", Tel.Trace.Int rc.rc_uid);
+                ("primary", Tel.Trace.Int b);
+                ("fire_at", Tel.Trace.Float (now +. d)) ];
           insert_dyn (Hedge_at { at = now +. d; primary = b; ctx = rc })
         end
   in
@@ -878,8 +871,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                   wasted_work := !wasted_work +. service
                 end
                 else begin
-                  Hashtbl.replace results rc.rc_uid
-                    (rc.rc_arrival, finish -. rc.rc_arrival);
+                  record rc.rc_uid (finish -. rc.rc_arrival);
                   maybe_hedge ~now rc b finish
                 end
               in
@@ -911,9 +903,10 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                              newcomer. *)
                           incr shed;
                           incr aborted;
-                          Tel.Sink.ev telemetry ~at:now "request.shed"
-                            [ ("uid", Tel.Trace.Int rc.rc_uid);
-                              ("reason", Tel.Trace.Str "refused_newcomer") ]
+                          if traced then
+                            Tel.Sink.ev telemetry ~at:now "request.shed"
+                              [ ("uid", Tel.Trace.Int rc.rc_uid);
+                                ("reason", Tel.Trace.Str "refused_newcomer") ]
                         end)))
   in
   let handle_update ~now (r : Request.t) u =
@@ -965,7 +958,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                  ~factor))
           split.Protocol.async;
         incr completed_updates;
-        Hashtbl.replace results u (r.Request.arrival, !finish_all -. now)
+        record u (!finish_all -. now)
   in
   (* Take a backend out of service.  [cut = false] is a crash: clients see
      connections reset and retry immediately.  [cut = true] is a network
@@ -1007,7 +1000,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                    instant and re-issues against a surviving replica; under
                    a partition nothing resets, so it waits out the network
                    timeout first (slow failure). *)
-                Hashtbl.remove results rc.rc_uid;
+                present.(rc.rc_uid) <- false;
                 schedule_retry
                   ~extra_delay:(if cut then partition_timeout else 0.)
                   ~now rc
@@ -1176,9 +1169,11 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
         (* Speculatively dispatch the read to the next-best replica and
            keep whichever leg completes first; the loser's unserved tail
            is cancelled on the event clock. *)
-        match Hashtbl.find_opt results rc.rc_uid with
-        | Some (arr, resp) when arr +. resp > now -> (
-            let f1 = arr +. resp in
+        let u = rc.rc_uid in
+        let f1 = arrival.(u) +. response.(u) in
+        (* Nothing to hedge once the read completed before the hedge fired,
+           or while it is mid-retry. *)
+        if present.(u) && f1 > now then (
             match find_read_booking primary rc.rc_uid with
             | None -> () (* crash-cancelled or shed since it was armed *)
             | Some it1 -> (
@@ -1222,17 +1217,17 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                           incr hedged;
                           if f2 < f1 then begin
                             incr hedge_wins;
-                            Tel.Sink.ev telemetry ~at:now "request.hedge_win"
-                              [ ("uid", Tel.Trace.Int rc.rc_uid);
-                                ("backend", Tel.Trace.Int b2) ];
+                            if traced then
+                              Tel.Sink.ev telemetry ~at:now "request.hedge_win"
+                                [ ("uid", Tel.Trace.Int rc.rc_uid);
+                                  ("backend", Tel.Trace.Int b2) ];
                             ignore (commit ~mb ~kind:(Bk_read rc) b2 q2);
                             (* Cancel the losing primary leg: its already-
                                served prefix is sunk cost. *)
                             let refund = cancel_booking primary it1 ~from_:f2 in
                             wasted_work :=
                               !wasted_work +. (it1.bk_service -. refund);
-                            Hashtbl.replace results rc.rc_uid
-                              (rc.rc_arrival, f2 -. rc.rc_arrival);
+                            record rc.rc_uid (f2 -. rc.rc_arrival);
                             breaker_success ~now b2 ~latency:(f2 -. now)
                           end
                           else begin
@@ -1246,68 +1241,59 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                               wasted_work := !wasted_work +. consumed
                             end
                           end
-                        end)))
-        | _ -> () (* completed before the hedge fired, or mid-retry *))
+                        end))))
   in
-  (* The event clock: pop events in (time, rank, insertion) order.
-     Crucially, fault events keep being processed after the last
-     arrival — a crash still cancels whatever is queued. *)
+  (* The event clock streams the sorted arrivals past the heap: before
+     each arrival it drains every heap event at or before that instant,
+     which keeps faults before internal events before arrivals at equal
+     instants.  Uid [u] is the [u]-th arrival.  Crucially, fault events
+     keep being processed after the last arrival — a crash still cancels
+     whatever is queued. *)
   let events_processed = ref 0 in
-  let rec loop () =
-    match Heap.pop_timed q with
-    | None -> ()
-    | Some (at, ev) ->
-        incr events_processed;
-        now_ref := at;
-        (match ev with
-        | Ev_fault f -> apply_fault f
-        | Ev_cut { backends; heal; zone } -> apply_cut ~now:at ~heal ~zone backends
-        | Ev_dyn e -> apply_dyn e
-        | Ev_arrival r ->
-            let u = !uid in
-            incr uid;
-            if r.Request.is_update then handle_update ~now:r.Request.arrival r u
-            else
-              handle_read ~now:r.Request.arrival
-                {
-                  rc_uid = u;
-                  rc_class = r.Request.class_id;
-                  rc_cost_mb = r.Request.cost_mb;
-                  rc_arrival = r.Request.arrival;
-                  rc_attempt = 0;
-                  rc_deadline = deadline_of ~arrival:r.Request.arrival;
-                });
-        loop ()
+  let apply_event at ev =
+    incr events_processed;
+    now_ref := at;
+    match ev with
+    | Ev_fault f -> apply_fault f
+    | Ev_cut { backends; heal; zone } -> apply_cut ~now:at ~heal ~zone backends
+    | Ev_dyn e -> apply_dyn e
   in
-  loop ();
-  let makespan =
-    let m = ref 0. in
-    for b = 0 to n - 1 do
-      if Scheduler.free_at sched ~backend:b > !m then
-        m := Scheduler.free_at sched ~backend:b
-    done;
-    !m
-  in
-  let completed = Hashtbl.length results in
-  let all =
-    Hashtbl.fold (fun u (arrival, resp) acc -> (arrival, resp, u) :: acc)
-      results []
-    |> List.sort (fun (a1, _, u1) (a2, _, u2) ->
-           let c = Float.compare a1 a2 in
-           if c <> 0 then c else Int.compare u1 u2)
-  in
-  let response_sum =
-    List.fold_left (fun acc (_, r, _) -> acc +. r) 0. all
-  in
-  let response_max =
-    List.fold_left (fun acc (_, r, _) -> max acc r) 0. all
-  in
-  let p50, p95, p99 = percentiles_of (List.map (fun (_, r, _) -> r) all) in
+  List.iteri
+    (fun u (r : Request.t) ->
+      let now = r.Request.arrival in
+      Heap.drain_until q ~time:now ~f:apply_event;
+      incr events_processed;
+      now_ref := now;
+      arrival.(u) <- now;
+      if r.Request.is_update then handle_update ~now r u
+      else
+        handle_read ~now
+          {
+            rc_uid = u;
+            rc_class = r.Request.class_id;
+            rc_cost_mb = r.Request.cost_mb;
+            rc_arrival = now;
+            rc_attempt = 0;
+            rc_deadline = deadline_of ~arrival:now;
+          })
+    requests;
+  Heap.drain_until q ~time:infinity ~f:apply_event;
+  let makespan = makespan_of sched n in
+  (* Uid order is (arrival, uid) order. *)
+  let responses = ref [] in
+  for u = offered - 1 downto 0 do
+    if present.(u) then responses := (arrival.(u), response.(u)) :: !responses
+  done;
+  let rs = Array.of_list (List.map snd !responses) in
+  let completed = Array.length rs in
+  let response_sum = Array.fold_left ( +. ) 0. rs in
+  let response_max = Array.fold_left max 0. rs in
+  let p50, p95, p99 = percentiles_of rs in
   (match telemetry with
   | None -> ()
   | Some sink ->
       let h = Tel.Metrics.histogram sink.Tel.Sink.metrics "sim.response_s" in
-      List.iter (fun (_, r, _) -> Tel.Histogram.record h r) all;
+      Array.iter (Tel.Histogram.record h) rs;
       let cn = Tel.Sink.cn telemetry in
       cn "sim.events" !events_processed;
       cn "sim.offered" offered;
@@ -1385,7 +1371,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     downtime;
     max_concurrent_down = !max_down;
     events = !events_processed;
-    responses = List.map (fun (a, r, _) -> (a, r)) all;
+    responses = !responses;
   }
 
 (* Legacy entry point: permanent failures only.  Kept as a thin wrapper

@@ -88,7 +88,7 @@ let total_stored t =
   Array.fold_left (fun acc frs -> acc +. Fragment.set_size frs) 0. t.fragments
 
 let overlaps_backend t b (c : Query_class.t) =
-  not (Fragment.Set.is_empty (Fragment.Set.inter c.Query_class.fragments t.fragments.(b)))
+  not (Fragment.Set.disjoint c.Query_class.fragments t.fragments.(b))
 
 let ensure_update_closure t =
   let changed = ref true in

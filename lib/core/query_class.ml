@@ -15,8 +15,7 @@ let read id fragments ~weight = make id Read fragments ~weight
 let update id fragments ~weight = make id Update fragments ~weight
 let size t = Fragment.set_size t.fragments
 
-let overlaps a b =
-  not (Fragment.Set.is_empty (Fragment.Set.inter a.fragments b.fragments))
+let overlaps a b = not (Fragment.Set.disjoint a.fragments b.fragments)
 
 let is_update t = t.kind = Update
 let compare a b = String.compare a.id b.id

@@ -115,11 +115,9 @@ let clear t =
   t.len <- 0
 
 let rec drain_until t ~time ~f =
-  match min_time t with
-  | Some mt when mt <= time -> (
-      match pop_timed t with
-      | Some (at, v) ->
-          f at v;
-          drain_until t ~time ~f
-      | None -> ())
-  | _ -> ()
+  if t.len > 0 && Float.compare t.times.(0) time <= 0 then
+    match pop_timed t with
+    | Some (at, v) ->
+        f at v;
+        drain_until t ~time ~f
+    | None -> ()

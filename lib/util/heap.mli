@@ -8,11 +8,11 @@
     reproduce exactly what merging independently sorted event lists
     yields, so simulations stay bit-identical under the refactor.
 
-    The implementation is allocation-light: keys live in an unboxed float
-    array, ranks and sequence numbers in int arrays, and payloads in a
-    parallel array, all grown by doubling — pushing millions of events
-    allocates O(log n) arrays total and no per-event boxes beyond the
-    payload itself. *)
+    Keys live in an unboxed float array, ranks and sequence numbers in int
+    arrays, and payloads in a parallel array, all grown by doubling, so
+    pushing millions of events allocates O(log n) arrays in total.  Each
+    entry still costs boxes: {!add} stores the payload as [Some v], and
+    {!pop_timed} returns a fresh [Some (time, v)] with the time boxed. *)
 
 type 'a t
 
@@ -40,6 +40,8 @@ val clear : 'a t -> unit
 (** Drop every entry (keeps the backing arrays). *)
 
 val drain_until : 'a t -> time:float -> f:(float -> 'a -> unit) -> unit
-(** Pop every entry with [entry_time <= time], in order, applying [f].
-    Entries [f] itself pushes are drained too when they fall inside the
-    bound. *)
+(** Pop every entry at or before [time] in the heap's order
+    ([Float.compare]), in order, applying [f].  Entries [f] itself pushes
+    are drained too when they fall inside the bound.  An event loop that
+    streams a sorted outside source past the heap calls this before each
+    outside item, so heap entries go first at equal times. *)

@@ -21,16 +21,20 @@ let maximum = function
   | [] -> 0.
   | x :: xs -> List.fold_left max x xs
 
-let percentile p xs =
-  match List.sort compare xs with
+let nearest_rank xs =
+  let sorted = Array.copy xs in
+  (* Stable, like [List.sort]: equal keys such as [-0.] and [0.] keep
+     their input order, so the picked value is bit-identical too. *)
+  Array.stable_sort Float.compare sorted;
+  let n = Array.length sorted in
+  fun p ->
+    if n = 0 then invalid_arg "Stats.nearest_rank: empty sample";
+    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
+    sorted.(max 0 (min (n - 1) rank))
+
+let percentile p = function
   | [] -> invalid_arg "Stats.percentile: empty list"
-  | sorted ->
-      let n = List.length sorted in
-      let rank =
-        int_of_float (ceil (p /. 100. *. float_of_int n)) - 1
-      in
-      let rank = max 0 (min (n - 1) rank) in
-      List.nth sorted rank
+  | xs -> nearest_rank (Array.of_list xs) p
 
 let relative_deviation xs =
   let m = mean xs in

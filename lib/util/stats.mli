@@ -10,8 +10,16 @@ val stdev : float list -> float
 val minimum : float list -> float
 val maximum : float list -> float
 
+val nearest_rank : float array -> float -> float
+(** [nearest_rank xs] sorts a copy of [xs] once, with [Float.compare] (the
+    order [compare] gives floats), and returns the nearest-rank percentile
+    of that sample: [p] in [0,100] maps to the [ceil (p/100 * n)]-th
+    smallest value, the smallest for [p = 0].  Apply it once and query it
+    for several [p] to share the sort.
+    @raise Invalid_argument when queried on an empty sample. *)
+
 val percentile : float -> float list -> float
-(** [percentile p xs] with [p] in [0,100], nearest-rank on the sorted list.
+(** [percentile p xs] is [nearest_rank (Array.of_list xs) p].
     @raise Invalid_argument on an empty list. *)
 
 val relative_deviation : float list -> float

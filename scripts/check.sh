@@ -11,6 +11,9 @@ fi
 dune build
 dune runtest
 
+# The benchmark's own helpers (percentiles, quartiles, verdicts, spans).
+python3 perfbench/test_run.py
+
 # Static plan verification: the shipped scenarios must be diagnostic-clean,
 # and a deliberately corrupted allocation must be rejected.
 dune build @lint

@@ -180,6 +180,65 @@ let test_simulator_unsorted_arrivals () =
     b.Simulator.makespan;
   Alcotest.(check int) "same errors" a.Simulator.errors b.Simulator.errors
 
+(* ---------------- response percentiles ---------------- *)
+
+module Stats = Cdbs_util.Stats
+
+(* The naive nearest-rank definition the shared helper must reproduce:
+   sort with polymorphic [compare], take rank [ceil (q * n) - 1]. *)
+let naive_percentile q xs =
+  let sorted = List.sort compare xs in
+  let n = List.length sorted in
+  let rank = int_of_float (ceil (q /. 100. *. float_of_int n)) - 1 in
+  List.nth sorted (max 0 rank)
+
+let samples_arbitrary =
+  (* Lattice values repeat often; the specials cover the edges of the
+     float order (signed zeros, infinities, nan). *)
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> float_of_int k /. 4.) (int_range (-40) 40));
+          (2, float);
+          (1, oneofl [ 0.; -0.; infinity; neg_infinity; nan ]);
+        ])
+  in
+  QCheck.make
+    ~print:QCheck.Print.(list float)
+    QCheck.Gen.(list_size (int_range 1 500) value)
+
+let prop_nearest_rank_matches_naive =
+  QCheck.Test.make ~count:300 ~name:"nearest-rank helper = naive sort + nth"
+    samples_arbitrary (fun xs ->
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      let p = Stats.nearest_rank (Array.of_list xs) in
+      List.for_all
+        (fun q ->
+          let want = naive_percentile q xs in
+          same (p q) want && same (Stats.percentile q xs) want)
+        [ 0.; 50.; 95.; 99.; 100. ])
+
+let test_percentiles_empty () =
+  let raises f =
+    match f () with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "Stats.percentile raises on []" true
+    (raises (fun () -> Stats.percentile 50. []));
+  Alcotest.(check bool) "nearest_rank raises on an empty sample" true
+    (raises (fun () -> Stats.nearest_rank [||] 50.));
+  (* With no responses every simulator loop reports zero percentiles. *)
+  let alloc = Greedy.allocate (workload ()) (Backend.homogeneous 2) in
+  let config = Simulator.homogeneous_config 2 in
+  let zeros (o : Simulator.outcome) =
+    Alcotest.(check (list (float 0.))) "p50/p95/p99" [ 0.; 0.; 0. ]
+      [ o.Simulator.p50_response; o.Simulator.p95_response;
+        o.Simulator.p99_response ]
+  in
+  zeros (Simulator.run_open config alloc []);
+  zeros (Simulator.run_batch config alloc []);
+  zeros (Simulator.run_open_with_faults config alloc [] ~faults:[]).Simulator.run
+
 (* ---------------- controller ---------------- *)
 
 let schema : Cdbs_storage.Schema.t =
@@ -270,6 +329,9 @@ let suite =
       test_simulator_open_arrivals;
     Alcotest.test_case "simulator: unsorted arrivals" `Quick
       test_simulator_unsorted_arrivals;
+    QCheck_alcotest.to_alcotest prop_nearest_rank_matches_naive;
+    Alcotest.test_case "percentiles: empty samples" `Quick
+      test_percentiles_empty;
     Alcotest.test_case "controller: end to end" `Quick
       test_controller_end_to_end;
     Alcotest.test_case "controller: reallocation" `Quick
