@@ -384,13 +384,30 @@ let migrate_cmd =
       "shipped %.1f MB live vs %.1f MB full rebuild; replayed %.2f MB; \
        errors %d; min live replicas %d; target deployed %b@."
       r.Fm.copied_mb r.Fm.full_rebuild_mb r.Fm.replayed_mb r.Fm.errors
-      r.Fm.min_live_replicas r.Fm.target_deployed
+      r.Fm.min_live_replicas r.Fm.target_deployed;
+    (* A live rebalance must serve every request, keep every class on a
+       live replica and end on the target placement. *)
+    let failures =
+      List.filter_map
+        (fun (bad, msg) -> if bad then Some msg else None)
+        [
+          (r.Fm.errors > 0, Printf.sprintf "%d routing errors" r.Fm.errors);
+          (r.Fm.min_live_replicas < 1, "a class lost its last live replica");
+          (not r.Fm.target_deployed, "the target placement was not deployed");
+        ]
+    in
+    if failures <> [] then begin
+      Fmt.epr "migrate: %s@." (String.concat "; " failures);
+      exit 1
+    end
   in
   Cmd.v
     (Cmd.info "migrate"
        ~doc:
          "Rebalance a live cluster between two trace allocations while \
-          serving, and report the response-time timeline")
+          serving, and report the response-time timeline.  Exits 1 on a \
+          routing error, a class left without a live replica, or a target \
+          placement that was not deployed")
     Term.(
       const run $ backends_arg $ from_hour_arg $ to_hour_arg $ bandwidth_arg
       $ rate_arg $ duration_arg $ at_arg $ show_plan_arg $ seed_arg)

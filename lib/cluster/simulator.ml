@@ -4,6 +4,9 @@ module Fragment = Cdbs_core.Fragment
 module Planner = Cdbs_migration.Planner
 module Schedule = Cdbs_migration.Schedule
 module Delta = Cdbs_migration.Delta
+module Fault = Cdbs_faults.Fault
+module Retry = Cdbs_faults.Retry
+module Resilience = Cdbs_resilience
 module Heap = Cdbs_util.Heap
 module Tel = Cdbs_telemetry
 
@@ -39,23 +42,6 @@ let percentiles_of rs =
     let p = Cdbs_util.Stats.nearest_rank rs in
     (p 50., p 95., p 99.)
 
-let find_class alloc id =
-  let classes = Allocation.classes alloc in
-  let rec go i =
-    if i >= Array.length classes then None
-    else if classes.(i).Query_class.id = id then Some classes.(i)
-    else go (i + 1)
-  in
-  go 0
-
-let class_mb alloc (r : Request.t) =
-  match r.Request.cost_mb with
-  | Some mb -> mb
-  | None -> (
-      match find_class alloc r.Request.class_id with
-      | Some c -> Query_class.size c
-      | None -> 0.)
-
 (* Open-mode runs trust arrival order; a caller handing over an unsorted
    list would silently simulate time running backwards (requests "arriving"
    before the clock reached them never queue).  Detect and stably sort
@@ -72,6 +58,11 @@ let sorted_by_arrival requests =
       (fun (a : Request.t) b -> Float.compare a.Request.arrival b.Request.arrival)
       requests
 
+(* The megabytes a request of class [c] scans: its own estimate, else the
+   class's fragment footprint. *)
+let scan_mb cost_mb c =
+  match cost_mb with Some mb -> mb | None -> Query_class.size c
+
 (* The instant the last booked work drains, over backends [0, n). *)
 let makespan_of sched n =
   let m = ref 0. in
@@ -80,366 +71,6 @@ let makespan_of sched n =
       m := Scheduler.free_at sched ~backend:b
   done;
   !m
-
-let run ~respect_arrivals config alloc requests =
-  let n = Allocation.num_backends alloc in
-  if Array.length config.speeds <> n then
-    invalid_arg "Simulator.run: speeds length <> backend count";
-  let requests =
-    if respect_arrivals then sorted_by_arrival requests else requests
-  in
-  let sched = Scheduler.create alloc in
-  let busy = Array.make n 0. in
-  let completed = ref 0 and errors = ref 0 in
-  let response_sum = ref 0. and response_max = ref 0. in
-  let response_list = ref [] in
-  let resident =
-    Array.init n (fun b ->
-        Cdbs_core.Fragment.set_size (Allocation.fragments_of alloc b))
-  in
-  List.iter
-    (fun (r : Request.t) ->
-      let now = if respect_arrivals then r.Request.arrival else 0. in
-      match Scheduler.route sched ~now r with
-      | Error _ -> incr errors
-      | Ok targets ->
-          let mb = class_mb alloc r in
-          (* The protocol decides which replicas sit on the request's
-             critical path; a read always has exactly one target. *)
-          let split =
-            if r.Request.is_update then
-              Protocol.plan config.protocol ~targets
-            else { Protocol.sync = targets; async = [] }
-          in
-          let replicas =
-            if r.Request.is_update then List.length split.Protocol.sync else 1
-          in
-          let serve b ~factor =
-            let service =
-              factor
-              *. Cost_model.service_time config.cost ~class_mb:mb
-                   ~resident_mb:resident.(b) ~speed:config.speeds.(b)
-                   ~is_update:r.Request.is_update ~replicas
-            in
-            let start = max now (Scheduler.free_at sched ~backend:b) in
-            let finish = start +. service in
-            Scheduler.book sched ~backend:b ~finish;
-            busy.(b) <- busy.(b) +. service;
-            finish
-          in
-          let finish_all = ref 0. in
-          List.iter
-            (fun b ->
-              let finish = serve b ~factor:1. in
-              if finish > !finish_all then finish_all := finish)
-            split.Protocol.sync;
-          (* Asynchronous replica application: occupies the queues but not
-             the response. *)
-          List.iter
-            (fun (b, factor) -> ignore (serve b ~factor))
-            split.Protocol.async;
-          incr completed;
-          let response = !finish_all -. now in
-          response_sum := !response_sum +. response;
-          response_list := response :: !response_list;
-          if response > !response_max then response_max := response)
-    requests;
-  let p50, p95, p99 = percentiles_of (Array.of_list !response_list) in
-  let makespan = makespan_of sched n in
-  {
-    completed = !completed;
-    makespan;
-    throughput = (if makespan > 0. then float_of_int !completed /. makespan else 0.);
-    avg_response =
-      (if !completed > 0 then !response_sum /. float_of_int !completed else 0.);
-    max_response = !response_max;
-    p50_response = p50;
-    p95_response = p95;
-    p99_response = p99;
-    busy;
-    utilization =
-      Array.map (fun b -> if makespan > 0. then b /. makespan else 0.) busy;
-    errors = !errors;
-  }
-
-let run_batch config alloc requests =
-  run ~respect_arrivals:false config alloc requests
-
-let run_open config alloc requests =
-  run ~respect_arrivals:true config alloc requests
-
-(* ------------------------------------------------------------------ *)
-(* Open-mode execution during a live migration                         *)
-(* ------------------------------------------------------------------ *)
-
-type migration_outcome = {
-  run : outcome;
-  copied_mb : float;
-  replayed_mb : float;
-  copy_done : float;
-  drops_at : float;
-  min_live_replicas : (string * int) list;
-  target_deployed : bool;
-  responses : (float * float) list;
-}
-
-(* Migration events in time order; at equal instants a copy opens before
-   its own (zero-length) cutover, and the drop barrier comes last. *)
-type mig_event =
-  | Copy_start of Schedule.timed_move
-  | Cutover of Schedule.timed_move
-  | Drop_all
-
-let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
-    ~target ~schedule requests =
-  let plan = schedule.Schedule.plan in
-  let n = plan.Planner.num_physical in
-  if Array.length config.speeds <> n then
-    invalid_arg
-      "Simulator.run_open_with_migration: speeds length <> physical nodes";
-  let telemetry =
-    match (telemetry, monitor) with
-    | None, Some _ -> Some (Tel.Sink.create ~capacity:64 ())
-    | _ -> telemetry
-  in
-  let monitor_owns_attach =
-    match (monitor, telemetry) with
-    | Some m, Some sink -> Cdbs_analysis.Monitor.attach m sink
-    | _ -> false
-  in
-  let requests = sorted_by_arrival requests in
-  Tel.Sink.ev telemetry ~at:0. "run.start"
-    [
-      ("backends", Tel.Trace.Int n);
-      ("offered", Tel.Trace.Int (List.length requests));
-    ];
-  let sched = Scheduler.create_dynamic target ~live:plan.Planner.old_sets in
-  let delta : unit Delta.t = Delta.create () in
-  let busy = Array.make n 0. in
-  let completed = ref 0 and errors = ref 0 in
-  let response_sum = ref 0. and response_max = ref 0. in
-  let responses = ref [] in
-  let replayed_mb = ref 0. in
-  let classes = Array.to_list (Allocation.classes target) in
-  let mins =
-    List.map (fun c -> (c, ref (Scheduler.live_replicas sched c))) classes
-  in
-  (* Expand-then-contract promises each class never drops below the
-     smaller of its old and target replica counts; announce the floor so
-     the protocol monitor can hold the run to it. *)
-  let target_replicas (c : Query_class.t) =
-    Array.fold_left
-      (fun acc set ->
-        if Fragment.Set.subset c.Query_class.fragments set then acc + 1
-        else acc)
-      0 plan.Planner.target_sets
-  in
-  List.iter
-    (fun ((c : Query_class.t), m) ->
-      Tel.Sink.ev telemetry ~at:0. "migration.floor"
-        [
-          ("class", Tel.Trace.Str c.Query_class.id);
-          ("floor", Tel.Trace.Int (min !m (target_replicas c)));
-        ])
-    mins;
-  let observe_mins ~at () =
-    List.iter
-      (fun ((c : Query_class.t), m) ->
-        let r = Scheduler.live_replicas sched c in
-        Tel.Sink.ev telemetry ~at "migration.live"
-          [
-            ("class", Tel.Trace.Str c.Query_class.id);
-            ("replicas", Tel.Trace.Int r);
-          ];
-        if r < !m then m := r)
-      mins
-  in
-  let event_time = function
-    | Copy_start tm -> tm.Schedule.start
-    | Cutover tm -> tm.Schedule.finish
-    | Drop_all -> schedule.Schedule.drops_at
-  in
-  let event_rank = function Copy_start _ -> 0 | Cutover _ -> 1 | Drop_all -> 2 in
-  (* Pending migration events on a priority queue; the (time, rank,
-     insertion) heap order matches the stable sort the list-based engine
-     used, so the replay is unchanged. *)
-  let events : mig_event Heap.t = Heap.create () in
-  List.iter
-    (fun e -> Heap.add events ~time:(event_time e) ~rank:(event_rank e) e)
-    (Drop_all
-    :: List.concat_map
-         (fun tm -> [ Copy_start tm; Cutover tm ])
-         schedule.Schedule.moves);
-  let apply_event = function
-    | Copy_start tm ->
-        Delta.open_capture delta ~dest:tm.Schedule.move.Planner.dest
-          ~fragment:tm.Schedule.move.Planner.fragment
-    | Cutover tm ->
-        let dest = tm.Schedule.move.Planner.dest in
-        let fragment = tm.Schedule.move.Planner.fragment in
-        let _, mb = Delta.drain delta ~dest ~fragment in
-        (* Replay the captured deltas on the destination before the
-           fragment goes live there: foreground work on its queue. *)
-        if mb > 0. then begin
-          let replay =
-            mb *. config.cost.Cost_model.scan_seconds_per_mb
-            /. config.speeds.(dest)
-          in
-          let start =
-            max tm.Schedule.finish (Scheduler.free_at sched ~backend:dest)
-          in
-          Scheduler.book sched ~backend:dest ~finish:(start +. replay);
-          busy.(dest) <- busy.(dest) +. replay;
-          replayed_mb := !replayed_mb +. mb
-        end;
-        Scheduler.add_live sched ~backend:dest
-          (Fragment.Set.singleton fragment)
-    | Drop_all ->
-        List.iter
-          (fun (d : Planner.drop) ->
-            Scheduler.remove_live sched ~backend:d.Planner.at_backend
-              (Fragment.Set.singleton d.Planner.victim))
-          plan.Planner.drops
-  in
-  let apply_events now =
-    Heap.drain_until events ~time:now ~f:(fun at e ->
-        apply_event e;
-        observe_mins ~at ())
-  in
-  List.iter
-    (fun (r : Request.t) ->
-      let now = r.Request.arrival in
-      apply_events now;
-      match Scheduler.route sched ~now r with
-      | Error _ -> incr errors
-      | Ok targets ->
-          let mb = class_mb target r in
-          (* Updates arriving while a referenced fragment is on the wire
-             go to the delta journal and are replayed at cutover. *)
-          if r.Request.is_update then begin
-            match find_class target r.Request.class_id with
-            | Some c ->
-                let frags = c.Query_class.fragments in
-                let per_fragment =
-                  mb /. float_of_int (max 1 (Fragment.Set.cardinal frags))
-                in
-                Fragment.Set.iter
-                  (fun f ->
-                    ignore
-                      (Delta.capture delta ~fragment:f ~item:()
-                         ~mb:per_fragment))
-                  frags
-            | None -> ()
-          end;
-          let split =
-            if r.Request.is_update then Protocol.plan config.protocol ~targets
-            else { Protocol.sync = targets; async = [] }
-          in
-          let replicas =
-            if r.Request.is_update then List.length split.Protocol.sync else 1
-          in
-          let serve b ~factor =
-            (* Background copy I/O contends with foreground work on the
-               nodes it touches. *)
-            let contention =
-              if Schedule.copying schedule ~backend:b ~at:now then
-                1. +. copy_slowdown
-              else 1.
-            in
-            let service =
-              factor *. contention
-              *. Cost_model.service_time config.cost ~class_mb:mb
-                   ~resident_mb:
-                     (Fragment.set_size
-                        (Scheduler.live_fragments sched ~backend:b))
-                   ~speed:config.speeds.(b) ~is_update:r.Request.is_update
-                   ~replicas
-            in
-            let start = max now (Scheduler.free_at sched ~backend:b) in
-            let finish = start +. service in
-            Scheduler.book sched ~backend:b ~finish;
-            busy.(b) <- busy.(b) +. service;
-            finish
-          in
-          let finish_all = ref 0. in
-          List.iter
-            (fun b ->
-              let finish = serve b ~factor:1. in
-              if finish > !finish_all then finish_all := finish)
-            split.Protocol.sync;
-          List.iter
-            (fun (b, factor) -> ignore (serve b ~factor))
-            split.Protocol.async;
-          incr completed;
-          let response = !finish_all -. now in
-          response_sum := !response_sum +. response;
-          if response > !response_max then response_max := response;
-          responses := (now, response) :: !responses)
-    requests;
-  (* Requests may dry up before the rebalance completes: finish it. *)
-  apply_events infinity;
-  let makespan = makespan_of sched n in
-  let target_deployed =
-    let ok = ref true in
-    for b = 0 to n - 1 do
-      if
-        not
-          (Fragment.Set.equal
-             (Scheduler.live_fragments sched ~backend:b)
-             plan.Planner.target_sets.(b))
-      then ok := false
-    done;
-    !ok
-  in
-  let p50, p95, p99 =
-    percentiles_of (Array.of_list (List.map snd !responses))
-  in
-  (match (monitor, telemetry) with
-  | Some m, Some sink when monitor_owns_attach ->
-      Cdbs_analysis.Monitor.detach m sink
-  | _ -> ());
-  (match monitor with
-  | Some m when Cdbs_core.Invariants.active () ->
-      Cdbs_analysis.Monitor.check_exn
-        ~context:"Simulator.run_open_with_migration" m
-  | _ -> ());
-  {
-    run =
-      {
-        completed = !completed;
-        makespan;
-        throughput =
-          (if makespan > 0. then float_of_int !completed /. makespan else 0.);
-        avg_response =
-          (if !completed > 0 then !response_sum /. float_of_int !completed
-           else 0.);
-        max_response = !response_max;
-        p50_response = p50;
-        p95_response = p95;
-        p99_response = p99;
-        busy;
-        utilization =
-          Array.map (fun b -> if makespan > 0. then b /. makespan else 0.) busy;
-        errors = !errors;
-      };
-    copied_mb = plan.Planner.copy_mb;
-    replayed_mb = !replayed_mb;
-    copy_done = schedule.Schedule.copy_done;
-    drops_at = schedule.Schedule.drops_at;
-    min_live_replicas =
-      List.map
-        (fun ((c : Query_class.t), m) -> (c.Query_class.id, !m))
-        mins;
-    target_deployed;
-    responses = List.rev !responses;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Fault injection: crash / recover / slowdown on the event clock      *)
-(* ------------------------------------------------------------------ *)
-
-module Fault = Cdbs_faults.Fault
-module Retry = Cdbs_faults.Retry
 
 type recovery = {
   rec_backend : int;
@@ -476,6 +107,17 @@ type fault_outcome = {
   responses : (float * float) list;
 }
 
+type migration_outcome = {
+  run : outcome;
+  copied_mb : float;
+  replayed_mb : float;
+  copy_done : float;
+  drops_at : float;
+  min_live_replicas : (string * int) list;
+  target_deployed : bool;
+  responses : (float * float) list;
+}
+
 (* One retry chain of a read whose service was lost to a crash (or that
    could not be routed at all). *)
 type read_ctx = {
@@ -499,40 +141,63 @@ type booked = {
   bk_kind : booked_kind;
 }
 
+(* Internal events; each fires at its heap instant. *)
 type dyn_event =
-  | Retry_at of float * read_ctx
-  | Catchup_done of { at : float; backend : int; gen : int }
-  | Hedge_at of { at : float; primary : int; ctx : read_ctx }
+  | Retry_at of read_ctx
+  | Catchup_done of { backend : int; gen : int }
+  | Hedge_at of { primary : int; ctx : read_ctx }
 
-let dyn_time = function
-  | Retry_at (at, _) -> at
-  | Catchup_done { at; _ } -> at
-  | Hedge_at { at; _ } -> at
+type mig_event =
+  | Copy_start of Schedule.timed_move
+  | Cutover of Schedule.timed_move
+  | Drop_all
 
-(* What the fault engine's event heap holds; arrivals stream past it.
-   [Partition] and [ZoneOutage] schedule entries are expanded into
-   start/heal pairs before the run so the clock only ever sees
-   instantaneous events. *)
+(* What the event heap holds; arrivals stream past it.  [Partition] and
+   [ZoneOutage] schedule entries are expanded into start/heal pairs before
+   the run so the clock only ever sees instantaneous events. *)
 type sim_event =
   | Ev_fault of Fault.timed
   | Ev_cut of { backends : int list; heal : bool; zone : int option }
+  | Ev_mig of mig_event
   | Ev_dyn of dyn_event
 
-module Resilience = Cdbs_resilience
+(* Order at equal instants: faults and cuts, then a migration's copy
+   starts, its (zero-length) cutovers and its drop barrier, then internal
+   events; insertion order breaks the remaining ties. *)
+let rank_of = function
+  | Ev_fault _ | Ev_cut _ -> 0
+  | Ev_mig (Copy_start _) -> 1
+  | Ev_mig (Cutover _) -> 2
+  | Ev_mig Drop_all -> 3
+  | Ev_dyn _ -> 4
 
-let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
-    ?monitor ?topology ?(partition_timeout = 1.) config alloc requests ~faults
-    =
-  let n = Allocation.num_backends alloc in
+(* A live migration as an event source.  [floors] pairs each query class
+   with its expand-then-contract replica floor and the fewest live
+   replicas seen so far. *)
+type live_migration = {
+  schedule : Schedule.t;
+  copy_slowdown : float;
+  floors : (Query_class.t * int * int ref) list;
+  mutable replayed : float;
+}
+
+(* The one event clock behind every entry point.  [batch] offers every
+   request at t = 0 in list order; otherwise requests arrive at their
+   timestamps.  Faults, cuts, migration steps and retry/hedge/catch-up
+   events wait on one heap; [sched] carries the placement (static, or
+   dynamic for a migration) and comes back in its final state. *)
+let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
+    ?monitor ?topology ?(partition_timeout = 1.) ?migration ?(batch = false)
+    ?(keep_responses = false) config sched requests ~faults =
+  let n = Scheduler.num_nodes sched in
   if Array.length config.speeds <> n then
-    invalid_arg "Simulator.run_open_with_faults: speeds length <> backends";
+    invalid_arg (context ^ ": speeds length <> backends");
   (match topology with
   | Some t when Cdbs_core.Topology.num_backends t <> n ->
-      invalid_arg
-        "Simulator.run_open_with_faults: topology backend count <> allocation"
+      invalid_arg (context ^ ": topology backend count <> allocation")
   | _ -> ());
   if not (partition_timeout >= 0.) then
-    invalid_arg "Simulator.run_open_with_faults: partition_timeout < 0";
+    invalid_arg (context ^ ": partition_timeout < 0");
   let zone_of =
     Option.map
       (fun t -> Array.init n (Cdbs_core.Topology.zone_of t))
@@ -540,7 +205,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   in
   (match Fault.validate ?zone_of ~num_backends:n faults with
   | Ok () -> ()
-  | Error e -> invalid_arg ("Simulator.run_open_with_faults: " ^ e));
+  | Error e -> invalid_arg (context ^ ": " ^ e));
   (* A monitor needs an event stream even when the caller brought no sink
      of its own: give it a small private ring (only the subscription
      matters; nobody reads the ring). *)
@@ -554,11 +219,10 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     | Some m, Some sink -> Cdbs_analysis.Monitor.attach m sink
     | _ -> false
   in
-  let requests = sorted_by_arrival requests in
+  let requests = if batch then requests else sorted_by_arrival requests in
   let offered = List.length requests in
   Tel.Sink.ev telemetry ~at:0. "run.start"
     [ ("backends", Tel.Trace.Int n); ("offered", Tel.Trace.Int offered) ];
-  let sched = Scheduler.create alloc in
   let delta : unit Delta.t = Delta.create () in
   let busy = Array.make n 0. in
   let inflight = Array.make n [] in
@@ -580,10 +244,12 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   let slow_factor = Array.make n 1. and slow_until = Array.make n 0. in
   let down_since = Array.make n nan in
   let downtime = Array.make n 0. in
-  let resident =
-    Array.init n (fun b ->
-        Cdbs_core.Fragment.set_size (Allocation.fragments_of alloc b))
+  (* Resident megabytes per backend, recomputed whenever its live set
+     changes (only a migration changes it). *)
+  let resident_of b =
+    Fragment.set_size (Scheduler.live_fragments sched ~backend:b)
   in
+  let resident = Array.init n resident_of in
   (* Completed requests by uid (dense, issued in arrival order): arrival
      and response.  A read is retracted when a crash or shed cancels it
      and recorded again when a retry or hedge lands. *)
@@ -626,6 +292,19 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     | Some d -> arrival +. d.Resilience.Deadline.budget
     | None -> infinity
   in
+  (* In-flight bookings are kept only when something reads them: crash-like
+     faults cancel them, admission control counts and evicts them, hedges
+     cancel the losing leg. *)
+  let track =
+    admission <> None || hedge <> None
+    || List.exists
+         (fun (f : Fault.timed) ->
+           match f.Fault.event with
+           | Fault.Crash _ | Fault.Partition _ | Fault.ZoneOutage _ -> true
+           | Fault.Recover _ | Fault.Slowdown _ | Fault.Workload_shift _ ->
+               false)
+         faults
+  in
   let healthy_at now =
     match breaker with
     | None -> None
@@ -643,22 +322,22 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   let cancelled_work = ref 0. and catch_up_mb = ref 0. in
   let recoveries = ref [] in
   let cur_down = ref 0 and max_down = ref 0 in
-  (* Faults, cuts and internal events (retries, catch-ups, hedges) wait on
-     a priority queue; arrivals stream past it from the sorted request
-     list (see the event clock below).  At equal instants faults (rank 0)
-     go before internal events (rank 1), and insertion order breaks the
-     remaining ties. *)
+  (* Faults, cuts, migration steps and internal events (retries,
+     catch-ups, hedges) wait on a priority queue ordered by time, then
+     {!rank_of}; arrivals stream past it from the request list (see the
+     event clock below). *)
   let q : sim_event Heap.t = Heap.create () in
+  let push ~time ev = Heap.add q ~time ~rank:(rank_of ev) ev in
   List.iter
     (fun (f : Fault.timed) ->
+      let cut ~zone backends duration =
+        push ~time:f.Fault.at (Ev_cut { backends; heal = false; zone });
+        push ~time:(f.Fault.at +. duration)
+          (Ev_cut { backends; heal = true; zone })
+      in
       match f.Fault.event with
       | Fault.Partition { backends; duration } ->
-          Heap.add q ~time:f.Fault.at ~rank:0
-            (Ev_cut { backends; heal = false; zone = None });
-          Heap.add q
-            ~time:(f.Fault.at +. duration)
-            ~rank:0
-            (Ev_cut { backends; heal = true; zone = None })
+          cut ~zone:None backends duration
       | Fault.ZoneOutage { zone; duration } ->
           (* Validation already required a topology for zone faults. *)
           let members =
@@ -666,22 +345,44 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
             | Some t -> Cdbs_core.Topology.backends_in t zone
             | None -> []
           in
-          Heap.add q ~time:f.Fault.at ~rank:0
-            (Ev_cut { backends = members; heal = false; zone = Some zone });
-          Heap.add q
-            ~time:(f.Fault.at +. duration)
-            ~rank:0
-            (Ev_cut { backends = members; heal = true; zone = Some zone })
+          cut ~zone:(Some zone) members duration
       | Fault.Crash _ | Fault.Recover _ | Fault.Slowdown _
       | Fault.Workload_shift _ ->
-          Heap.add q ~time:f.Fault.at ~rank:0 (Ev_fault f))
+          push ~time:f.Fault.at (Ev_fault f))
     (Fault.sort faults);
-  let insert_dyn e = Heap.add q ~time:(dyn_time e) ~rank:1 (Ev_dyn e) in
+  Option.iter
+    (fun m ->
+      let s = m.schedule in
+      push ~time:s.Schedule.drops_at (Ev_mig Drop_all);
+      List.iter
+        (fun (tm : Schedule.timed_move) ->
+          push ~time:tm.Schedule.start (Ev_mig (Copy_start tm));
+          push ~time:tm.Schedule.finish (Ev_mig (Cutover tm)))
+        s.Schedule.moves;
+      (* Announce each class's expand-then-contract floor so the protocol
+         monitor can hold the run to it. *)
+      List.iter
+        (fun ((c : Query_class.t), floor, _) ->
+          Tel.Sink.ev telemetry ~at:0. "migration.floor"
+            [
+              ("class", Tel.Trace.Str c.Query_class.id);
+              ("floor", Tel.Trace.Int floor);
+            ])
+        m.floors)
+    migration;
+  let insert_dyn ~at e = push ~time:at (Ev_dyn e) in
   (* Service quote: what booking this work on [b] right now would cost,
      without booking it.  Admission and deadline checks run on the quote;
-     [commit] turns an accepted quote into a booking. *)
+     [commit] turns an accepted quote into a booking.  Background copy I/O
+     contends with foreground work on the nodes it touches. *)
   let quote ~now ~mb ~replicas ~is_update b ~factor =
     let slow = if now < slow_until.(b) then slow_factor.(b) else 1. in
+    let slow =
+      match migration with
+      | Some m when Schedule.copying m.schedule ~backend:b ~at:now ->
+          slow *. (1. +. m.copy_slowdown)
+      | _ -> slow
+    in
     let service =
       factor *. slow
       *. Cost_model.service_time config.cost ~class_mb:mb
@@ -716,15 +417,22 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   let commit ~mb ~kind b (start, finish, service) =
     Scheduler.book sched ~backend:b ~finish;
     busy.(b) <- busy.(b) +. service;
-    inflight.(b) <-
-      { bk_start = start; bk_finish = finish; bk_service = service;
-        bk_mb = mb; bk_kind = kind }
-      :: inflight.(b);
+    if track then
+      inflight.(b) <-
+        { bk_start = start; bk_finish = finish; bk_service = service;
+          bk_mb = mb; bk_kind = kind }
+        :: inflight.(b);
     serve_event ~at:!now_ref ~kind b ~start ~finish;
     finish
   in
-  let serve ~now ~mb ~replicas ~is_update ~kind b ~factor =
-    commit ~mb ~kind b (quote ~now ~mb ~replicas ~is_update b ~factor)
+  (* Replay [mb] of missed update volume on [b] through the delta-journal
+     cost model: foreground work that later arrivals queue behind. *)
+  let book_replay ~now b mb =
+    let replay =
+      mb *. config.cost.Cost_model.scan_seconds_per_mb /. config.speeds.(b)
+    in
+    let start = max now (Scheduler.free_at sched ~backend:b) in
+    commit ~mb ~kind:Bk_catchup b (start, start +. replay, replay)
   in
   (* Queue depth for admission control.  Completed bookings are pruned on
      the way (they are kept only so a crash can cancel in-flight work). *)
@@ -814,7 +522,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
               [ ("remaining_s", Tel.Trace.Float (rc.rc_deadline -. at)) ]
             else []);
         Hashtbl.replace retried rc.rc_uid ();
-        insert_dyn (Retry_at (at, { rc with rc_attempt = attempt }))
+        insert_dyn ~at (Retry_at { rc with rc_attempt = attempt })
       end
   in
   (* Arm a speculative second dispatch if this read is predicted to exceed
@@ -831,7 +539,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
               [ ("uid", Tel.Trace.Int rc.rc_uid);
                 ("primary", Tel.Trace.Int b);
                 ("fire_at", Tel.Trace.Float (now +. d)) ];
-          insert_dyn (Hedge_at { at = now +. d; primary = b; ctx = rc })
+          insert_dyn ~at:(now +. d) (Hedge_at { primary = b; ctx = rc })
         end
   in
   let handle_read ~now rc =
@@ -851,11 +559,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
           with
           | None -> schedule_retry ~now rc
           | Some b -> (
-              let mb =
-                match rc.rc_cost_mb with
-                | Some mb -> mb
-                | None -> Query_class.size c
-              in
+              let mb = scan_mb rc.rc_cost_mb c in
               (* The quote is pure, so an admission check and the booking it
                  admits share one; only a shed (which reshapes the queue)
                  forces a re-quote. *)
@@ -920,42 +624,33 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
            Updates are not retried (see {!Cdbs_faults.Retry}). *)
         incr aborted
     | Ok targets ->
-        let mb =
-          match r.Request.cost_mb with
-          | Some mb -> mb
-          | None -> (
-              match Scheduler.find_class sched r.Request.class_id with
-              | Some c -> Query_class.size c
-              | None -> 0.)
-        in
-        (* Crashed backends holding the touched fragments journal the
-           volume; it is replayed when they rejoin. *)
-        (match Scheduler.find_class sched r.Request.class_id with
-        | Some c ->
-            let frags = c.Query_class.fragments in
-            let per =
-              mb /. float_of_int (max 1 (Fragment.Set.cardinal frags))
-            in
-            Fragment.Set.iter
-              (fun f -> ignore (Delta.capture delta ~fragment:f ~item:() ~mb:per))
-              frags
-        | None -> ());
+        (* [route] found the class. *)
+        let c = Option.get (Scheduler.find_class sched r.Request.class_id) in
+        let mb = scan_mb r.Request.cost_mb c in
+        (* Crashed backends and in-flight copies holding the touched
+           fragments journal the volume; it is replayed when they rejoin or
+           cut over. *)
+        if not (Delta.is_empty delta) then begin
+          let frags = c.Query_class.fragments in
+          let per = mb /. float_of_int (max 1 (Fragment.Set.cardinal frags)) in
+          Fragment.Set.iter
+            (fun f -> ignore (Delta.capture delta ~fragment:f ~item:() ~mb:per))
+            frags
+        end;
         let split = Protocol.plan config.protocol ~targets in
         let replicas = List.length split.Protocol.sync in
+        let apply b ~factor =
+          commit ~mb ~kind:Bk_update b
+            (quote ~now ~mb ~replicas ~is_update:true b ~factor)
+        in
         let finish_all = ref now in
         List.iter
           (fun b ->
-            let f =
-              serve ~now ~mb ~replicas ~is_update:true ~kind:Bk_update b
-                ~factor:1.
-            in
+            let f = apply b ~factor:1. in
             if f > !finish_all then finish_all := f)
           split.Protocol.sync;
         List.iter
-          (fun (b, factor) ->
-            ignore
-              (serve ~now ~mb ~replicas ~is_update:true ~kind:Bk_update b
-                 ~factor))
+          (fun (b, factor) -> ignore (apply b ~factor))
           split.Protocol.async;
         incr completed_updates;
         record u (!finish_all -. now)
@@ -1006,18 +701,22 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                   ~now rc
             | Bk_update | Bk_catchup ->
                 (* Un-applied fraction of the replica write (the update
-                   itself committed on the survivors): owed at rejoin. *)
-                lost_mb.(b) <-
-                  lost_mb.(b) +. (it.bk_mb *. lost /. it.bk_service)
+                   itself committed on the survivors): owed at rejoin.  A
+                   zero-length booking is still queued and has applied
+                   nothing. *)
+                let owed =
+                  if it.bk_service = 0. then it.bk_mb
+                  else it.bk_mb *. lost /. it.bk_service
+                in
+                lost_mb.(b) <- lost_mb.(b) +. owed
           end)
         items;
       Scheduler.book sched ~backend:b ~finish:now;
       Fragment.Set.iter
         (fun f -> Delta.open_capture delta ~dest:b ~fragment:f)
-        (Allocation.fragments_of alloc b)
+        (Scheduler.live_fragments sched ~backend:b)
     end
   in
-  let crash ~now b = take_down ~now ~cut:false b in
   (* Bring a backend back.  [healed = false] is a plain crash recovery;
      [healed = true] ends a partition: the heal bumps the backend's
      fencing epoch and — when it missed updates — keeps it fenced until
@@ -1034,7 +733,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
         (fun f ->
           let _, mb = Delta.drain delta ~dest:b ~fragment:f in
           missed := !missed +. mb)
-        (Allocation.fragments_of alloc b);
+        (Scheduler.live_fragments sched ~backend:b);
       let crashed_at = down_since.(b) in
       if healed then begin
         partitioned.(b) <- false;
@@ -1061,37 +760,24 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
           :: !recoveries
       end
       else begin
-        (* Rejoin stale: replay the missed volume (the delta-journal cost
-           model, as at a migration cutover) before serving reads again.
-           New updates queue behind the replay, keeping the backend
-           consistent from the catch-up point on. *)
+        (* Rejoin stale: replay the missed volume (as at a migration
+           cutover) before serving reads again.  New updates queue behind
+           the replay, keeping the backend consistent from the catch-up
+           point on. *)
         Scheduler.set_up ~stale:true sched ~backend:b;
         if healed then fenced.(b) <- true;
         catch_up_mb := !catch_up_mb +. !missed;
-        let replay =
-          !missed *. config.cost.Cost_model.scan_seconds_per_mb
-          /. config.speeds.(b)
-        in
-        let start = max now (Scheduler.free_at sched ~backend:b) in
-        let finish = start +. replay in
-        Scheduler.book sched ~backend:b ~finish;
-        busy.(b) <- busy.(b) +. replay;
-        inflight.(b) <-
-          { bk_start = start; bk_finish = finish; bk_service = replay;
-            bk_mb = !missed; bk_kind = Bk_catchup }
-          :: inflight.(b);
-        serve_event ~at:now ~kind:Bk_catchup b ~start ~finish;
+        let finish = book_replay ~now b !missed in
         let r =
           { rec_backend = b; crashed_at; recovered_at = now;
             caught_up_at = nan; replayed_mb = !missed }
         in
         recoveries := r :: !recoveries;
         Hashtbl.replace pending_catchup b r;
-        insert_dyn (Catchup_done { at = finish; backend = b; gen = gen.(b) })
+        insert_dyn ~at:finish (Catchup_done { backend = b; gen = gen.(b) })
       end
     end
   in
-  let recover ~now b = rejoin ~now ~healed:false b in
   (* A partition start/heal, or a whole-zone outage (correlated crash of
      every member, bracketed by zone.outage / zone.heal trace events). *)
   let apply_cut ~now ~heal ~zone backends =
@@ -1117,8 +803,8 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   in
   let apply_fault ({ Fault.at = now; event } : Fault.timed) =
     match event with
-    | Fault.Crash b -> crash ~now b
-    | Fault.Recover b -> recover ~now b
+    | Fault.Crash b -> take_down ~now ~cut:false b
+    | Fault.Recover b -> rejoin ~now ~healed:false b
     | Fault.Slowdown { backend = b; factor; duration } ->
         Tel.Sink.ev telemetry ~at:now "backend.slowdown"
           [ ("backend", Tel.Trace.Int b);
@@ -1138,9 +824,51 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
            loaded; never reaches the clock in this shape. *)
         ()
   in
-  let apply_dyn = function
-    | Retry_at (now, rc) -> handle_read ~now rc
-    | Catchup_done { at = now; backend = b; gen = g } ->
+  (* Live sets change at cutovers and at the drop barrier: routing follows
+     them and the cost model reads the new resident volume. *)
+  let set_live b f change =
+    change sched ~backend:b (Fragment.Set.singleton f);
+    resident.(b) <- resident_of b
+  in
+  let apply_migration ~now m = function
+    | Copy_start tm ->
+        Delta.open_capture delta ~dest:tm.Schedule.move.Planner.dest
+          ~fragment:tm.Schedule.move.Planner.fragment
+    | Cutover tm ->
+        let dest = tm.Schedule.move.Planner.dest in
+        let fragment = tm.Schedule.move.Planner.fragment in
+        let _, mb = Delta.drain delta ~dest ~fragment in
+        (* Replay the captured deltas on the destination before the
+           fragment goes live there. *)
+        if mb > 0. then begin
+          ignore (book_replay ~now dest mb);
+          m.replayed <- m.replayed +. mb
+        end;
+        set_live dest fragment Scheduler.add_live
+    | Drop_all ->
+        List.iter
+          (fun (d : Planner.drop) ->
+            set_live d.Planner.at_backend d.Planner.victim
+              Scheduler.remove_live)
+          m.schedule.Schedule.plan.Planner.drops
+  in
+  (* After every migration step, audit each class's live replicas
+     against the floor. *)
+  let observe_floors ~at m =
+    List.iter
+      (fun ((c : Query_class.t), _, low) ->
+        let r = Scheduler.live_replicas sched c in
+        Tel.Sink.ev telemetry ~at "migration.live"
+          [
+            ("class", Tel.Trace.Str c.Query_class.id);
+            ("replicas", Tel.Trace.Int r);
+          ];
+        if r < !low then low := r)
+      m.floors
+  in
+  let apply_dyn ~now = function
+    | Retry_at rc -> handle_read ~now rc
+    | Catchup_done { backend = b; gen = g } ->
         if
           g = gen.(b)
           && Scheduler.is_up sched ~backend:b
@@ -1165,7 +893,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
               Hashtbl.remove pending_catchup b
           | None -> ()
         end
-    | Hedge_at { at = now; primary; ctx = rc } -> (
+    | Hedge_at { primary; ctx = rc } -> (
         (* Speculatively dispatch the read to the next-best replica and
            keep whichever leg completes first; the loser's unserved tail
            is cancelled on the event clock. *)
@@ -1188,11 +916,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                     match best with
                     | None -> () (* no second replica to hedge on *)
                     | Some b2 ->
-                        let mb =
-                          match rc.rc_cost_mb with
-                          | Some mb -> mb
-                          | None -> Query_class.size c
-                        in
+                        let mb = scan_mb rc.rc_cost_mb c in
                         let ((s2, f2, sv2) as q2) =
                           quote ~now ~mb ~replicas:1 ~is_update:false b2
                             ~factor:1.
@@ -1243,12 +967,12 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
                           end
                         end))))
   in
-  (* The event clock streams the sorted arrivals past the heap: before
-     each arrival it drains every heap event at or before that instant,
-     which keeps faults before internal events before arrivals at equal
-     instants.  Uid [u] is the [u]-th arrival.  Crucially, fault events
-     keep being processed after the last arrival — a crash still cancels
-     whatever is queued. *)
+  (* The event clock streams the requests past the heap: before each
+     arrival it drains every heap event at or before that instant, which
+     keeps heap events before arrivals at equal instants.  Uid [u] is the
+     [u]-th arrival.  Crucially, heap events keep being processed after
+     the last arrival — a crash still cancels whatever is queued, and a
+     rebalance whose requests dried up still completes. *)
   let events_processed = ref 0 in
   let apply_event at ev =
     incr events_processed;
@@ -1256,11 +980,17 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     match ev with
     | Ev_fault f -> apply_fault f
     | Ev_cut { backends; heal; zone } -> apply_cut ~now:at ~heal ~zone backends
-    | Ev_dyn e -> apply_dyn e
+    | Ev_dyn e -> apply_dyn ~now:at e
+    | Ev_mig e ->
+        Option.iter
+          (fun m ->
+            apply_migration ~now:at m e;
+            observe_floors ~at m)
+          migration
   in
   List.iteri
     (fun u (r : Request.t) ->
-      let now = r.Request.arrival in
+      let now = if batch then 0. else r.Request.arrival in
       Heap.drain_until q ~time:now ~f:apply_event;
       incr events_processed;
       now_ref := now;
@@ -1280,12 +1010,23 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   Heap.drain_until q ~time:infinity ~f:apply_event;
   let makespan = makespan_of sched n in
   (* Uid order is (arrival, uid) order. *)
+  let completed =
+    Array.fold_left (fun k p -> if p then k + 1 else k) 0 present
+  in
+  let rs = Array.make completed 0. in
+  let k = ref 0 in
+  Array.iteri
+    (fun u p ->
+      if p then begin
+        rs.(!k) <- response.(u);
+        incr k
+      end)
+    present;
   let responses = ref [] in
-  for u = offered - 1 downto 0 do
-    if present.(u) then responses := (arrival.(u), response.(u)) :: !responses
-  done;
-  let rs = Array.of_list (List.map snd !responses) in
-  let completed = Array.length rs in
+  if keep_responses then
+    for u = offered - 1 downto 0 do
+      if present.(u) then responses := (arrival.(u), response.(u)) :: !responses
+    done;
   let response_sum = Array.fold_left ( +. ) 0. rs in
   let response_max = Array.fold_left max 0. rs in
   let p50, p95, p99 = percentiles_of rs in
@@ -1323,8 +1064,7 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
   | _ -> ());
   (match monitor with
   | Some m when Cdbs_core.Invariants.active () ->
-      Cdbs_analysis.Monitor.check_exn
-        ~context:"Simulator.run_open_with_faults" m
+      Cdbs_analysis.Monitor.check_exn ~context m
   | _ -> ());
   {
     run =
@@ -1374,13 +1114,67 @@ let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
     responses = !responses;
   }
 
-(* Legacy entry point: permanent failures only.  Kept as a thin wrapper
-   over the event-clock engine, which fixes two bugs of the old polling
-   implementation: failures timed after the last arrival were never
-   applied, and a backend crashing with queued work silently "completed"
-   it.  Routing falls back to surviving replicas with the default retry
-   policy, so an adequately k-safe allocation still reports zero errors. *)
-let run_open_with_failures config alloc requests ~failures =
-  (run_open_with_faults config alloc requests
-     ~faults:(Fault.of_failures failures))
+(* ------------------------------------------------------------------ *)
+(* Entry points: configurations of the one clock                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Batch and open replay: no faults and no retries, so an unroutable
+   request is an error. *)
+let run_batch config alloc requests =
+  (engine ~context:"Simulator.run_batch" ~batch:true config
+     (Scheduler.create alloc) requests ~faults:[])
     .run
+
+let run_open config alloc requests =
+  (engine ~context:"Simulator.run_open" config (Scheduler.create alloc)
+     requests ~faults:[])
+    .run
+
+let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
+    ?monitor ?topology ?partition_timeout config alloc requests ~faults =
+  engine ~context:"Simulator.run_open_with_faults" ~policy ?rng ?resilience
+    ?telemetry ?monitor ?topology ?partition_timeout ~keep_responses:true
+    config (Scheduler.create alloc) requests ~faults
+
+let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
+    ~target ~schedule requests =
+  let plan = schedule.Schedule.plan in
+  let sched = Scheduler.create_dynamic target ~live:plan.Planner.old_sets in
+  (* Expand-then-contract promises each class never drops below the
+     smaller of its old and target replica counts. *)
+  let target_replicas (c : Query_class.t) =
+    Array.fold_left
+      (fun acc set ->
+        if Fragment.Set.subset c.Query_class.fragments set then acc + 1
+        else acc)
+      0 plan.Planner.target_sets
+  in
+  let floors =
+    List.map
+      (fun c ->
+        let live = Scheduler.live_replicas sched c in
+        (c, min live (target_replicas c), ref live))
+      (Array.to_list (Allocation.classes target))
+  in
+  let m = { schedule; copy_slowdown; floors; replayed = 0. } in
+  let fo =
+    engine ~context:"Simulator.run_open_with_migration" ?telemetry ?monitor
+      ~migration:m ~keep_responses:true config sched requests ~faults:[]
+  in
+  {
+    run = fo.run;
+    copied_mb = plan.Planner.copy_mb;
+    replayed_mb = m.replayed;
+    copy_done = schedule.Schedule.copy_done;
+    drops_at = schedule.Schedule.drops_at;
+    min_live_replicas =
+      List.map
+        (fun ((c : Query_class.t), _, low) -> (c.Query_class.id, !low))
+        floors;
+    target_deployed =
+      Array.for_all2 Fragment.Set.equal
+        (Array.init plan.Planner.num_physical (fun b ->
+             Scheduler.live_fragments sched ~backend:b))
+        plan.Planner.target_sets;
+    responses = fo.responses;
+  }

@@ -5,12 +5,30 @@
     whose service times come from {!Cost_model}.  Reads run on one backend;
     updates run on every backend holding the touched data (ROWA).
 
-    Two drive modes:
-    - {!run_batch} saturates the cluster with a fixed request list (all
-      available immediately) and reports makespan-based throughput — the
-      mode behind the throughput/speedup figures;
+    One event clock drives every entry point.  Requests stream past a
+    priority queue of timed events; before each arrival the clock applies
+    every queued event at or before its instant, so at equal instants
+    faults and partition cuts go first, then a migration's copy starts,
+    cutovers and drop barrier, then retries, hedges and catch-up
+    completions, and the arrival last.  Queued events keep firing after
+    the last arrival.  The entry points are configurations of that clock:
+    - {!run_batch} offers every request at t = 0 in list order and reports
+      makespan-based throughput — the mode behind the throughput/speedup
+      figures (paper Sec. 4);
     - {!run_open} replays timestamped arrivals and reports response times —
-      the mode behind the elastic-scaling experiment (Fig. 5). *)
+      the mode behind the elastic-scaling experiment (Fig. 5);
+    - {!run_open_with_faults} adds a fault timeline, retries and the
+      overload defenses;
+    - {!run_open_with_migration} adds a live rebalance (Sec. 3.4) whose
+      copy starts, cutovers and drop barrier are events on the same queue.
+
+    Batch, open and migration runs inject no faults and never retry: a
+    request no live replica can serve is an error.  The clock keeps a
+    record of in-flight bookings only when something in the run reads it:
+    a [Crash], [Partition] or [ZoneOutage] in the fault timeline (which
+    cancels queued work), admission control (which counts and evicts it)
+    or hedging (which cancels the losing leg).  Outcomes never depend on
+    whether the record is kept. *)
 
 type config = {
   cost : Cost_model.params;
@@ -47,10 +65,6 @@ val run_open :
 (** Requests dispatched at their [arrival] timestamps.  An unsorted list is
     detected and stably sorted by arrival first — open-mode time never runs
     backwards regardless of caller ordering. *)
-
-val class_mb : Cdbs_core.Allocation.t -> Request.t -> float
-(** The megabytes a request's class scans (its fragment footprint, or the
-    request's override). *)
 
 (** {1 Fault injection} *)
 
@@ -204,19 +218,6 @@ val run_open_with_faults :
     The schedule is validated first ({!Cdbs_faults.Fault.validate});
     @raise Invalid_argument on an ill-formed schedule. *)
 
-val run_open_with_failures :
-  config ->
-  Cdbs_core.Allocation.t ->
-  Request.t list ->
-  failures:(float * int) list ->
-  outcome
-(** Legacy entry point: permanent failures only.  A thin wrapper over
-    {!run_open_with_faults} with the default retry policy, so reads caught
-    on a crashing backend fail over to surviving replicas — an adequately
-    k-safe allocation (Appendix C) reports zero [errors].  Unlike the
-    historical polling implementation, failures timed after the last
-    arrival still cancel queued work. *)
-
 (** {1 Live migration} *)
 
 type migration_outcome = {
@@ -248,15 +249,19 @@ val run_open_with_migration :
     background.  Routing follows the live fragment sets: nodes start with
     the plan's old placement, gain fragments at each copy's cutover (after
     replaying the deltas captured while the copy was on the wire) and shed
-    the no-longer-needed copies at the final drop barrier.  Foreground
-    service on a node actively copying (as source or destination) is
-    inflated by [copy_slowdown] (default 0.25).  [config.speeds] must cover
-    the plan's [num_physical] nodes.  Requests must reference classes of
-    the [target] allocation's workload.
+    the no-longer-needed copies at the final drop barrier.  Each node's
+    resident volume, which the cost model's cache factor reads, follows
+    its live set.  Foreground service on a node actively copying (as
+    source or destination) is inflated by [copy_slowdown] (default 0.25).
+    [config.speeds] must cover the plan's [num_physical] nodes.  Requests
+    must reference classes of the [target] allocation's workload.  A read
+    arriving at the instant of a cutover or of the drop barrier is routed
+    on the placement that step produces.
 
     [telemetry]/[monitor] mirror {!run_open_with_faults}: the run opens
     with ["run.start"], announces each class's expand-then-contract
     replica floor as ["migration.floor"], emits ["migration.live"] after
     every migration event so the monitor can audit that live replicas
-    never drop below the floor, and fails loudly under active debug
-    invariants. *)
+    never drop below the floor, announces every booking (delta replays as
+    ["catchup"]) as ["backend.serve"], closes with ["run.summary"], and
+    fails loudly under active debug invariants. *)

@@ -81,9 +81,8 @@ val sort : schedule -> schedule
 (** Stable sort by timestamp ([Float.compare], not polymorphic compare). *)
 
 val of_failures : (float * int) list -> schedule
-(** Lift the legacy [(time, backend)] permanent-failure list into a
-    crash-only schedule (the {!Simulator.run_open_with_failures}
-    compatibility shape). *)
+(** Lift a legacy [(time, backend)] permanent-failure list into a
+    crash-only schedule for {!Simulator.run_open_with_faults}. *)
 
 val validate :
   ?zone_of:int array -> num_backends:int -> schedule -> (unit, string) result

@@ -19,6 +19,8 @@ let key ~dest ~(fragment : Fragment.t) = (dest, fragment.Fragment.kind)
 let open_capture t ~dest ~fragment =
   Hashtbl.replace t.captures (key ~dest ~fragment) { items = []; mb = 0. }
 
+let is_empty t = Hashtbl.length t.captures = 0
+
 let capture t ~fragment ~item ~mb =
   let hits = ref 0 in
   Hashtbl.iter

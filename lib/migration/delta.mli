@@ -19,6 +19,9 @@ val open_capture : 'a t -> dest:int -> fragment:Fragment.t -> unit
 (** Start capturing updates to [fragment] destined for backend [dest].
     Re-opening an open capture resets it (fresh snapshot, empty delta). *)
 
+val is_empty : 'a t -> bool
+(** No capture is open: {!capture} would record nothing. *)
+
 val capture : 'a t -> fragment:Fragment.t -> item:'a -> mb:float -> int
 (** Record an update touching [fragment] into every open capture for it;
     returns the number of captures that recorded it. *)

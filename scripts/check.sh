@@ -57,6 +57,12 @@ dune exec bin/cdbs_cli.exe -- chaos --seed 5 -n 6 -k 1 --mtbf 600 \
   --zones 3 --correlated-mtbf 80 --partition-prob 1 --duration 300 \
   --rate 10 --monitor --json --min-availability 0.99
 
+# Live-migration smoke: a throttled rebalance while serving must route
+# every request, keep every class on a live replica and deploy the target
+# placement (non-zero exit otherwise).
+dune exec bin/cdbs_cli.exe -- migrate -n 4 -b 2 --at 150 --duration 300 \
+  --rate 20
+
 # Overload smoke: with one backend gray-failing (3x slower), the defended
 # run must beat the undefended one (the built-in acceptance checks), keep
 # p99 under the deadline-scale threshold and shed sparingly (non-zero

@@ -106,9 +106,11 @@ let orphan_scenario () =
 let test_late_failure_cancels_queued_work () =
   let alloc, requests = orphan_scenario () in
   let outcome =
-    Simulator.run_open_with_failures
-      (Simulator.homogeneous_config 1)
-      alloc requests ~failures:[ (5.5, 0) ]
+    (Simulator.run_open_with_faults
+       (Simulator.homogeneous_config 1)
+       alloc requests
+       ~faults:(Fault.of_failures [ (5.5, 0) ]))
+      .Simulator.run
   in
   Alcotest.(check int) "5 queued/in-flight requests abort" 5
     outcome.Simulator.errors;
@@ -497,6 +499,39 @@ let prop_repair_is_clean =
            = []
       end)
 
+(* A crash that cancels a queued zero-length booking must not poison the
+   catch-up: a lazy apply with factor 0 books no service time, and it has
+   applied nothing when the crash cancels it, so the rejoin owes its whole
+   volume (2 MB here) rather than 0/0. *)
+let test_zero_length_booking_catch_up () =
+  let w =
+    Workload.make
+      ~reads:[ Query_class.read "q" [ fr "a" ] ~weight:0.8 ]
+      ~updates:[ Query_class.update "u" [ fr "a" ] ~weight:0.2 ]
+  in
+  let alloc = Ksafety.allocate ~k:1 w (Backend.homogeneous 2) in
+  let requests =
+    List.init 4 (fun _ -> Request.read ~arrival:0. ~cost_mb:990. "q")
+    @ [ Request.update ~arrival:0.5 ~cost_mb:2. "u" ]
+  in
+  let config =
+    Simulator.homogeneous_config
+      ~protocol:(Cdbs_cluster.Protocol.Lazy { apply_factor = 0. })
+      2
+  in
+  let fo =
+    Simulator.run_open_with_faults config alloc requests
+      ~faults:[ Fault.crash ~at:1. 1; Fault.recover ~at:5. 1 ]
+  in
+  Alcotest.(check (float 1e-9)) "catch-up volume" 2. fo.Simulator.catch_up_mb;
+  match fo.Simulator.recoveries with
+  | [ r ] ->
+      Alcotest.(check (float 1e-9)) "replayed volume" 2. r.Simulator.replayed_mb;
+      Alcotest.(check bool) "caught up at a finite instant" true
+        (Float.is_finite r.Simulator.caught_up_at
+        && r.Simulator.caught_up_at >= r.Simulator.recovered_at)
+  | rs -> Alcotest.failf "expected 1 recovery, got %d" (List.length rs)
+
 let suite =
   [
     Alcotest.test_case "fault timeline: sort + validate" `Quick
@@ -527,4 +562,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_repair_is_clean;
     Alcotest.test_case "same-instant faults and arrivals keep order" `Quick
       test_same_instant_ordering;
+    Alcotest.test_case "crash cancelling a zero-length booking" `Quick
+      test_zero_length_booking_catch_up;
   ]

@@ -167,10 +167,11 @@ let test_simulated_failover () =
         else Cdbs_cluster.Request.read ~arrival ~cost_mb:0.5 "q3")
   in
   let run alloc =
-    Cdbs_cluster.Simulator.run_open_with_failures
-      (Cdbs_cluster.Simulator.homogeneous_config 4)
-      alloc requests
-      ~failures:[ (4.0, 0) ]
+    (Cdbs_cluster.Simulator.run_open_with_faults
+       (Cdbs_cluster.Simulator.homogeneous_config 4)
+       alloc requests
+       ~faults:(Cdbs_faults.Fault.of_failures [ (4.0, 0) ]))
+      .Cdbs_cluster.Simulator.run
   in
   let safe_outcome = run safe in
   Alcotest.(check int) "k=1 keeps serving everything" 0
@@ -183,10 +184,11 @@ let test_simulated_failover () =
     List.exists
       (fun b ->
         let outcome =
-          Cdbs_cluster.Simulator.run_open_with_failures
-            (Cdbs_cluster.Simulator.homogeneous_config 4)
-            plain requests
-            ~failures:[ (4.0, b) ]
+          (Cdbs_cluster.Simulator.run_open_with_faults
+             (Cdbs_cluster.Simulator.homogeneous_config 4)
+             plain requests
+             ~faults:(Cdbs_faults.Fault.of_failures [ (4.0, b) ]))
+            .Cdbs_cluster.Simulator.run
         in
         outcome.Cdbs_cluster.Simulator.errors > 0)
       [ 0; 1; 2; 3 ]

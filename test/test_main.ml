@@ -27,4 +27,5 @@ let () =
       ("telemetry", Test_telemetry.suite);
       ("partition", Test_partition.suite);
       ("control", Test_control.suite);
+      ("golden", Test_golden.suite);
     ]

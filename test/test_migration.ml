@@ -237,6 +237,61 @@ let test_simulator_degrades_then_recovers () =
   Alcotest.(check bool) "copy phase is slower" true
     (mean (phase `Copy) > mean (phase `Steady))
 
+(* Migration events go before arrivals at the same instant, as faults do.
+   Old: node0 {a,b}, node1 {b}.  Target: node0 {a,c}, node1 {b}: c comes
+   from the master copy (no node serves q3 before its cutover) and node0
+   drops b at the barrier, which falls on the same instant. *)
+let test_simulator_same_instant_migration_events () =
+  let w =
+    Workload.make
+      ~reads:
+        [
+          Query_class.read "q1" [ fa ] ~weight:0.3;
+          Query_class.read "q2" [ fb ] ~weight:0.3;
+          Query_class.read "q3" [ fc ] ~weight:0.2;
+        ]
+      ~updates:[ Query_class.update "u1" [ fa ] ~weight:0.2 ]
+  in
+  let alloc = Allocation.create w (Backend.homogeneous 2) in
+  Allocation.add_fragments alloc 0 (set [ fa; fc ]);
+  Allocation.add_fragments alloc 1 (set [ fb ]);
+  let plan = Planner.make ~old_fragments:[ set [ fa; fb ]; set [ fb ] ] alloc in
+  let schedule = Schedule.make ~start:10. ~bandwidth:0.5 plan in
+  let cutover =
+    match schedule.Schedule.moves with
+    | [ tm ] -> tm.Schedule.finish
+    | _ -> Alcotest.fail "expected exactly one copy"
+  in
+  (match plan.Planner.drops with
+  | [ d ] -> Alcotest.(check int) "node0 drops b" 0 d.Planner.at_backend
+  | _ -> Alcotest.fail "expected exactly one drop");
+  Alcotest.(check (float 1e-9)) "barrier at the cutover" cutover
+    schedule.Schedule.drops_at;
+  let run r =
+    (Simulator.run_open_with_migration
+       (Simulator.homogeneous_config plan.Planner.num_physical)
+       ~target:alloc ~schedule [ r ])
+      .Simulator.run
+  in
+  let at_cutover = run (Request.read ~arrival:cutover "q3") in
+  Alcotest.(check int) "served at the cutover instant" 1
+    at_cutover.Simulator.completed;
+  Alcotest.(check int) "no error at the cutover instant" 0
+    at_cutover.Simulator.errors;
+  (* Before the cutover the read is unroutable: an error, never retried. *)
+  let early = run (Request.read ~arrival:(cutover -. 0.5) "q3") in
+  Alcotest.(check int) "unroutable before the cutover" 1
+    early.Simulator.errors;
+  Alcotest.(check int) "not completed later" 0 early.Simulator.completed;
+  let at_barrier = run (Request.read ~arrival:schedule.Schedule.drops_at "q2") in
+  Alcotest.(check int) "served at the barrier" 1 at_barrier.Simulator.completed;
+  Alcotest.(check (float 0.)) "routed away from the dropped copy" 0.
+    at_barrier.Simulator.busy.(0);
+  (* Before the barrier both nodes hold b and the tie goes to node0. *)
+  let before = run (Request.read ~arrival:(cutover -. 0.5) "q2") in
+  Alcotest.(check bool) "node0 serves b before the barrier" true
+    (before.Simulator.busy.(0) > 0.)
+
 (* ---------------- controller ---------------- *)
 
 let schema : Cdbs_storage.Schema.t =
@@ -391,4 +446,6 @@ let suite =
     Alcotest.test_case "autoscaler: live deployment" `Quick test_autoscaler_live;
     Alcotest.test_case "experiment: migration timeline" `Quick
       test_fig_migration;
+    Alcotest.test_case "simulator: same-instant migration events" `Quick
+      test_simulator_same_instant_migration_events;
   ]
