@@ -184,8 +184,20 @@ let allocate_cmd =
               | Error e -> prerr_endline e; exit 1)
         in
         print_allocation alloc;
-        if k > 0 then
-          Fmt.pr "k-safe for k=%d: %b@." k (Core.Ksafety.is_k_safe ~k alloc)
+        (* Exit 1 on a structural error or a placement short of k-safety. *)
+        let errors =
+          Cdbs_analysis.Diagnostic.errors
+            (Cdbs_analysis.Check_allocation.check alloc)
+        in
+        if errors <> [] then begin
+          Fmt.epr "%a@." Cdbs_analysis.Diagnostic.pp_report errors;
+          exit 1
+        end;
+        if k > 0 then begin
+          let safe = Core.Ksafety.is_k_safe ~k alloc in
+          Fmt.pr "k-safe for k=%d: %b@." k safe;
+          if not safe then exit 1
+        end
   in
   Cmd.v
     (Cmd.info "allocate" ~doc:"Compute a partial-replication allocation")

@@ -153,13 +153,13 @@ let check_ksafety ~k alloc =
           else None)
         (Workload.all_classes workload)
     in
+    let held = Array.init n (Allocation.fragments_of alloc) in
     let fragment_diags =
       Fragment.Set.fold
         (fun f acc ->
           let copies = ref 0 in
           for b = 0 to n - 1 do
-            if Fragment.Set.mem f (Allocation.fragments_of alloc b) then
-              incr copies
+            if Fragment.Set.mem f held.(b) then incr copies
           done;
           if !copies < k + 1 then
             D.warning ~code:"ALC010" ~subject:("fragment " ^ Fragment.name f)

@@ -17,7 +17,8 @@
 type t
 
 val create : Workload.t -> Backend.t list -> t
-(** An empty allocation (no fragments placed, nothing assigned). *)
+(** An empty allocation (no fragments placed, nothing assigned).
+    @raise Invalid_argument when two classes share an id. *)
 
 val copy : t -> t
 
@@ -77,6 +78,28 @@ val prune : t -> unit
 
 val validate : t -> (unit, string list) result
 (** Check Eqs. 8–11 plus basic sanity (non-negative assignments). *)
+
+(** {1 Positional access}
+
+    Classes addressed by their position [k] in {!classes}: reads at
+    [0 .. num_reads - 1], then updates.  These skip the id lookup of the
+    class-valued functions above. *)
+
+val num_reads : t -> int
+
+val assign_at : t -> int -> int -> float
+(** [assign_at t b k]: class [k]'s share on backend [b]. *)
+
+val set_assign_at : t -> int -> int -> float -> unit
+
+val overlaps_at : t -> int -> int -> bool
+(** Whether backend [b] stores any fragment class [k] references. *)
+
+val add_class_at : t -> int -> int -> unit
+(** [add_class_at t b k] stores class [k]'s fragments on backend [b]. *)
+
+val classes_overlap : t -> int -> int -> bool
+(** {!Query_class.overlaps} by position. *)
 
 val pp_load_matrix : t Fmt.t
 (** The class-by-backend percentage matrix used throughout the paper's

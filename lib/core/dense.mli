@@ -82,15 +82,7 @@ val synthetic :
 (** {1 Allocation state} *)
 
 (** Bitsets over fragment indices (bytes, 8 bits each). *)
-module Bits : sig
-  type t = Bytes.t
-
-  val create : int -> t
-  val get : t -> int -> bool
-  val set : t -> int -> unit
-  val reset : t -> unit
-  val iter : (int -> unit) -> t -> unit
-end
+module Bits = Cdbs_util.Bits
 
 type t = {
   inst : instance;

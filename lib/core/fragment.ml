@@ -21,7 +21,29 @@ let name t =
   | Range { table; column; lo; hi } ->
       Fmt.str "%s.%s[%g,%g)" table column lo hi
 
-let compare a b = Stdlib.compare a.kind b.kind
+(* The order Stdlib.compare gives the kind: constructors as declared, then
+   fields left to right. *)
+let compare_kind a b =
+  match (a, b) with
+  | Table x, Table y -> String.compare x y
+  | Table _, _ -> -1
+  | _, Table _ -> 1
+  | Column x, Column y ->
+      let c = String.compare x.table y.table in
+      if c <> 0 then c else String.compare x.column y.column
+  | Column _, _ -> -1
+  | _, Column _ -> 1
+  | Range x, Range y ->
+      let c = String.compare x.table y.table in
+      if c <> 0 then c
+      else
+        let c = String.compare x.column y.column in
+        if c <> 0 then c
+        else
+          let c = Float.compare x.lo y.lo in
+          if c <> 0 then c else Float.compare x.hi y.hi
+
+let compare a b = compare_kind a.kind b.kind
 let equal a b = compare a b = 0
 let pp ppf t = Fmt.pf ppf "%s(%.2f)" (name t) t.size
 

@@ -25,8 +25,10 @@ val name : t -> string
     ["orders.o_id[0,100)"]. *)
 
 val compare : t -> t -> int
-(** Order by kind structure (sizes do not participate: two fragments with
-    the same identity are the same fragment). *)
+(** Order by kind (sizes do not participate: two fragments with the same
+    identity are the same fragment): [Table < Column < Range], then names
+    with [String.compare] and range bounds with [Float.compare] — the
+    order [Stdlib.compare] gives the kinds. *)
 
 val equal : t -> t -> bool
 val pp : t Fmt.t

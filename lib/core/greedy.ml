@@ -81,8 +81,9 @@ let allocate (workload : Workload.t) (backend_list : Backend.t list) :
       changed := false;
       List.iter
         (fun u ->
-          let frs = Allocation.fragments_of alloc b in
-          let overlap = not (Fragment.Set.disjoint u.Query_class.fragments frs) in
+          let overlap =
+            Allocation.overlaps_at alloc b (Allocation.class_index alloc u)
+          in
           if overlap && Allocation.get_assign alloc b u < u.Query_class.weight
           then begin
             Allocation.add_fragments alloc b u.Query_class.fragments;

@@ -33,19 +33,27 @@ let compare_cost a b =
 (* Moves                                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* Move [amount] of read class [c]'s assignment from [b1] to [b2]; installs
+(* Move [amount] of read class [k]'s assignment from [b1] to [b2]; installs
    the class's data (and update closure) on [b2] and prunes so dropped
-   classes release their fragments. *)
-let transfer alloc c ~b1 ~b2 ~amount =
-  let a1 = Allocation.get_assign alloc b1 c in
+   classes release their fragments.  Classes are addressed by position in
+   [Allocation.classes]. *)
+let transfer alloc k ~b1 ~b2 ~amount =
+  let a1 = Allocation.assign_at alloc b1 k in
   let amount = min amount a1 in
   if amount > 0. && b1 <> b2 then begin
-    Allocation.set_assign alloc b1 c (a1 -. amount);
-    Allocation.add_fragments alloc b2 c.Query_class.fragments;
-    Allocation.set_assign alloc b2 c
-      (Allocation.get_assign alloc b2 c +. amount);
+    Allocation.set_assign_at alloc b1 k (a1 -. amount);
+    Allocation.add_class_at alloc b2 k;
+    Allocation.set_assign_at alloc b2 k
+      (Allocation.assign_at alloc b2 k +. amount);
     Allocation.prune alloc
   end
+
+let on alloc b k = Allocation.assign_at alloc b k > Eps.tiny
+
+(* Update class positions. *)
+let updates alloc =
+  let nr = Allocation.num_reads alloc in
+  List.init (Array.length (Allocation.classes alloc) - nr) (fun j -> nr + j)
 
 (* ------------------------------------------------------------------ *)
 (* Local search                                                        *)
@@ -55,34 +63,32 @@ let transfer alloc c ~b1 ~b2 ~amount =
    pair, with different update sets — consolidating each class on one side
    can drop a replicated update class. *)
 let consolidate_pairs alloc =
-  let workload = Allocation.workload alloc in
-  let reads = Array.of_list workload.Workload.reads in
+  let nr = Allocation.num_reads alloc in
   let n = Allocation.num_backends alloc in
+  (* updates(C) (Eq. 12) of each read, as update positions. *)
+  let update_set =
+    let us = updates alloc in
+    Array.init nr (fun c -> List.filter (Allocation.classes_overlap alloc c) us)
+  in
   let improved = ref false in
   for b1 = 0 to n - 1 do
     for b2 = b1 + 1 to n - 1 do
-      Array.iteri
-        (fun i c1 ->
-          Array.iteri
-            (fun j c2 ->
-              if i < j then begin
-                let on b c = Allocation.get_assign alloc b c > Eps.tiny in
-                if
-                  on b1 c1 && on b2 c1 && on b1 c2 && on b2 c2
-                  && Workload.updates_of workload c1
-                     <> Workload.updates_of workload c2
-                then begin
-                  let trial = Allocation.copy alloc in
-                  transfer trial c1 ~b1:b2 ~b2:b1 ~amount:infinity;
-                  transfer trial c2 ~b1 ~b2 ~amount:infinity;
-                  if better (cost trial) (cost alloc) then begin
-                    Allocation.blit ~src:trial ~dst:alloc;
-                    improved := true
-                  end
-                end
-              end)
-            reads)
-        reads
+      for c1 = 0 to nr - 1 do
+        for c2 = c1 + 1 to nr - 1 do
+          if
+            on alloc b1 c1 && on alloc b2 c1 && on alloc b1 c2 && on alloc b2 c2
+            && not (List.equal Int.equal update_set.(c1) update_set.(c2))
+          then begin
+            let trial = Allocation.copy alloc in
+            transfer trial c1 ~b1:b2 ~b2:b1 ~amount:infinity;
+            transfer trial c2 ~b1 ~b2 ~amount:infinity;
+            if better (cost trial) (cost alloc) then begin
+              Allocation.blit ~src:trial ~dst:alloc;
+              improved := true
+            end
+          end
+        done
+      done
     done
   done;
   !improved
@@ -91,43 +97,45 @@ let consolidate_pairs alloc =
    by shifting the read classes that force it off one of its backends,
    accepting extra replication of lighter update classes. *)
 let shift_heavy_updates alloc =
-  let workload = Allocation.workload alloc in
+  let classes = Allocation.classes alloc in
+  let nr = Allocation.num_reads alloc in
   let n = Allocation.num_backends alloc in
+  let us = updates alloc in
+  let weight k = classes.(k).Query_class.weight in
+  (* overlap.(u - nr).(c): read [c] references update [u]'s data. *)
+  let overlap =
+    Array.of_list
+      (List.map
+         (fun u ->
+           Array.init nr (fun c -> Allocation.classes_overlap alloc c u))
+         us)
+  in
   let improved = ref false in
   List.iter
     (fun u1 ->
       for b1 = 0 to n - 1 do
         for b2 = 0 to n - 1 do
-          if b1 <> b2 then begin
-            let on b u = Allocation.get_assign alloc b u > Eps.tiny in
-            if on b1 u1 && on b2 u1 then begin
-              let lighter_exists =
-                List.exists
-                  (fun u2 ->
-                    u2.Query_class.id <> u1.Query_class.id
-                    && on b1 u2
-                    && u2.Query_class.weight < u1.Query_class.weight)
-                  workload.Workload.updates
-              in
-              if lighter_exists then begin
-                let trial = Allocation.copy alloc in
-                List.iter
-                  (fun c ->
-                    if
-                      Query_class.overlaps c u1
-                      && Allocation.get_assign trial b1 c > Eps.tiny
-                    then transfer trial c ~b1 ~b2 ~amount:infinity)
-                  workload.Workload.reads;
-                if better (cost trial) (cost alloc) then begin
-                  Allocation.blit ~src:trial ~dst:alloc;
-                  improved := true
-                end
+          if b1 <> b2 && on alloc b1 u1 && on alloc b2 u1 then begin
+            let lighter_exists =
+              List.exists
+                (fun u2 -> u2 <> u1 && on alloc b1 u2 && weight u2 < weight u1)
+                us
+            in
+            if lighter_exists then begin
+              let trial = Allocation.copy alloc in
+              for c = 0 to nr - 1 do
+                if overlap.(u1 - nr).(c) && on trial b1 c then
+                  transfer trial c ~b1 ~b2 ~amount:infinity
+              done;
+              if better (cost trial) (cost alloc) then begin
+                Allocation.blit ~src:trial ~dst:alloc;
+                improved := true
               end
             end
           end
         done
       done)
-    workload.Workload.updates;
+    us;
   !improved
 
 let local_search alloc =
@@ -141,27 +149,22 @@ let local_search alloc =
 
 let mutate rng alloc =
   let child = Allocation.copy alloc in
-  let workload = Allocation.workload child in
-  let reads = Array.of_list workload.Workload.reads in
+  let nr = Allocation.num_reads child in
   let n = Allocation.num_backends child in
-  if Array.length reads = 0 || n < 2 then child
+  if nr = 0 || n < 2 then child
   else begin
     let attempts = 1 + Rng.int rng 3 in
     for _ = 1 to attempts do
-      let c = Rng.pick rng reads in
+      let c = Rng.int rng nr in
       (* Source: a backend currently serving c (if any). *)
-      let sources =
-        List.filter
-          (fun b -> Allocation.get_assign child b c > Eps.tiny)
-          (List.init n (fun b -> b))
-      in
+      let sources = List.filter (fun b -> on child b c) (List.init n Fun.id) in
       match sources with
       | [] -> ()
       | _ ->
           let b1 = Rng.pick_list rng sources in
           let b2 = Rng.int rng n in
           if b1 <> b2 then begin
-            let a1 = Allocation.get_assign child b1 c in
+            let a1 = Allocation.assign_at child b1 c in
             let amount = if Rng.bool rng then a1 else Rng.float rng a1 in
             transfer child c ~b1 ~b2 ~amount
           end

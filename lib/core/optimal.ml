@@ -145,11 +145,11 @@ let build_rows l ~fragments ~reads ~updates ~loads ~overlap_pairs =
 let incumbent_vector l ~fragments ~reads ~updates (alloc : Allocation.t) =
   let x = Array.make l.total 0. in
   x.(0) <- Allocation.scale alloc;
+  let held = Array.init l.nb (Allocation.fragments_of alloc) in
   Array.iteri
     (fun j f ->
       for i = 0 to l.nb - 1 do
-        if Fragment.Set.mem f (Allocation.fragments_of alloc i) then
-          x.(a_var l i j) <- 1.
+        if Fragment.Set.mem f held.(i) then x.(a_var l i j) <- 1.
       done)
     fragments;
   Array.iteri

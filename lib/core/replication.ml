@@ -2,12 +2,13 @@ let replica_counts alloc =
   let fragments =
     Fragment.Set.elements (Workload.fragments (Allocation.workload alloc))
   in
+  let held =
+    Array.init (Allocation.num_backends alloc) (Allocation.fragments_of alloc)
+  in
   List.map
     (fun f ->
       let count = ref 0 in
-      for b = 0 to Allocation.num_backends alloc - 1 do
-        if Fragment.Set.mem f (Allocation.fragments_of alloc b) then incr count
-      done;
+      Array.iter (fun s -> if Fragment.Set.mem f s then incr count) held;
       (f, !count))
     fragments
 

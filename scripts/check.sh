@@ -22,6 +22,11 @@ if dune exec bin/cdbs_cli.exe -- check -w quickstart --inject locality >/dev/nul
   exit 1
 fi
 
+# Allocator smokes: the result must pass the allocation checker, and a
+# -k placement must be k-safe (non-zero exit otherwise).
+dune exec bin/cdbs_cli.exe -- allocate -w tpch -a memetic >/dev/null
+dune exec bin/cdbs_cli.exe -- allocate -w tpcapp -k 1 >/dev/null
+
 # Strict lint: scenarios that ship warning-free must stay that way
 # (--strict turns warnings into a non-zero exit).
 dune exec bin/cdbs_cli.exe -- check -w trace --strict

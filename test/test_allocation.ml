@@ -194,6 +194,98 @@ let prop_random_placement_valid =
       | Ok () -> true
       | Error _ -> false)
 
+(* ---------------- fragment order and class ids ---------------- *)
+
+(* Pairs of kinds over names with shared prefixes and range bounds drawn
+   mostly from the float edge cases.  Half the pairs differ in one field
+   only, so every field's comparison decides some of them. *)
+let kind_pair_gen =
+  let open QCheck.Gen in
+  let name = oneofl [ ""; "a"; "ab"; "b"; "ba" ] in
+  let bound =
+    frequency
+      [
+        (4, oneofl [ nan; -0.; 0.; infinity; neg_infinity; 1.; -1. ]);
+        (1, float);
+      ]
+  in
+  let kind =
+    oneof
+      [
+        map (fun n -> Fragment.Table n) name;
+        map2 (fun table column -> Fragment.Column { table; column }) name name;
+        map4
+          (fun table column lo hi -> Fragment.Range { table; column; lo; hi })
+          name name bound bound;
+      ]
+  in
+  let tweak = function
+    | Fragment.Table _ -> map (fun n -> Fragment.Table n) name
+    | Fragment.Column c ->
+        oneof
+          [
+            map (fun table -> Fragment.Column { c with table }) name;
+            map (fun column -> Fragment.Column { c with column }) name;
+          ]
+    | Fragment.Range r ->
+        oneof
+          [
+            map (fun table -> Fragment.Range { r with table }) name;
+            map (fun column -> Fragment.Range { r with column }) name;
+            map (fun lo -> Fragment.Range { r with lo }) bound;
+            map (fun hi -> Fragment.Range { r with hi }) bound;
+          ]
+  in
+  kind >>= fun a -> map (fun b -> (a, b)) (oneof [ kind; tweak a ])
+
+let prop_fragment_compare_is_stdlib_order =
+  let print k = Fragment.name { Fragment.kind = k; size = 0. } in
+  QCheck.Test.make ~count:2000
+    ~name:"Fragment.compare has the sign of Stdlib.compare on kinds"
+    (QCheck.make ~print:(QCheck.Print.pair print print) kind_pair_gen)
+    (fun (a, b) ->
+      let sign x = Int.compare x 0 in
+      sign
+        (Fragment.compare
+           { Fragment.kind = a; size = 1. }
+           { Fragment.kind = b; size = 2. })
+      = sign (Stdlib.compare a b))
+
+let test_duplicate_class_ids_rejected () =
+  (* Two classes with one id would share an assignment column. *)
+  let w =
+    Workload.make
+      ~reads:
+        [
+          Query_class.read "q" [ fr "a" ] ~weight:0.5;
+          Query_class.read "q" [ fr "b" ] ~weight:0.5;
+        ]
+      ~updates:[]
+  in
+  match Allocation.create w (Backend.homogeneous 2) with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "duplicate class ids accepted"
+
+let test_blit_across_creates () =
+  (* Fragments from outside the workload get their own indices in each
+     allocation; blit carries them over by kind. *)
+  let w = simple_workload () in
+  let src = Greedy.allocate w (Backend.homogeneous 2) in
+  let dst = Allocation.create w (Backend.homogeneous 2) in
+  Allocation.add_fragments dst 0 (Fragment.Set.singleton (fr "y"));
+  Allocation.add_fragments src 1 (Fragment.Set.singleton (fr "z"));
+  Allocation.blit ~src ~dst;
+  for b = 0 to 1 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "B%d fragments" (b + 1))
+      (List.map Fragment.name
+         (Fragment.Set.elements (Allocation.fragments_of src b)))
+      (List.map Fragment.name
+         (Fragment.Set.elements (Allocation.fragments_of dst b)))
+  done;
+  Alcotest.(check (float 0.)) "same storage" (Allocation.total_stored src)
+    (Allocation.total_stored dst)
+
 let suite =
   [
     Alcotest.test_case "assign requires fragments" `Quick
@@ -219,4 +311,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_readonly_scale_is_one;
     QCheck_alcotest.to_alcotest prop_full_replication_valid;
     QCheck_alcotest.to_alcotest prop_random_placement_valid;
+    QCheck_alcotest.to_alcotest prop_fragment_compare_is_stdlib_order;
+    Alcotest.test_case "create rejects duplicate class ids" `Quick
+      test_duplicate_class_ids_rejected;
+    Alcotest.test_case "blit across separately created allocations" `Quick
+      test_blit_across_creates;
   ]

@@ -21,6 +21,8 @@ module Common = Cdbs_experiments.Common
 module Fig_overload = Cdbs_experiments.Fig_overload
 module Fig_migration = Cdbs_experiments.Fig_migration
 module Autoscaler = Cdbs_autoscale.Autoscaler
+module Tpch = Cdbs_workloads.Tpch
+module Tpch_queries = Cdbs_workloads.Tpch_queries
 module Rng = Cdbs_util.Rng
 
 let floats b label a =
@@ -263,6 +265,95 @@ let live_day b =
         s.Autoscaler.total_transfer_mb)
     days
 
+(* Allocator placements: every assignment, each backend's fragment names
+   in sorted order, the scale and the total stored size. *)
+let placement b label (a : Allocation.t) =
+  Printf.bprintf b "%s scale %h stored %h\n" label (Allocation.scale a)
+    (Allocation.total_stored a);
+  Array.iteri
+    (fun bk _ ->
+      Array.iter
+        (fun c -> Printf.bprintf b " %h" (Allocation.get_assign a bk c))
+        (Allocation.classes a);
+      Buffer.add_char b '\n';
+      List.iter (Printf.bprintf b " %s")
+        (List.sort String.compare
+           (List.map Fragment.name
+              (Fragment.Set.elements (Allocation.fragments_of a bk))));
+      Buffer.add_char b '\n')
+    (Allocation.backends a)
+
+(* Greedy, memetic under each local-search mode, one local-search pass
+   over the greedy seed, and k = 1 safety with and without two zones, all
+   on four backends. *)
+let allocators workload b =
+  let n = 4 in
+  let backends = Backend.homogeneous n in
+  placement b "greedy" (Greedy.allocate workload backends);
+  List.iter
+    (fun (label, mode) ->
+      let params =
+        {
+          Memetic.default_params with
+          Memetic.iterations = 20;
+          local_search_mode = mode;
+        }
+      in
+      placement b label
+        (Memetic.allocate ~params ~rng:(Rng.create 17) workload backends))
+    [
+      ("memetic none", Memetic.No_local_search);
+      ("memetic consolidate", Memetic.Consolidate_only);
+      ("memetic both", Memetic.Both_strategies);
+    ];
+  let seed = Greedy.allocate workload backends in
+  Printf.bprintf b "local_search %b\n" (Memetic.local_search seed);
+  placement b "local_search" seed;
+  placement b "ksafety" (Ksafety.allocate ~k:1 workload backends);
+  placement b "ksafety zones"
+    (Ksafety.allocate ~topology:(Topology.uniform ~zones:2 n) ~k:1 workload
+       backends)
+
+(* The shape the sql benchmark reallocates: a TPC-H journal plus point
+   UPDATEs on five tables, classified by table. *)
+let tpch_journal_workload () =
+  let sf = 0.001 in
+  let rng = Rng.create 42 in
+  let journal = Tpch_queries.journal ~rng ~n:70 ~sf in
+  let write i key =
+    match i mod 5 with
+    | 0 ->
+        Printf.sprintf
+          "UPDATE customer SET c_acctbal = c_acctbal + 1.5 WHERE c_custkey = %d"
+          key
+    | 1 ->
+        Printf.sprintf
+          "UPDATE part SET p_retailprice = 10.25 WHERE p_partkey = %d" key
+    | 2 ->
+        Printf.sprintf
+          "UPDATE supplier SET s_acctbal = s_acctbal - 2.0 WHERE s_suppkey = %d"
+          key
+    | 3 ->
+        Printf.sprintf
+          "UPDATE partsupp SET ps_availqty = ps_availqty - 1 WHERE ps_partkey \
+           = %d"
+          key
+    | _ ->
+        Printf.sprintf
+          "UPDATE orders SET o_totalprice = 99.5 WHERE o_orderkey = %d" key
+  in
+  for i = 0 to 29 do
+    Journal.record journal
+      ~sql:(write i (1 + Rng.int rng 100))
+      ~cost:(0.001 *. float_of_int (1 + (i mod 3)))
+  done;
+  let size_of =
+    Classification.default_sizes ~schema:Tpch.schema
+      ~rows:(Tpch.row_counts ~sf)
+  in
+  Classification.classify ~schema:Tpch.schema ~size_of
+    Classification.By_table journal
+
 let suite =
   [
     pinned "run_batch: TPC-App allocations under each protocol"
@@ -279,4 +370,22 @@ let suite =
       "d8bb8ae4b50e7d4e397d3a5197a08bf7" chaos;
     pinned "run_open_with_faults: overload arms"
       "67c89057c6206f71173076490bbd89ad" overload_arms;
+    pinned "allocators: TPC-App table classes"
+      "dba54678d4ce8f4a7430344956f46cef"
+      (allocators (Tpcapp.workload ~granularity:`Table ~eb:300));
+    pinned "allocators: TPC-App column classes"
+      "50407cca2e72cf9fecbd76fbe22ae229"
+      (allocators (Tpcapp.workload ~granularity:`Column ~eb:300));
+    pinned "allocators: TPC-H by table"
+      "a65c6f83dbeed9e4e2f22c7d76cb6067"
+      (allocators (Tpch.workload ~granularity:`Table ~sf:1.));
+    pinned "allocators: TPC-H by column"
+      "0636c0c8abe6cdebdde9e7a3621997d4"
+      (allocators (Tpch.workload ~granularity:`Column ~sf:1.));
+    pinned "allocators: e-learning trace at 14:00"
+      "5a3ec7b08b841ee895752c337be1ebf1"
+      (allocators (Day.workload_at ~hour:14.));
+    pinned "allocators: TPC-H journal with point updates by table"
+      "0046cba00f189ce240b3e0e00eb97b78"
+      (fun b -> allocators (tpch_journal_workload ()) b);
   ]
