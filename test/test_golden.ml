@@ -206,6 +206,66 @@ let chaos b =
     (Sim.run_open_with_faults ~rng:(Rng.create 6) ~telemetry:sink ~topology
        (Sim.homogeneous_config n) alloc requests ~faults)
 
+(* The full defense stack (admission, breakers, hedges, deadlines) under
+   crashes, partitions and slowdowns on a zone-aware k = 1 placement.  The
+   run sheds, hedges, trips a breaker and cancels queued reads at a crash:
+   the paths that walk a backend's in-flight bookings, whose order decides
+   the shed victim, the hedged leg and the order retries are queued in. *)
+let defended_chaos b =
+  let n = 6 and zones = 3 and duration = 120. in
+  let topology = Topology.uniform ~zones n in
+  let alloc =
+    Ksafety.allocate ~topology ~k:1 (Day.workload_at ~hour:14.)
+      (Backend.homogeneous n)
+  in
+  let faults =
+    Chaos.generate ~rng:(Rng.create 9) ~num_backends:n
+      {
+        Chaos.default with
+        Chaos.mtbf = 60.;
+        horizon = duration;
+        slowdown_prob = 0.5;
+        correlated_mtbf = Some 40.;
+        partition_prob = 0.5;
+        zones;
+      }
+  in
+  let has p = List.exists (fun (t : Fault.timed) -> p t.Fault.event) faults in
+  if
+    not
+      (has (function Fault.Crash _ -> true | _ -> false)
+      && has (function Fault.Partition _ -> true | _ -> false)
+      && has (function Fault.Slowdown _ -> true | _ -> false))
+  then Alcotest.fail "chaos schedule lacks a crash, a partition or a slowdown";
+  let requests = Fig_overload.requests ~seed:44 ~rate_per_s:350. ~duration in
+  let sink = Sink.create ~capacity:16 () in
+  record_trace b sink;
+  (* Instants of crashes and of retries, to find reads a crash cancelled:
+     their retries are scheduled at the crash instant itself. *)
+  let crashed_at = Hashtbl.create 16 and retried_at = Hashtbl.create 64 in
+  ignore
+    (Tr.subscribe sink.Sink.trace (fun (e : Tr.event) ->
+         match e.Tr.name with
+         | "backend.crash" -> Hashtbl.replace crashed_at e.Tr.at ()
+         | "request.retry" -> Hashtbl.replace retried_at e.Tr.at ()
+         | _ -> ()));
+  let fo =
+    Sim.run_open_with_faults ~rng:(Rng.create 45)
+      ~resilience:(Fig_overload.defenses ~deadline_s:1.)
+      ~telemetry:sink ~topology (Sim.homogeneous_config n) alloc requests
+      ~faults
+  in
+  let cancelled_at_crash =
+    Hashtbl.fold (fun at () k -> k || Hashtbl.mem retried_at at) crashed_at
+      false
+  in
+  if fo.Sim.shed = 0 then Alcotest.fail "the run shed nothing";
+  if fo.Sim.hedged = 0 then Alcotest.fail "the run hedged nothing";
+  if fo.Sim.breaker_trips = 0 then Alcotest.fail "no breaker tripped";
+  if not cancelled_at_crash then
+    Alcotest.fail "no crash cancelled a queued read";
+  fault_outcome b fo
+
 let migration_run b =
   let _, _, mo = Test_migration.migration_run () in
   migration_outcome b mo
@@ -388,4 +448,6 @@ let suite =
     pinned "allocators: TPC-H journal with point updates by table"
       "0046cba00f189ce240b3e0e00eb97b78"
       (fun b -> allocators (tpch_journal_workload ()) b);
+    pinned "run_open_with_faults: defenses under chaos"
+      "0445d3877cbd4767cfa05dca5bfa52ca" defended_chaos;
   ]
