@@ -84,7 +84,12 @@ let breaker_state t b = try Hashtbl.find t.breakers b with Not_found -> "closed"
 (* itself a finding (TRC011), not a crash.                              *)
 (* ------------------------------------------------------------------ *)
 
-let attr (e : Trace.event) key = List.assoc_opt key e.Trace.attrs
+let attr (e : Trace.event) key =
+  let rec find = function
+    | [] -> None
+    | (k, v) :: rest -> if String.equal k key then Some v else find rest
+  in
+  find e.Trace.attrs
 
 let missing t (e : Trace.event) key =
   add t

@@ -5,7 +5,6 @@ module Workload = Cdbs_core.Workload
 
 type t = {
   alloc : Allocation.t;
-  class_by_id : (string, Query_class.t) Hashtbl.t;
   free_at : float array;
   up : bool array;
   stale : bool array;
@@ -19,18 +18,10 @@ type t = {
          in motion and assignment weights refer to the target) *)
 }
 
-let class_table alloc =
-  let class_by_id = Hashtbl.create 32 in
-  Array.iter
-    (fun c -> Hashtbl.replace class_by_id c.Query_class.id c)
-    (Allocation.classes alloc);
-  class_by_id
-
 let create alloc =
   let n = Allocation.num_backends alloc in
   {
     alloc;
-    class_by_id = class_table alloc;
     free_at = Array.make n 0.;
     up = Array.make n true;
     stale = Array.make n false;
@@ -43,7 +34,6 @@ let create_dynamic alloc ~live =
   if n = 0 then invalid_arg "Scheduler.create_dynamic: no nodes";
   {
     alloc;
-    class_by_id = class_table alloc;
     free_at = Array.make n 0.;
     up = Array.make n true;
     stale = Array.make n false;
@@ -60,6 +50,15 @@ let add_live t ~backend fragments =
 let remove_live t ~backend fragments =
   t.live.(backend) <- Fragment.Set.diff t.live.(backend) fragments
 
+let class_position t id = Allocation.position t.alloc id
+let class_at t k = (Allocation.classes t.alloc).(k)
+
+(* Position of a class-valued argument; the allocation indexes ids. *)
+let position_of t (c : Query_class.t) =
+  match class_position t c.Query_class.id with
+  | Some k -> k
+  | None -> invalid_arg ("Scheduler: unknown query class " ^ c.Query_class.id)
+
 let serves t b (c : Query_class.t) =
   Fragment.Set.subset c.Query_class.fragments t.live.(b)
 
@@ -74,43 +73,63 @@ let live_replicas t c =
   done;
   !n
 
-(* The schema records which backends a class was assigned to; the scheduler
-   routes among those.  Backends that merely happen to hold the data (e.g.
-   k-safety standby replicas) are used only when no assigned backend
-   exists.  In dynamic mode the placement is mid-migration, so routing
-   relies on the live fragment sets alone. *)
-let eligible_for_read ?healthy t c =
-  let all = List.init (num_nodes t) (fun b -> b) in
-  let base =
+(* The one read-eligibility rule.  The schema records which backends a
+   class was assigned to; the scheduler routes among those.  Backends that
+   merely hold the data (e.g. k-safety standby replicas) are used only when
+   no assigned backend can serve.  In dynamic mode the placement is
+   mid-migration, so routing relies on the live fragment sets alone; in
+   static mode the live sets mirror the placement, so the allocation's
+   assign matrix and per-backend bitsets answer by position.  A [healthy]
+   filter (e.g. a breaker's [allows]) steers around suspect candidates but
+   fails open: when it rejects every one, serving from a suspect backend
+   beats refusing the read outright.  The filter is called on the base
+   members in backend order up to the first it accepts, then again on each
+   candidate the caller tests. *)
+let read_candidate ?healthy t k =
+  let n = num_nodes t in
+  let in_base =
     if t.dynamic then
-      List.filter (fun b -> read_capable t b && serves t b c) all
+      let c = class_at t k in
+      fun b -> read_capable t b && serves t b c
     else
-      let assigned =
-        List.filter
-          (fun b -> read_capable t b && Allocation.get_assign t.alloc b c > 0.)
-          all
+      let assigned b =
+        read_capable t b && Allocation.assign_at t.alloc b k > 0.
       in
-      if assigned <> [] then assigned
-      else
-        List.filter
-          (fun b -> read_capable t b && Allocation.holds t.alloc b c)
-          all
+      let rec any_assigned b = b < n && (assigned b || any_assigned (b + 1)) in
+      if any_assigned 0 then assigned
+      else fun b -> read_capable t b && Allocation.holds_at t.alloc b k
   in
   match healthy with
-  | None -> base
-  | Some ok -> (
-      (* Fail open: when every replica's breaker is open, serving from a
-         suspect backend beats refusing the read outright. *)
-      match List.filter ok base with [] -> base | filtered -> filtered)
+  | None -> in_base
+  | Some ok ->
+      let rec any_healthy b =
+        b < n && ((in_base b && ok b) || any_healthy (b + 1))
+      in
+      if any_healthy 0 then fun b -> in_base b && ok b else in_base
 
-let find_class t id = Hashtbl.find_opt t.class_by_id id
-
-let targets_for_update t (c : Query_class.t) =
+let eligible_for_read ?healthy t c =
   List.filter
-    (fun b ->
-      t.up.(b)
-      && not (Fragment.Set.disjoint c.Query_class.fragments t.live.(b)))
-    (List.init (num_nodes t) (fun b -> b))
+    (read_candidate ?healthy t (position_of t c))
+    (List.init (num_nodes t) Fun.id)
+
+(* Updates reach every up node holding any of the class's data: the live
+   sets in dynamic mode, the allocation's bitsets (which they mirror) in
+   static mode. *)
+let targets_for_update_at t k =
+  let overlaps =
+    if t.dynamic then
+      let c = class_at t k in
+      fun b -> not (Fragment.Set.disjoint c.Query_class.fragments t.live.(b))
+    else fun b -> Allocation.overlaps_at t.alloc b k
+  in
+  let rec from b =
+    if b = num_nodes t then []
+    else if t.up.(b) && overlaps b then b :: from (b + 1)
+    else from (b + 1)
+  in
+  from 0
+
+let targets_for_update t c = targets_for_update_at t (position_of t c)
 
 let set_down t ~backend =
   t.up.(backend) <- false;
@@ -131,45 +150,14 @@ let pending t ~backend ~now = max 0. (t.free_at.(backend) -. now)
 let free_at t ~backend = t.free_at.(backend)
 let book t ~backend ~finish = t.free_at.(backend) <- finish
 
-(* Allocation-free equivalent of [eligible_for_read] + least-pending fold:
-   one pass decides which base set applies (assigned vs holders) and
-   whether the health filter leaves anyone (fail open if not), a second
-   pass takes the first minimum-pending candidate.  [exclude] drops one
-   backend from the final selection only — the base-set and fail-open
-   decisions still see it, mirroring how the hedge path filtered the
-   candidate list after [eligible_for_read]. *)
-let best_read_target ?healthy ?(exclude = -1) t ~now (c : Query_class.t) =
-  let n = num_nodes t in
-  let in_base =
-    if t.dynamic then fun b -> read_capable t b && serves t b c
-    else begin
-      let any_assigned = ref false in
-      for b = 0 to n - 1 do
-        if
-          (not !any_assigned)
-          && read_capable t b
-          && Allocation.get_assign t.alloc b c > 0.
-        then any_assigned := true
-      done;
-      if !any_assigned then fun b ->
-        read_capable t b && Allocation.get_assign t.alloc b c > 0.
-      else fun b -> read_capable t b && Allocation.holds t.alloc b c
-    end
-  in
-  let candidate =
-    match healthy with
-    | None -> in_base
-    | Some ok ->
-        let any_healthy = ref false in
-        for b = 0 to n - 1 do
-          if (not !any_healthy) && in_base b && ok b then any_healthy := true
-        done;
-        (* Fail open: when every replica's breaker is open, serving from a
-           suspect backend beats refusing the read outright. *)
-        if !any_healthy then fun b -> in_base b && ok b else in_base
-  in
+(* Least pending work first; the first minimum wins ties.  [exclude] drops
+   one backend from this selection only: the base-set and fail-open
+   decisions still see it, so a hedge's second leg is picked as the list
+   of candidates minus its primary. *)
+let best_read_target ?healthy ?(exclude = -1) t ~now k =
+  let candidate = read_candidate ?healthy t k in
   let best = ref (-1) and best_pending = ref infinity in
-  for b = 0 to n - 1 do
+  for b = 0 to num_nodes t - 1 do
     if b <> exclude && candidate b then begin
       let p = pending t ~backend:b ~now in
       if !best < 0 || p < !best_pending then begin
@@ -181,31 +169,16 @@ let best_read_target ?healthy ?(exclude = -1) t ~now (c : Query_class.t) =
   if !best < 0 then None else Some !best
 
 let route ?healthy t ~now (r : Request.t) =
-  match Hashtbl.find_opt t.class_by_id r.Request.class_id with
+  match class_position t r.Request.class_id with
   | None -> Error ("unknown query class " ^ r.Request.class_id)
-  | Some c ->
+  | Some k ->
       if r.Request.is_update then begin
-        match targets_for_update t c with
-        | [] -> Error ("update class " ^ c.Query_class.id ^ " has no replica")
+        match targets_for_update_at t k with
+        | [] -> Error ("update class " ^ r.Request.class_id ^ " has no replica")
         | targets -> Ok targets
       end
       else begin
-        match eligible_for_read ?healthy t c with
-        | [] -> Error ("read class " ^ c.Query_class.id ^ " is not served")
-        | candidates ->
-            (* Least pending request first. *)
-            let best =
-              List.fold_left
-                (fun acc b ->
-                  match acc with
-                  | None -> Some b
-                  | Some cur ->
-                      if
-                        pending t ~backend:b ~now
-                        < pending t ~backend:cur ~now
-                      then Some b
-                      else acc)
-                None candidates
-            in
-            Ok [ Option.get best ]
+        match best_read_target ?healthy t ~now k with
+        | None -> Error ("read class " ^ r.Request.class_id ^ " is not served")
+        | Some b -> Ok [ b ]
       end

@@ -33,39 +33,56 @@ val live_replicas : t -> Cdbs_core.Query_class.t -> int
 (** Up, caught-up nodes whose live set contains every fragment of the
     class — the replicas a read can actually land on right now. *)
 
+(** {1 Reads}
+
+    One eligibility rule serves every read path.  In static mode a read
+    goes to the backends its class is assigned to, or, when none of those
+    can serve, to any backend holding all of its data (k-safety standby
+    replicas); in dynamic mode to the nodes whose live set holds it.  Only
+    up, caught-up backends count.  [healthy] is an optional routing filter
+    (e.g. a circuit breaker's [allows]): candidates failing it are steered
+    around, but if {e every} candidate fails it the unfiltered set is used
+    (fail open), since a slow replica still beats an unavailable answer.
+    The filter is called on the base members in backend order up to the
+    first it accepts, then once more on each remaining candidate. *)
+
 val eligible_for_read :
   ?healthy:(int -> bool) -> t -> Cdbs_core.Query_class.t -> int list
-(** Read candidates for a class.  [healthy] is an optional routing filter
-    (e.g. a circuit breaker's [allows]): candidates failing it are
-    steered around — but if {e every} candidate fails it the unfiltered
-    list is returned (fail open), since a slow replica still beats an
-    unavailable answer.  Updates are never filtered. *)
-
-val targets_for_update : t -> Cdbs_core.Query_class.t -> int list
-
-val find_class : t -> string -> Cdbs_core.Query_class.t option
-(** Indexed class lookup (the table {!route} itself routes through) —
-    callers on a per-request hot path use this instead of scanning the
-    allocation's class array. *)
+(** Read candidates for a class, in backend order.
+    @raise Invalid_argument when the allocation has no class of this id. *)
 
 val best_read_target :
-  ?healthy:(int -> bool) ->
-  ?exclude:int ->
-  t ->
-  now:float ->
-  Cdbs_core.Query_class.t ->
-  int option
-(** The backend {!route} would pick for a read of this class — same base
-    set, fail-open health filter and first-minimum-pending tie-break —
-    computed in two indexed passes with no intermediate lists.  [exclude]
-    removes one backend from the final selection only (for hedged second
-    dispatches); the fail-open decision still counts it. *)
+  ?healthy:(int -> bool) -> ?exclude:int -> t -> now:float -> int -> int option
+(** The candidate with the least pending work (the first one on ties) for
+    a read of the class at this position in the allocation's
+    {!Cdbs_core.Allocation.classes}; [None] when no backend can serve it.
+    [exclude] removes one backend from the final selection only (for
+    hedged second dispatches); the fail-open decision still counts it. *)
+
+(** {1 Updates} *)
+
+val targets_for_update : t -> Cdbs_core.Query_class.t -> int list
+(** Every up backend holding any of the class's data (read-once/write-all),
+    stale ones included.
+    @raise Invalid_argument when the allocation has no class of this id. *)
+
+val targets_for_update_at : t -> int -> int list
+(** {!targets_for_update} for the class at this position. *)
+
+(** {1 Classes by position} *)
+
+val class_position : t -> string -> int option
+(** Position of the class with this id in the allocation's
+    {!Cdbs_core.Allocation.classes}.  Callers on a per-request hot path
+    resolve a request's class once and route by position. *)
+
+val class_at : t -> int -> Cdbs_core.Query_class.t
 
 val route :
   ?healthy:(int -> bool) -> t -> now:float -> Request.t -> (int list, string) result
-(** Backends that must process the request (singleton for reads).  Pending
-    work bookkeeping is updated by {!book}.  [healthy] filters read
-    candidates as in {!eligible_for_read}. *)
+(** Backends that must process the request: {!best_read_target} for a
+    read, {!targets_for_update} for an update.  Pending work bookkeeping is
+    updated by {!book}. *)
 
 val book : t -> backend:int -> finish:float -> unit
 (** Record that the backend's queue now drains at [finish]. *)

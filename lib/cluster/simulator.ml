@@ -8,6 +8,7 @@ module Fault = Cdbs_faults.Fault
 module Retry = Cdbs_faults.Retry
 module Resilience = Cdbs_resilience
 module Heap = Cdbs_util.Heap
+module Vec = Cdbs_util.Vec
 module Tel = Cdbs_telemetry
 
 type config = {
@@ -122,7 +123,8 @@ type migration_outcome = {
    could not be routed at all). *)
 type read_ctx = {
   rc_uid : int;
-  rc_class : string;
+  rc_class : int;  (* position in the allocation's classes; -1 when it has
+                      no class of the request's id *)
   rc_cost_mb : float option;
   rc_arrival : float;  (* original arrival: responses measure from here *)
   rc_attempt : int;  (* 0 = first attempt *)
@@ -130,7 +132,9 @@ type read_ctx = {
                            when no deadline policy is active *)
 }
 
-(* Work booked on a backend's queue, kept so a crash can cancel it. *)
+(* Work booked on a backend's queue, kept so a crash can cancel it.  Each
+   backend's bookings are kept oldest first; every walk that picks one
+   (shed victim, hedged leg, crash cancellation) goes newest first. *)
 type booked_kind = Bk_read of read_ctx | Bk_update | Bk_catchup
 
 type booked = {
@@ -225,7 +229,7 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
     [ ("backends", Tel.Trace.Int n); ("offered", Tel.Trace.Int offered) ];
   let delta : unit Delta.t = Delta.create () in
   let busy = Array.make n 0. in
-  let inflight = Array.make n [] in
+  let inflight = Array.init n (fun _ -> Vec.create ()) in
   (* Per-backend lifecycle generation: bumped at every crash and recover so
      stale [Catchup_done] events from a superseded epoch are ignored. *)
   let gen = Array.make n 0 in
@@ -401,27 +405,29 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
   let traced = Option.is_some telemetry in
   let serve_event ~at ~kind b ~start ~finish =
     if traced then
-      Tel.Sink.ev telemetry ~at "backend.serve"
-        ([ ("backend", Tel.Trace.Int b);
-           ("kind", Tel.Trace.Str (kind_label kind));
-           ("start", Tel.Trace.Float start);
-           ("finish", Tel.Trace.Float finish) ]
-        @
-        (* Reads carry their query-class id so online estimators can
-           harvest measured per-class service times straight off the
-           trace. *)
+      (* Reads carry their query-class id so online estimators can harvest
+         measured per-class service times straight off the trace. *)
+      let cls =
         match kind with
-        | Bk_read rc -> [ ("cls", Tel.Trace.Str rc.rc_class) ]
-        | Bk_update | Bk_catchup -> [])
+        | Bk_read rc ->
+            [ ("cls",
+               Tel.Trace.Str (Scheduler.class_at sched rc.rc_class).Query_class.id) ]
+        | Bk_update | Bk_catchup -> []
+      in
+      Tel.Sink.ev telemetry ~at "backend.serve"
+        (("backend", Tel.Trace.Int b)
+        :: ("kind", Tel.Trace.Str (kind_label kind))
+        :: ("start", Tel.Trace.Float start)
+        :: ("finish", Tel.Trace.Float finish)
+        :: cls)
   in
   let commit ~mb ~kind b (start, finish, service) =
     Scheduler.book sched ~backend:b ~finish;
     busy.(b) <- busy.(b) +. service;
     if track then
-      inflight.(b) <-
+      Vec.push inflight.(b)
         { bk_start = start; bk_finish = finish; bk_service = service;
-          bk_mb = mb; bk_kind = kind }
-        :: inflight.(b);
+          bk_mb = mb; bk_kind = kind };
     serve_event ~at:!now_ref ~kind b ~start ~finish;
     finish
   in
@@ -434,19 +440,20 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
     let start = max now (Scheduler.free_at sched ~backend:b) in
     commit ~mb ~kind:Bk_catchup b (start, start +. replay, replay)
   in
-  (* Queue depth for admission control.  Completed bookings are pruned on
-     the way (they are kept only so a crash can cancel in-flight work). *)
+  (* Queue depth for admission control.  Completed bookings are pruned in
+     place on the way (they are kept only so a crash can cancel in-flight
+     work). *)
   let depth_of b ~now =
-    let live = List.filter (fun it -> it.bk_finish > now) inflight.(b) in
-    inflight.(b) <- live;
-    List.length live
+    let v = inflight.(b) in
+    Vec.filter_in_place (fun it -> it.bk_finish > now) v;
+    Vec.length v
   in
   (* Remove a booking and refund its not-yet-served tail after [from_].
      The backend's queue drains earlier by that amount — an approximation
      (bookings made between the victim and now keep their recorded finish
      times), matching the spirit of crash cancellation. *)
   let cancel_booking b it ~from_ =
-    inflight.(b) <- List.filter (fun x -> x != it) inflight.(b);
+    Vec.filter_in_place (fun x -> x != it) inflight.(b);
     let refund = max 0. (it.bk_finish -. max it.bk_start from_) in
     busy.(b) <- busy.(b) -. refund;
     Scheduler.book sched ~backend:b
@@ -457,19 +464,19 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
      waited longest; it is the one most likely already past its deadline.
      Returns [true] when a victim was found and evicted. *)
   let shed_oldest_queued b ~now =
-    let victim =
-      List.fold_left
-        (fun acc it ->
-          match it.bk_kind with
-          | Bk_read rc when it.bk_start > now -> (
-              match acc with
-              | Some (best_rc, _) when best_rc.rc_arrival <= rc.rc_arrival ->
-                  acc
-              | _ -> Some (rc, it))
-          | _ -> acc)
-        None inflight.(b)
-    in
-    match victim with
+    let v = inflight.(b) in
+    (* Newest first, so ties on arrival keep the newest. *)
+    let victim = ref None in
+    for i = Vec.length v - 1 downto 0 do
+      let it = Vec.get v i in
+      match it.bk_kind with
+      | Bk_read rc when it.bk_start > now -> (
+          match !victim with
+          | Some (best_rc, _) when best_rc.rc_arrival <= rc.rc_arrival -> ()
+          | _ -> victim := Some (rc, it))
+      | Bk_read _ | Bk_update | Bk_catchup -> ()
+    done;
+    match !victim with
     | None -> false
     | Some (rc, it) ->
         ignore (cancel_booking b it ~from_:now);
@@ -483,10 +490,16 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
         true
   in
   let find_read_booking b u =
-    List.find_opt
-      (fun it ->
-        match it.bk_kind with Bk_read rc -> rc.rc_uid = u | _ -> false)
-      inflight.(b)
+    let v = inflight.(b) in
+    let rec newest_first i =
+      if i < 0 then None
+      else
+        let it = Vec.get v i in
+        match it.bk_kind with
+        | Bk_read rc when rc.rc_uid = u -> Some it
+        | _ -> newest_first (i - 1)
+    in
+    newest_first (Vec.length v - 1)
   in
   (* An attempt of read [rc] failed at [now]: try again after backoff,
      unless the retry budget is spent.  With a deadline policy active the
@@ -548,84 +561,88 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
       incr timeouts;
       incr aborted
     end
+    else if rc.rc_class < 0 then
+      (* The allocation has no class of this id: no attempt can route it. *)
+      schedule_retry ~now rc
     else
-      (* Route without materializing a Request or candidate lists: class
-         lookup is indexed and target selection is two array scans. *)
-      match Scheduler.find_class sched rc.rc_class with
+      (* Route by class position, without materializing a Request or
+         candidate lists. *)
+      match
+        Scheduler.best_read_target ?healthy:(healthy_at now) sched ~now
+          rc.rc_class
+      with
       | None -> schedule_retry ~now rc
-      | Some c -> (
-          match
-            Scheduler.best_read_target ?healthy:(healthy_at now) sched ~now c
-          with
-          | None -> schedule_retry ~now rc
-          | Some b -> (
-              let mb = scan_mb rc.rc_cost_mb c in
-              (* The quote is pure, so an admission check and the booking it
-                 admits share one; only a shed (which reshapes the queue)
-                 forces a re-quote. *)
-              let book q =
-                let _, finish, service = q in
-                ignore (commit ~mb ~kind:(Bk_read rc) b q);
-                breaker_success ~now b ~latency:(finish -. now);
-                if deadline_on && finish > rc.rc_deadline then begin
-                  (* Without admission control this work is booked anyway and
-                     wasted: the client is gone when it completes. *)
-                  incr timeouts;
-                  incr aborted;
-                  wasted_work := !wasted_work +. service
-                end
-                else begin
-                  record rc.rc_uid (finish -. rc.rc_arrival);
-                  maybe_hedge ~now rc b finish
-                end
-              in
-              let fresh_quote () =
-                quote ~now ~mb ~replicas:1 ~is_update:false b ~factor:1.
-              in
-              match admission with
-              | None -> book (fresh_quote ())
-              | Some pol ->
-                  let ((_, finish, _) as q) = fresh_quote () in
-                  if deadline_on && finish > rc.rc_deadline then begin
-                    (* Deadline-aware admission: refuse up front instead of
-                       serving work whose client will have abandoned it. *)
-                    incr timeouts;
-                    incr aborted
-                  end
-                  else
-                    let depth = depth_of b ~now in
-                    let pending = Scheduler.pending sched ~backend:b ~now in
-                    (match
-                       Resilience.Admission.decide pol ~depth ~pending
-                         ~is_update:false
-                     with
-                    | Resilience.Admission.Admit -> book q
-                    | Resilience.Admission.Shed ->
-                        if shed_oldest_queued b ~now then book (fresh_quote ())
-                        else begin
-                          (* Queue holds no evictable read: shed the
-                             newcomer. *)
-                          incr shed;
-                          incr aborted;
-                          if traced then
-                            Tel.Sink.ev telemetry ~at:now "request.shed"
-                              [ ("uid", Tel.Trace.Int rc.rc_uid);
-                                ("reason", Tel.Trace.Str "refused_newcomer") ]
-                        end)))
+      | Some b -> (
+          let mb =
+            scan_mb rc.rc_cost_mb (Scheduler.class_at sched rc.rc_class)
+          in
+          (* The quote is pure, so an admission check and the booking it
+             admits share one; only a shed (which reshapes the queue)
+             forces a re-quote. *)
+          let book q =
+            let _, finish, service = q in
+            ignore (commit ~mb ~kind:(Bk_read rc) b q);
+            breaker_success ~now b ~latency:(finish -. now);
+            if deadline_on && finish > rc.rc_deadline then begin
+              (* Without admission control this work is booked anyway and
+                 wasted: the client is gone when it completes. *)
+              incr timeouts;
+              incr aborted;
+              wasted_work := !wasted_work +. service
+            end
+            else begin
+              record rc.rc_uid (finish -. rc.rc_arrival);
+              maybe_hedge ~now rc b finish
+            end
+          in
+          let fresh_quote () =
+            quote ~now ~mb ~replicas:1 ~is_update:false b ~factor:1.
+          in
+          match admission with
+          | None -> book (fresh_quote ())
+          | Some pol ->
+              let ((_, finish, _) as q) = fresh_quote () in
+              if deadline_on && finish > rc.rc_deadline then begin
+                (* Deadline-aware admission: refuse up front instead of
+                   serving work whose client will have abandoned it. *)
+                incr timeouts;
+                incr aborted
+              end
+              else
+                let depth = depth_of b ~now in
+                let pending = Scheduler.pending sched ~backend:b ~now in
+                (match
+                   Resilience.Admission.decide pol ~depth ~pending
+                     ~is_update:false
+                 with
+                | Resilience.Admission.Admit -> book q
+                | Resilience.Admission.Shed ->
+                    if shed_oldest_queued b ~now then book (fresh_quote ())
+                    else begin
+                      (* Queue holds no evictable read: shed the
+                         newcomer. *)
+                      incr shed;
+                      incr aborted;
+                      if traced then
+                        Tel.Sink.ev telemetry ~at:now "request.shed"
+                          [ ("uid", Tel.Trace.Int rc.rc_uid);
+                            ("reason", Tel.Trace.Str "refused_newcomer") ]
+                    end))
   in
-  let handle_update ~now (r : Request.t) u =
+  (* [k] is the class position, -1 for an id the allocation lacks. *)
+  let handle_update ~now (r : Request.t) k u =
     incr offered_updates;
     (* Updates bypass every defense: admission never sheds them, deadlines
        never abandon them, breakers never steer them — ROWA requires each
        live replica of a written partition to apply every update. *)
-    match Scheduler.route sched ~now r with
-    | Error _ ->
-        (* No live replica holds the data: ROWA cannot commit anywhere.
-           Updates are not retried (see {!Cdbs_faults.Retry}). *)
+    match if k < 0 then [] else Scheduler.targets_for_update_at sched k with
+    | [] ->
+        (* Unknown class, or no live replica holds the data: ROWA cannot
+           commit anywhere.  Updates are not retried (see
+           {!Cdbs_faults.Retry}). *)
         incr aborted
-    | Ok targets ->
-        (* [route] found the class. *)
-        let c = Option.get (Scheduler.find_class sched r.Request.class_id) in
+    | targets ->
+        let c = Scheduler.class_at sched k in
         let mb = scan_mb r.Request.cost_mb c in
         (* Crashed backends and in-flight copies holding the touched
            fragments journal the volume; it is replayed when they rejoin or
@@ -682,9 +699,8 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
       gen.(b) <- gen.(b) + 1;
       Hashtbl.remove pending_catchup b;
       let items = inflight.(b) in
-      inflight.(b) <- [];
-      List.iter
-        (fun it ->
+      for i = Vec.length items - 1 downto 0 do
+        let it = Vec.get items i in
           if it.bk_finish > now then begin
             let lost = it.bk_finish -. max it.bk_start now in
             cancelled_work := !cancelled_work +. lost;
@@ -709,8 +725,9 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
                   else it.bk_mb *. lost /. it.bk_service
                 in
                 lost_mb.(b) <- lost_mb.(b) +. owed
-          end)
-        items;
+          end
+      done;
+      Vec.clear items;
       Scheduler.book sched ~backend:b ~finish:now;
       Fragment.Set.iter
         (fun f -> Delta.open_capture delta ~dest:b ~fragment:f)
@@ -905,67 +922,66 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
             match find_read_booking primary rc.rc_uid with
             | None -> () (* crash-cancelled or shed since it was armed *)
             | Some it1 -> (
-                match Scheduler.find_class sched rc.rc_class with
-                | None -> ()
-                | Some c -> (
-                    let best =
-                      Scheduler.best_read_target
-                        ?healthy:(healthy_at now) ~exclude:primary sched ~now
-                        c
+                (* A booked read's class is known. *)
+                let c = Scheduler.class_at sched rc.rc_class in
+                let best =
+                  Scheduler.best_read_target
+                    ?healthy:(healthy_at now) ~exclude:primary sched ~now
+                    rc.rc_class
+                in
+                match best with
+                | None -> () (* no second replica to hedge on *)
+                | Some b2 ->
+                    let mb = scan_mb rc.rc_cost_mb c in
+                    let ((s2, f2, sv2) as q2) =
+                      quote ~now ~mb ~replicas:1 ~is_update:false b2
+                        ~factor:1.
                     in
-                    match best with
-                    | None -> () (* no second replica to hedge on *)
-                    | Some b2 ->
-                        let mb = scan_mb rc.rc_cost_mb c in
-                        let ((s2, f2, sv2) as q2) =
-                          quote ~now ~mb ~replicas:1 ~is_update:false b2
-                            ~factor:1.
-                        in
-                        let pointless =
-                          (* a hedge that cannot beat the deadline is
-                             wasted capacity by construction *)
-                          (deadline_on && f2 > rc.rc_deadline)
-                          ||
-                          match admission with
-                          | None -> false
-                          | Some pol ->
-                              (* A hedge never sheds foreground work. *)
-                              Resilience.Admission.decide pol
-                                ~depth:(depth_of b2 ~now)
-                                ~pending:
-                                  (Scheduler.pending sched ~backend:b2 ~now)
-                                ~is_update:false
-                              = Resilience.Admission.Shed
-                        in
-                        if not pointless then begin
-                          incr hedged;
-                          if f2 < f1 then begin
-                            incr hedge_wins;
-                            if traced then
-                              Tel.Sink.ev telemetry ~at:now "request.hedge_win"
-                                [ ("uid", Tel.Trace.Int rc.rc_uid);
-                                  ("backend", Tel.Trace.Int b2) ];
-                            ignore (commit ~mb ~kind:(Bk_read rc) b2 q2);
-                            (* Cancel the losing primary leg: its already-
-                               served prefix is sunk cost. *)
-                            let refund = cancel_booking primary it1 ~from_:f2 in
-                            wasted_work :=
-                              !wasted_work +. (it1.bk_service -. refund);
-                            record rc.rc_uid (f2 -. rc.rc_arrival);
-                            breaker_success ~now b2 ~latency:(f2 -. now)
-                          end
-                          else begin
-                            (* The primary wins: the hedge leg occupies b2
-                               until the win instant, then cancels. *)
-                            let consumed = max 0. (min sv2 (f1 -. s2)) in
-                            if consumed > 0. then begin
-                              Scheduler.book sched ~backend:b2
-                                ~finish:(s2 +. consumed);
-                              busy.(b2) <- busy.(b2) +. consumed;
-                              wasted_work := !wasted_work +. consumed
-                            end
-                          end
-                        end))))
+                    let pointless =
+                      (* a hedge that cannot beat the deadline is
+                         wasted capacity by construction *)
+                      (deadline_on && f2 > rc.rc_deadline)
+                      ||
+                      match admission with
+                      | None -> false
+                      | Some pol ->
+                          (* A hedge never sheds foreground work. *)
+                          Resilience.Admission.decide pol
+                            ~depth:(depth_of b2 ~now)
+                            ~pending:
+                              (Scheduler.pending sched ~backend:b2 ~now)
+                            ~is_update:false
+                          = Resilience.Admission.Shed
+                    in
+                    if not pointless then begin
+                      incr hedged;
+                      if f2 < f1 then begin
+                        incr hedge_wins;
+                        if traced then
+                          Tel.Sink.ev telemetry ~at:now "request.hedge_win"
+                            [ ("uid", Tel.Trace.Int rc.rc_uid);
+                              ("backend", Tel.Trace.Int b2) ];
+                        ignore (commit ~mb ~kind:(Bk_read rc) b2 q2);
+                        (* Cancel the losing primary leg: its already-
+                           served prefix is sunk cost. *)
+                        let refund = cancel_booking primary it1 ~from_:f2 in
+                        wasted_work :=
+                          !wasted_work +. (it1.bk_service -. refund);
+                        record rc.rc_uid (f2 -. rc.rc_arrival);
+                        breaker_success ~now b2 ~latency:(f2 -. now)
+                      end
+                      else begin
+                        (* The primary wins: the hedge leg occupies b2
+                           until the win instant, then cancels. *)
+                        let consumed = max 0. (min sv2 (f1 -. s2)) in
+                        if consumed > 0. then begin
+                          Scheduler.book sched ~backend:b2
+                            ~finish:(s2 +. consumed);
+                          busy.(b2) <- busy.(b2) +. consumed;
+                          wasted_work := !wasted_work +. consumed
+                        end
+                      end
+                    end)))
   in
   (* The event clock streams the requests past the heap: before each
      arrival it drains every heap event at or before that instant, which
@@ -995,12 +1011,17 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
       incr events_processed;
       now_ref := now;
       arrival.(u) <- now;
-      if r.Request.is_update then handle_update ~now r u
+      let k =
+        match Scheduler.class_position sched r.Request.class_id with
+        | Some k -> k
+        | None -> -1
+      in
+      if r.Request.is_update then handle_update ~now r k u
       else
         handle_read ~now
           {
             rc_uid = u;
-            rc_class = r.Request.class_id;
+            rc_class = k;
             rc_cost_mb = r.Request.cost_mb;
             rc_arrival = now;
             rc_attempt = 0;

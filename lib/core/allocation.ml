@@ -96,6 +96,8 @@ let num_backends t = Array.length t.backends
 let classes t = t.classes
 let num_reads t = t.n_reads
 
+let position t id = Hashtbl.find_opt t.index id
+
 let class_index t c =
   match Hashtbl.find_opt t.index c.Query_class.id with
   | Some i -> i

@@ -87,10 +87,16 @@ val validate : t -> (unit, string list) result
 
 val num_reads : t -> int
 
+val position : t -> string -> int option
+(** Position of the class with this id, if the workload has one. *)
+
 val assign_at : t -> int -> int -> float
 (** [assign_at t b k]: class [k]'s share on backend [b]. *)
 
 val set_assign_at : t -> int -> int -> float -> unit
+
+val holds_at : t -> int -> int -> bool
+(** Whether backend [b] stores every fragment class [k] references. *)
 
 val overlaps_at : t -> int -> int -> bool
 (** Whether backend [b] stores any fragment class [k] references. *)

@@ -68,6 +68,7 @@ type backend = {
 type t = {
   config : config;
   backends : backend array;
+  peers : float array;  (* scratch for [peer_median] *)
   mutable trips : int;
   mutable hook : (backend:int -> state -> unit) option;
 }
@@ -90,6 +91,7 @@ let create ?(config = default_config) ?on_transition n =
   {
     config;
     backends = Array.init n (fun _ -> fresh config);
+    peers = Array.make n 0.;
     trips = 0;
     hook = on_transition;
   }
@@ -136,20 +138,24 @@ let allows t ~backend ~now =
       end
       else false
 
-(* Median EWMA over peers that have at least one sample. *)
+(* Median EWMA over peers that have at least one sample, ordered by
+   insertion into a scratch buffer; [nan] when no peer has one, which every
+   [m > 0.] guard below rejects. *)
 let peer_median t b =
-  let xs =
-    Array.to_list t.backends
-    |> List.filteri (fun i _ -> i <> b)
-    |> List.filter_map (fun be ->
-           if be.samples > 0 then Some be.ewma else None)
-  in
-  match List.sort compare xs with
-  | [] -> None
-  | sorted ->
-      let n = List.length sorted in
-      let a = List.nth sorted ((n - 1) / 2) and b = List.nth sorted (n / 2) in
-      Some ((a +. b) /. 2.)
+  let xs = t.peers and m = ref 0 in
+  for i = 0 to Array.length t.backends - 1 do
+    let be = t.backends.(i) in
+    if i <> b && be.samples > 0 then begin
+      let x = be.ewma and j = ref !m in
+      while !j > 0 && Float.compare xs.(!j - 1) x > 0 do
+        xs.(!j) <- xs.(!j - 1);
+        decr j
+      done;
+      xs.(!j) <- x;
+      incr m
+    end
+  done;
+  if !m = 0 then nan else (xs.((!m - 1) / 2) +. xs.(!m / 2)) /. 2.
 
 let push_window cfg be ~failure =
   if be.w_len = cfg.error_window then begin
@@ -167,9 +173,8 @@ let error_tripped cfg be =
 let latency_tripped t b be =
   be.samples >= t.config.min_samples
   &&
-  match peer_median t b with
-  | Some m -> m > 0. && be.ewma > t.config.latency_factor *. m
-  | None -> false
+  let m = peer_median t b in
+  m > 0. && be.ewma > t.config.latency_factor *. m
 
 let record_success t ~backend ~now ~latency =
   let cfg = t.config in
@@ -184,9 +189,8 @@ let record_success t ~backend ~now ~latency =
   | Half_open ->
       (* A probe is judged by its own latency, not the (stale) EWMA. *)
       let probe_slow =
-        match peer_median t backend with
-        | Some m -> m > 0. && latency > cfg.latency_factor *. m
-        | None -> false
+        let m = peer_median t backend in
+        m > 0. && latency > cfg.latency_factor *. m
       in
       if probe_slow then trip t ~backend ~now
       else begin

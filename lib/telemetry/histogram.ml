@@ -3,10 +3,17 @@ type t = {
   per_decade : int;
   mutable counts : int array;  (* grown on demand as the range widens *)
   mutable underflow : int;
+  mutable infinite : int;  (* +infinity: above every finite bucket *)
   mutable total : int;
   mutable sum : float;
   mutable min_seen : float;
   mutable max_seen : float;
+  mutable cursor : int;
+  mutable below : int;
+      (* nearest-rank cursor: a bucket index and the number of observations
+         ranked below it, underflow included; successive quantiles of a
+         slowly changing histogram move it a few buckets instead of walking
+         from bucket 0 *)
 }
 
 let create ?(min_value = 1e-6) ?(per_decade = 90) () =
@@ -17,10 +24,13 @@ let create ?(min_value = 1e-6) ?(per_decade = 90) () =
     per_decade;
     counts = Array.make 64 0;
     underflow = 0;
+    infinite = 0;
     total = 0;
     sum = 0.;
     min_seen = infinity;
     max_seen = neg_infinity;
+    cursor = 0;
+    below = 0;
   }
 
 let min_value t = t.min_value
@@ -61,12 +71,18 @@ let ensure_capacity t i =
 
 let record_n t v ~n =
   if n < 0 then invalid_arg "Histogram.record_n: n < 0";
+  if Float.is_nan v then invalid_arg "Histogram.record_n: NaN";
   if n > 0 then begin
-    if v < t.min_value then t.underflow <- t.underflow + n
+    if v < t.min_value then begin
+      t.underflow <- t.underflow + n;
+      t.below <- t.below + n
+    end
+    else if v = infinity then t.infinite <- t.infinite + n
     else begin
       let i = index_of t v in
       ensure_capacity t i;
-      t.counts.(i) <- t.counts.(i) + n
+      t.counts.(i) <- t.counts.(i) + n;
+      if i < t.cursor then t.below <- t.below + n
     end;
     t.total <- t.total + n;
     t.sum <- t.sum +. (v *. float_of_int n);
@@ -87,15 +103,20 @@ let quantile t q =
     in
     let estimate =
       if rank <= t.underflow then t.min_value
+      else if rank > t.total - t.infinite then t.max_seen
       else begin
-        let remaining = ref (rank - t.underflow) in
-        let i = ref 0 in
-        let n = Array.length t.counts in
-        while !i < n && !remaining > t.counts.(!i) do
-          remaining := !remaining - t.counts.(!i);
-          incr i
+        (* The answer is the bucket [i] with [below i < rank <= below i +
+           counts.(i)]; move the cursor there from wherever it stands. *)
+        let counts = t.counts in
+        while t.below >= rank do
+          t.cursor <- t.cursor - 1;
+          t.below <- t.below - counts.(t.cursor)
         done;
-        if !i >= n then t.max_seen else bucket_mid t !i
+        while t.below + counts.(t.cursor) < rank do
+          t.below <- t.below + counts.(t.cursor);
+          t.cursor <- t.cursor + 1
+        done;
+        bucket_mid t t.cursor
       end
     in
     (* The exact min/max are tracked; never report outside them. *)
@@ -112,7 +133,10 @@ let merge_into t ~from =
     (fun i c -> if c > 0 then t.counts.(i) <- t.counts.(i) + c)
     from.counts;
   t.underflow <- t.underflow + from.underflow;
+  t.infinite <- t.infinite + from.infinite;
   t.total <- t.total + from.total;
+  t.cursor <- 0;
+  t.below <- t.underflow;
   t.sum <- t.sum +. from.sum;
   if from.min_seen < t.min_seen then t.min_seen <- from.min_seen;
   if from.max_seen > t.max_seen then t.max_seen <- from.max_seen
@@ -122,7 +146,10 @@ let copy t = { t with counts = Array.copy t.counts }
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.underflow <- 0;
+  t.infinite <- 0;
   t.total <- 0;
+  t.cursor <- 0;
+  t.below <- 0;
   t.sum <- 0.;
   t.min_seen <- infinity;
   t.max_seen <- neg_infinity

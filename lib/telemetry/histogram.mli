@@ -26,10 +26,13 @@ val min_value : t -> float
 val per_decade : t -> int
 
 val record : t -> float -> unit
-(** Record one observation.  Negative values count as underflow. *)
+(** Record one observation.  Negative values, [neg_infinity] included,
+    count as underflow; [infinity] ranks above every finite bucket.
+    @raise Invalid_argument on a NaN. *)
 
 val record_n : t -> float -> n:int -> unit
-(** Record the same value [n] times ([n >= 0]). *)
+(** Record the same value [n] times ([n >= 0]).
+    @raise Invalid_argument on a NaN. *)
 
 val count : t -> int
 (** Total observations recorded. *)
@@ -52,8 +55,11 @@ val max_recorded : t -> float
 val quantile : t -> float -> float
 (** [quantile t q] with [q] in [[0, 1]]: nearest-rank quantile estimate —
     the geometric midpoint of the bucket holding the [ceil (q * count)]-th
-    smallest observation, clamped to the exact observed min/max.  0 when
-    empty.
+    smallest observation, clamped to the exact observed min/max.  A rank
+    among the [infinity] observations reports {!max_recorded}, that is
+    [infinity].  0 when empty.  The bucket search starts where the
+    previous one ended, so repeated quantiles of a slowly changing
+    histogram cost a few buckets each.
     @raise Invalid_argument when [q] is outside [[0, 1]]. *)
 
 val percentile : t -> float -> float
@@ -72,7 +78,7 @@ val reset : t -> unit
 
 val buckets : t -> (int * int) list
 (** Non-empty buckets as [(index, count)], ascending; underflow is index
-    [-1].  Bucket [i] covers values in
+    [-1].  [infinity] observations are in {!count} but in no bucket.  Bucket [i] covers values in
     [[min_value * 10^(i/per_decade), min_value * 10^((i+1)/per_decade))]. *)
 
 val bucket_lower : t -> int -> float

@@ -11,11 +11,13 @@ val minimum : float list -> float
 val maximum : float list -> float
 
 val nearest_rank : float array -> float -> float
-(** [nearest_rank xs] sorts a copy of [xs] once, with [Float.compare] (the
-    order [compare] gives floats), and returns the nearest-rank percentile
-    of that sample: [p] in [0,100] maps to the [ceil (p/100 * n)]-th
-    smallest value, the smallest for [p = 0].  Apply it once and query it
-    for several [p] to share the sort.
+(** [nearest_rank xs] copies [xs] once and returns the nearest-rank
+    percentile of that sample: [p] in [0,100] maps to the
+    [ceil (p/100 * n)]-th smallest value, the smallest for [p = 0].  The
+    value has the bits a stable sort of the copy with [Float.compare] (the
+    order [compare] gives floats) would place at that rank; each query
+    selects it in linear expected time.  Apply it once and query it for
+    several [p] to share the copy.
     @raise Invalid_argument when queried on an empty sample. *)
 
 val percentile : float -> float list -> float

@@ -14,6 +14,20 @@ dune runtest
 # The benchmark's own helpers (percentiles, quartiles, verdicts, spans).
 python3 perfbench/test_run.py
 
+# Benchmark correctness smoke: run.py exits 0 even when a workload's
+# checks fail (monitor-clean, no shed update, SQL against the reference,
+# determinism), so read the verdict off its last line.
+for w in day overload alloc sql; do
+  last=$(python3 perfbench/run.py --workload "$w" --seed 7 --seconds 1 --trace 0 | tail -n 1)
+  case "$last" in
+    *'"correct": true'*) ;;
+    *)
+      echo "error: benchmark workload $w failed its checks: $last" >&2
+      exit 1
+      ;;
+  esac
+done
+
 # Static plan verification: the shipped scenarios must be diagnostic-clean,
 # and a deliberately corrupted allocation must be rejected.
 dune build @lint

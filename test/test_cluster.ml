@@ -307,6 +307,195 @@ let test_controller_empty_journal () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "reallocation with empty history accepted"
 
+(* ---------------- per-request kernels vs references ---------------- *)
+
+let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Floats that [Float.compare] ties although their bits differ (both zeros,
+   NaNs with different payloads and signs), infinities, and lattice values
+   that repeat. *)
+let tied_samples =
+  let nan_with payload ~negative =
+    Int64.float_of_bits
+      (Int64.logor
+         (if negative then 0xFFF0000000000000L else 0x7FF0000000000000L)
+         (Int64.of_int (1 + payload)))
+  in
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (6, map (fun k -> float_of_int k /. 2.) (int_range (-6) 6));
+          (2, float);
+          (2, oneofl [ 0.; -0.; infinity; neg_infinity ]);
+          ( 1,
+            map2
+              (fun payload negative -> nan_with payload ~negative)
+              (int_range 0 0xFFFF) bool );
+        ])
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair (list float) float)
+    QCheck.Gen.(pair (list_size (int_range 1 400) value) (float_range 0. 100.))
+
+let prop_nearest_rank_bits =
+  QCheck.Test.make ~count:500
+    ~name:"nearest_rank = Array.stable_sort Float.compare, bit for bit"
+    tied_samples (fun (xs, p_random) ->
+      let a = Array.of_list xs in
+      let sorted = Array.copy a in
+      Array.stable_sort Float.compare sorted;
+      let n = Array.length a in
+      let want p =
+        sorted.(max 0
+                  (min (n - 1) (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)))
+      in
+      let q = Stats.nearest_rank a in
+      let ps = [ 0.; 1.; 50.; 95.; 99.; 100.; p_random ] in
+      (* Each query reorders the working copy; ask twice, in both orders. *)
+      List.for_all (fun p -> same_bits (q p) (want p)) (ps @ List.rev ps))
+
+(* The list-based read routing that [best_read_target] replaced, kept here
+   as the reference: the base set (assigned backends, else holders; live
+   sets in dynamic mode), the fail-open health filter, then the first
+   least-pending candidate other than [exclude].  Also returns the
+   backends the filter must be asked about, in first-call order. *)
+let reference_read ~dynamic ~live ~healthy ~exclude sched alloc c ~now =
+  let n = Scheduler.num_nodes sched in
+  let all = List.init n Fun.id in
+  let capable b =
+    Scheduler.is_up sched ~backend:b && not (Scheduler.is_stale sched ~backend:b)
+  in
+  let base =
+    if dynamic then
+      List.filter
+        (fun b -> capable b && Fragment.Set.subset c.Query_class.fragments live.(b))
+        all
+    else
+      let assigned =
+        List.filter (fun b -> capable b && Allocation.get_assign alloc b c > 0.) all
+      in
+      if assigned <> [] then assigned
+      else List.filter (fun b -> capable b && Allocation.holds alloc b c) all
+  in
+  let healthy_base = List.filter healthy base in
+  let candidates = if healthy_base = [] then base else healthy_base in
+  (* Asked in backend order up to the first healthy member, then about
+     every candidate the selection tests. *)
+  let asked =
+    match healthy_base with
+    | [] -> base
+    | h :: _ -> List.filter (fun b -> b <= h || b <> exclude) base
+  in
+  let best =
+    List.fold_left
+      (fun acc b ->
+        if b = exclude then acc
+        else
+          match acc with
+          | Some cur
+            when not
+                   (Scheduler.pending sched ~backend:b ~now
+                   < Scheduler.pending sched ~backend:cur ~now) ->
+              acc
+          | _ -> Some b)
+      None candidates
+  in
+  (candidates, best, asked)
+
+let routing_workload =
+  Workload.make
+    ~reads:
+      [
+        Query_class.read "q1" [ fr "a" ] ~weight:0.2;
+        Query_class.read "q2" [ fr "b" ] ~weight:0.2;
+        Query_class.read "q3" [ fr "a"; fr "b" ] ~weight:0.1;
+        Query_class.read "q4" [ fr "c" ] ~weight:0.2;
+        Query_class.read "q5" [ fr "c"; fr "d" ] ~weight:0.1;
+      ]
+    ~updates:
+      [
+        Query_class.update "u1" [ fr "a" ] ~weight:0.1;
+        Query_class.update "u2" [ fr "d" ] ~weight:0.1;
+      ]
+
+let prop_best_read_target_matches_reference =
+  QCheck.Test.make ~count:300
+    ~name:"best_read_target = list-based reference, route and eligible_for_read"
+    QCheck.small_nat (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let n = 3 + Random.State.int rs 3 in
+      let w = routing_workload in
+      let alloc =
+        if Random.State.bool rs then Ksafety.allocate ~k:1 w (Backend.homogeneous n)
+        else Greedy.allocate w (Backend.homogeneous n)
+      in
+      let dynamic = Random.State.int rs 4 = 0 in
+      let frags = Fragment.Set.elements (Workload.fragments w) in
+      let live =
+        if dynamic then
+          Array.init (n + Random.State.int rs 2) (fun _ ->
+              Fragment.Set.of_list
+                (List.filter (fun _ -> Random.State.int rs 3 > 0) frags))
+        else Array.init n (Allocation.fragments_of alloc)
+      in
+      let sched =
+        if dynamic then Scheduler.create_dynamic alloc ~live
+        else Scheduler.create alloc
+      in
+      let nodes = Scheduler.num_nodes sched in
+      for b = 0 to nodes - 1 do
+        (match Random.State.int rs 5 with
+        | 0 -> Scheduler.set_down sched ~backend:b
+        | 1 -> Scheduler.set_up ~stale:true sched ~backend:b
+        | _ -> ());
+        Scheduler.book sched ~backend:b
+          ~finish:(float_of_int (Random.State.int rs 5) /. 2.)
+      done;
+      let ok = Array.init nodes (fun _ -> Random.State.int rs 3 > 0) in
+      let now = float_of_int (Random.State.int rs 3) /. 2. in
+      let classes = Allocation.classes alloc in
+      let agree k =
+        let c = classes.(k) in
+        List.for_all
+          (fun exclude ->
+            let asked = ref [] in
+            let healthy b =
+              if not (List.mem b !asked) then asked := b :: !asked;
+              ok.(b)
+            in
+            let got =
+              Scheduler.best_read_target ~healthy ~exclude sched ~now k
+            in
+            let candidates, want, want_asked =
+              reference_read ~dynamic ~live ~healthy:(fun b -> ok.(b)) ~exclude
+                sched alloc c ~now
+            in
+            let routed =
+              match
+                Scheduler.route ~healthy:(fun b -> ok.(b)) sched ~now
+                  (Request.read c.Query_class.id)
+              with
+              | Ok [ b ] -> Some b
+              | Ok _ | Error _ -> None
+            in
+            got = want
+            && List.rev !asked = want_asked
+            && (exclude >= 0
+               || routed = want
+                  && Scheduler.best_read_target sched ~now k
+                     = (let _, b, _ =
+                          reference_read ~dynamic ~live
+                            ~healthy:(fun _ -> true) ~exclude sched alloc c ~now
+                        in
+                        b)
+                  && Scheduler.eligible_for_read ~healthy:(fun b -> ok.(b))
+                       sched c
+                     = candidates))
+          (-1 :: List.init nodes Fun.id)
+      in
+      List.for_all agree (List.init (Allocation.num_reads alloc) Fun.id))
+
 let suite =
   [
     Alcotest.test_case "cost model: cache factor" `Quick test_cache_factor;
@@ -338,4 +527,6 @@ let suite =
       test_controller_reallocate;
     Alcotest.test_case "controller: empty journal" `Quick
       test_controller_empty_journal;
+    QCheck_alcotest.to_alcotest prop_nearest_rank_bits;
+    QCheck_alcotest.to_alcotest prop_best_read_target_matches_reference;
   ]

@@ -337,6 +337,41 @@ let test_deadline_refuses_doomed_work () =
   Alcotest.(check bool) "goodput no worse when defended" true
     (d.Simulator.availability >= u.Simulator.availability)
 
+(* Shed-oldest-first among queued reads that arrived at the same instant
+   evicts the newest booking: the victim search walks a backend's
+   bookings newest first and only a strictly earlier arrival displaces
+   the current pick. *)
+let test_shed_victim_tie () =
+  let w =
+    Workload.make ~reads:[ Query_class.read "q" [ fr "a" ] ~weight:1. ]
+      ~updates:[]
+  in
+  let alloc = Baselines.full_replication w (Backend.homogeneous 1) in
+  let resilience =
+    Res.Policy.make
+      ~admission:(Admission.make ~max_depth:3 ~max_pending:100. ())
+      ()
+  in
+  let sink = Cdbs_telemetry.Sink.create () in
+  (* Uid 0 starts at once, uids 1 and 2 queue behind it, uid 3 finds the
+     queue full. *)
+  let requests = List.init 4 (fun _ -> Request.read ~cost_mb:30. "q") in
+  let fo =
+    Simulator.run_open_with_faults ~resilience ~telemetry:sink
+      (Simulator.homogeneous_config 1) alloc requests ~faults:[]
+  in
+  let shed_uids =
+    List.filter_map
+      (fun (e : Cdbs_telemetry.Trace.event) ->
+        match List.assoc_opt "uid" e.Cdbs_telemetry.Trace.attrs with
+        | Some (Cdbs_telemetry.Trace.Int u) -> Some u
+        | _ -> None)
+      (Cdbs_telemetry.Trace.find sink.Cdbs_telemetry.Sink.trace "request.shed")
+  in
+  Alcotest.(check int) "one read shed" 1 fo.Simulator.shed;
+  Alcotest.(check (list int)) "the newest of the tied queued reads" [ 2 ]
+    shed_uids
+
 (* ---------------- properties ---------------- *)
 
 let requests_for (w : Workload.t) rng =
@@ -450,4 +485,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hedging_preserves_outcomes;
     QCheck_alcotest.to_alcotest prop_shedding_never_touches_updates;
     QCheck_alcotest.to_alcotest prop_overload_deterministic;
+    Alcotest.test_case "shed-oldest: arrival ties evict the newest" `Quick
+      test_shed_victim_tie;
   ]

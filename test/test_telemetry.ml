@@ -185,6 +185,134 @@ let prop_histogram_merge_associative =
       && Histogram.min_recorded merged = Histogram.min_recorded whole
       && Histogram.max_recorded merged = Histogram.max_recorded whole)
 
+(* ---------------- histogram: non-finite values ---------------- *)
+
+let test_histogram_non_finite () =
+  let h = Histogram.create () in
+  Histogram.record h 0.01;
+  Histogram.record h infinity;
+  (* Nearest rank 2 of 2 is the infinite sample, above every bucket. *)
+  Alcotest.(check bool) "p99 reports the infinite sample" true
+    (Histogram.percentile h 99. = infinity);
+  Alcotest.(check bool) "p50 stays in the finite bucket" true
+    (Histogram.percentile h 50. < 0.011);
+  Alcotest.(check int) "counted" 2 (Histogram.count h);
+  Alcotest.(check int) "in no bucket" 1
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 (Histogram.buckets h));
+  let rejects f =
+    match f () with exception Invalid_argument _ -> true | () -> false
+  in
+  Alcotest.(check bool) "record rejects NaN" true
+    (rejects (fun () -> Histogram.record h nan));
+  Alcotest.(check bool) "record_n rejects NaN" true
+    (rejects (fun () -> Histogram.record_n h nan ~n:3));
+  Alcotest.(check int) "a rejected NaN is not counted" 2 (Histogram.count h);
+  Histogram.record h neg_infinity;
+  Alcotest.(check int) "neg_infinity underflows" 1 (Histogram.underflow h);
+  Alcotest.(check bool) "p1 reports the underflow as min_value" true
+    (Histogram.percentile h 1. = Histogram.min_value h)
+
+(* ---------------- histogram: quantile cursor ---------------- *)
+
+(* The from-zero nearest-rank walk, rebuilt from what the interface
+   exposes: the non-empty buckets, min_value and per_decade.  Infinite
+   observations sit in no bucket. *)
+let reference_quantile h q =
+  let n = Histogram.count h in
+  if n = 0 then 0.
+  else
+    let rank = max 1 (min n (int_of_float (ceil (q *. float_of_int n)))) in
+    let under = Histogram.underflow h in
+    let mid i =
+      Histogram.min_value h
+      *. (10. ** ((float_of_int i +. 0.5)
+                 /. float_of_int (Histogram.per_decade h)))
+    in
+    let rec walk remaining = function
+      | [] -> Histogram.max_recorded h
+      | (i, _) :: rest when i < 0 -> walk remaining rest
+      | (i, c) :: rest -> if remaining <= c then mid i else walk (remaining - c) rest
+    in
+    let estimate =
+      if rank <= under then Histogram.min_value h
+      else walk (rank - under) (Histogram.buckets h)
+    in
+    max (Histogram.min_recorded h) (min (Histogram.max_recorded h) estimate)
+
+type hist_op =
+  | Record of float
+  | Record_n of float * int
+  | Reset
+  | Merge of float list
+  | Copy
+  | Query of float
+
+let hist_ops =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map (fun k -> 1e-4 *. float_of_int (k + 1)) (int_range 0 200));
+          (2, map (fun e -> 10. ** float_of_int e) (int_range (-9) 12));
+          (1, oneofl [ 0.; -1.; neg_infinity; infinity ]);
+        ])
+  in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (10, map (fun v -> Record v) value);
+          (3, map2 (fun v n -> Record_n (v, n)) value (int_range 0 4));
+          (1, return Reset);
+          (2, map (fun vs -> Merge vs) (list_size (int_range 0 20) value));
+          (1, return Copy);
+          (8, map (fun q -> Query q) (float_range 0. 1.));
+        ])
+  in
+  let print = function
+    | Record v -> Printf.sprintf "record %h" v
+    | Record_n (v, n) -> Printf.sprintf "record_n %h %d" v n
+    | Reset -> "reset"
+    | Merge vs -> Printf.sprintf "merge %d" (List.length vs)
+    | Copy -> "copy"
+    | Query q -> Printf.sprintf "query %h" q
+  in
+  QCheck.make
+    ~print:QCheck.Print.(pair bool (list print))
+    QCheck.Gen.(pair bool (list_size (int_range 1 200) op))
+
+let prop_histogram_cursor_matches_walk =
+  QCheck.Test.make ~count:300
+    ~name:"histogram quantile = from-zero bucket walk after any history"
+    hist_ops (fun (coarse, ops) ->
+      let create () =
+        if coarse then Histogram.create ~min_value:1e-3 ~per_decade:7 ()
+        else Histogram.create ()
+      in
+      let h = ref (create ()) in
+      let agrees q =
+        Int64.equal
+          (Int64.bits_of_float (Histogram.quantile !h q))
+          (Int64.bits_of_float (reference_quantile !h q))
+      in
+      List.for_all
+        (fun op ->
+          match op with
+          | Record v -> Histogram.record !h v; true
+          | Record_n (v, n) -> Histogram.record_n !h v ~n; true
+          | Reset -> Histogram.reset !h; true
+          | Merge vs ->
+              let from = create () in
+              List.iter (Histogram.record from) vs;
+              Histogram.merge_into !h ~from;
+              true
+          | Copy ->
+              h := Histogram.copy !h;
+              true
+          | Query q -> agrees q)
+        ops
+      && List.for_all agrees [ 0.; 0.01; 0.5; 0.95; 0.99; 1. ])
+
 (* ---------------- metrics registry ---------------- *)
 
 let contains ~needle haystack =
@@ -351,4 +479,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_histogram_quantile_close;
     QCheck_alcotest.to_alcotest prop_histogram_merge_associative;
     QCheck_alcotest.to_alcotest prop_sink_is_invisible;
+    Alcotest.test_case "histogram: +infinity ranks last, NaN is rejected"
+      `Quick test_histogram_non_finite;
+    QCheck_alcotest.to_alcotest prop_histogram_cursor_matches_walk;
   ]
