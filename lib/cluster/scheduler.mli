@@ -63,7 +63,7 @@ val best_read_target :
 
 val targets_for_update : t -> Cdbs_core.Query_class.t -> int list
 (** Every up backend holding any of the class's data (read-once/write-all),
-    stale ones included.
+    stale ones included; updates are never health-filtered.
     @raise Invalid_argument when the allocation has no class of this id. *)
 
 val targets_for_update_at : t -> int -> int list

@@ -410,8 +410,8 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
       let cls =
         match kind with
         | Bk_read rc ->
-            [ ("cls",
-               Tel.Trace.Str (Scheduler.class_at sched rc.rc_class).Query_class.id) ]
+            let c = Scheduler.class_at sched rc.rc_class in
+            [ ("cls", Tel.Trace.Str c.Query_class.id) ]
         | Bk_update | Bk_catchup -> []
       in
       Tel.Sink.ev telemetry ~at "backend.serve"

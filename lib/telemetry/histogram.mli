@@ -78,8 +78,9 @@ val reset : t -> unit
 
 val buckets : t -> (int * int) list
 (** Non-empty buckets as [(index, count)], ascending; underflow is index
-    [-1].  [infinity] observations are in {!count} but in no bucket.  Bucket [i] covers values in
-    [[min_value * 10^(i/per_decade), min_value * 10^((i+1)/per_decade))]. *)
+    [-1].  Bucket [i] covers values in
+    [[min_value * 10^(i/per_decade), min_value * 10^((i+1)/per_decade))].
+    [infinity] observations are in {!count} but in no bucket. *)
 
 val bucket_lower : t -> int -> float
 (** Lower bound of bucket [i] (the underflow bucket [-1] reports 0). *)

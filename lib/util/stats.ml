@@ -28,7 +28,9 @@ let swap a i j =
 
 let median3 x y z =
   if Float.compare x y <= 0 then
-    if Float.compare y z <= 0 then y else if Float.compare x z <= 0 then z else x
+    if Float.compare y z <= 0 then y
+    else if Float.compare x z <= 0 then z
+    else x
   else if Float.compare x z <= 0 then x
   else if Float.compare y z <= 0 then z
   else y

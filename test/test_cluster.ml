@@ -347,8 +347,8 @@ let prop_nearest_rank_bits =
       Array.stable_sort Float.compare sorted;
       let n = Array.length a in
       let want p =
-        sorted.(max 0
-                  (min (n - 1) (int_of_float (ceil (p /. 100. *. float_of_int n)) - 1)))
+        let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) - 1 in
+        sorted.(max 0 (min (n - 1) rank))
       in
       let q = Stats.nearest_rank a in
       let ps = [ 0.; 1.; 50.; 95.; 99.; 100.; p_random ] in
@@ -364,16 +364,20 @@ let reference_read ~dynamic ~live ~healthy ~exclude sched alloc c ~now =
   let n = Scheduler.num_nodes sched in
   let all = List.init n Fun.id in
   let capable b =
-    Scheduler.is_up sched ~backend:b && not (Scheduler.is_stale sched ~backend:b)
+    Scheduler.is_up sched ~backend:b
+    && not (Scheduler.is_stale sched ~backend:b)
   in
   let base =
     if dynamic then
       List.filter
-        (fun b -> capable b && Fragment.Set.subset c.Query_class.fragments live.(b))
+        (fun b ->
+          capable b && Fragment.Set.subset c.Query_class.fragments live.(b))
         all
     else
       let assigned =
-        List.filter (fun b -> capable b && Allocation.get_assign alloc b c > 0.) all
+        List.filter
+          (fun b -> capable b && Allocation.get_assign alloc b c > 0.)
+          all
       in
       if assigned <> [] then assigned
       else List.filter (fun b -> capable b && Allocation.holds alloc b c) all
@@ -427,8 +431,9 @@ let prop_best_read_target_matches_reference =
       let n = 3 + Random.State.int rs 3 in
       let w = routing_workload in
       let alloc =
-        if Random.State.bool rs then Ksafety.allocate ~k:1 w (Backend.homogeneous n)
-        else Greedy.allocate w (Backend.homogeneous n)
+        let backends = Backend.homogeneous n in
+        if Random.State.bool rs then Ksafety.allocate ~k:1 w backends
+        else Greedy.allocate w backends
       in
       let dynamic = Random.State.int rs 4 = 0 in
       let frags = Fragment.Set.elements (Workload.fragments w) in

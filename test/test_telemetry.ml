@@ -231,7 +231,8 @@ let reference_quantile h q =
     let rec walk remaining = function
       | [] -> Histogram.max_recorded h
       | (i, _) :: rest when i < 0 -> walk remaining rest
-      | (i, c) :: rest -> if remaining <= c then mid i else walk (remaining - c) rest
+      | (i, c) :: rest ->
+          if remaining <= c then mid i else walk (remaining - c) rest
     in
     let estimate =
       if rank <= under then Histogram.min_value h
