@@ -68,7 +68,7 @@ type backend = {
 type t = {
   config : config;
   backends : backend array;
-  peers : float array;  (* scratch for [peer_median] *)
+  peers : float array;  (* reused by [peer_median] *)
   mutable trips : int;
   mutable hook : (backend:int -> state -> unit) option;
 }
@@ -139,8 +139,8 @@ let allows t ~backend ~now =
       else false
 
 (* Median EWMA over peers that have at least one sample, ordered by
-   insertion into a scratch buffer; [nan] when no peer has one, which every
-   [m > 0.] guard below rejects. *)
+   insertion into a buffer the breaker owns; [nan] when no peer has one,
+   which every [m > 0.] guard below rejects. *)
 let peer_median t b =
   let xs = t.peers and m = ref 0 in
   for i = 0 to Array.length t.backends - 1 do
