@@ -75,3 +75,7 @@ val to_json : t -> string
 
 val list_to_json : t list -> string
 (** A JSON array of {!to_json} objects, in {!sort} order. *)
+
+val json_string : string -> string
+(** A string as a quoted JSON string literal, control characters
+    escaped. *)

@@ -61,7 +61,6 @@ type result = {
 
 val run : ?params:params -> unit -> result
 val to_json : result -> string
-val write_json : path:string -> result -> unit
 val pp_result : result Fmt.t
 val print_all : unit -> unit
 (** The bench-harness entry: smoke preset with the memetic enabled,

@@ -114,24 +114,24 @@ type gate = {
 let gate ?min_availability ?max_p99_s ?max_shed_rate () =
   { min_availability; max_p99_s; max_shed_rate }
 
-let check g r =
+let check g ~availability ~p99_s ~shed_rate =
   let viol = ref [] in
   (match g.max_shed_rate with
-  | Some m when r.shed_rate > m ->
+  | Some m when shed_rate > m ->
       viol :=
-        Printf.sprintf "shed rate %.4f exceeds max %.4f" r.shed_rate m :: !viol
+        Printf.sprintf "shed rate %.4f exceeds max %.4f" shed_rate m :: !viol
   | _ -> ());
   (match g.max_p99_s with
-  | Some m when r.p99_s > m ->
+  | Some m when p99_s > m ->
       viol :=
-        Printf.sprintf "p99 %.1f ms exceeds max %.1f ms" (1000. *. r.p99_s)
+        Printf.sprintf "p99 %.1f ms exceeds max %.1f ms" (1000. *. p99_s)
           (1000. *. m)
         :: !viol
   | _ -> ());
   (match g.min_availability with
-  | Some m when r.availability < m ->
+  | Some m when availability < m ->
       viol :=
-        Printf.sprintf "availability %.4f below min %.4f" r.availability m
+        Printf.sprintf "availability %.4f below min %.4f" availability m
         :: !viol
   | _ -> ());
   !viol

@@ -85,5 +85,8 @@ type gate = {
 val gate : ?min_availability:float -> ?max_p99_s:float -> ?max_shed_rate:float
   -> unit -> gate
 
-val check : gate -> t -> string list
-(** Human-readable violation messages; empty means the report passes. *)
+val check :
+  gate -> availability:float -> p99_s:float -> shed_rate:float -> string list
+(** Human-readable violation messages for a run with these figures (a
+    report's fields, or a run that has no report); empty means it
+    passes. *)

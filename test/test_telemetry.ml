@@ -389,13 +389,15 @@ let test_slo_gate () =
   Alcotest.(check (list (pair int (float 0.)))) "utilization sorted"
     [ (0, 0.25); (1, 0.5) ]
     r.Slo.utilization;
+  let violations g =
+    Slo.check g ~availability:r.Slo.availability ~p99_s:r.Slo.p99_s
+      ~shed_rate:r.Slo.shed_rate
+  in
   Alcotest.(check (list string)) "passing gate" []
-    (Slo.check (Slo.gate ~min_availability:0.9 ~max_shed_rate:0.05 ()) r);
+    (violations (Slo.gate ~min_availability:0.9 ~max_shed_rate:0.05 ()));
   Alcotest.(check int) "failing gate reports both" 2
     (List.length
-       (Slo.check
-          (Slo.gate ~min_availability:0.99 ~max_p99_s:0.001 ())
-          r))
+       (violations (Slo.gate ~min_availability:0.99 ~max_p99_s:0.001 ())))
 
 (* ---------------- sink invisibility ---------------- *)
 
