@@ -53,12 +53,6 @@ let remove_live t ~backend fragments =
 let class_position t id = Allocation.position t.alloc id
 let class_at t k = (Allocation.classes t.alloc).(k)
 
-(* Position of a class-valued argument; the allocation indexes ids. *)
-let position_of t (c : Query_class.t) =
-  match class_position t c.Query_class.id with
-  | Some k -> k
-  | None -> invalid_arg ("Scheduler: unknown query class " ^ c.Query_class.id)
-
 let serves t b (c : Query_class.t) =
   Fragment.Set.subset c.Query_class.fragments t.live.(b)
 
@@ -107,11 +101,6 @@ let read_candidate ?healthy t k =
       in
       if any_healthy 0 then fun b -> in_base b && ok b else in_base
 
-let eligible_for_read ?healthy t c =
-  List.filter
-    (read_candidate ?healthy t (position_of t c))
-    (List.init (num_nodes t) Fun.id)
-
 (* Updates reach every up node holding any of the class's data: the live
    sets in dynamic mode, the allocation's bitsets (which they mirror) in
    static mode. *)
@@ -128,8 +117,6 @@ let targets_for_update_at t k =
     else from (b + 1)
   in
   from 0
-
-let targets_for_update t c = targets_for_update_at t (position_of t c)
 
 let set_down t ~backend =
   t.up.(backend) <- false;
@@ -167,18 +154,3 @@ let best_read_target ?healthy ?(exclude = -1) t ~now k =
     end
   done;
   if !best < 0 then None else Some !best
-
-let route ?healthy t ~now (r : Request.t) =
-  match class_position t r.Request.class_id with
-  | None -> Error ("unknown query class " ^ r.Request.class_id)
-  | Some k ->
-      if r.Request.is_update then begin
-        match targets_for_update_at t k with
-        | [] -> Error ("update class " ^ r.Request.class_id ^ " has no replica")
-        | targets -> Ok targets
-      end
-      else begin
-        match best_read_target ?healthy t ~now k with
-        | None -> Error ("read class " ^ r.Request.class_id ^ " is not served")
-        | Some b -> Ok [ b ]
-      end

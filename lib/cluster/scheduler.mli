@@ -35,8 +35,7 @@ val live_replicas : t -> Cdbs_core.Query_class.t -> int
 
 (** {1 Reads}
 
-    One eligibility rule serves every read path.  In static mode a read
-    goes to the backends its class is assigned to, or, when none of those
+    Read eligibility: in static mode a read goes to the backends its class is assigned to, or, when none of those
     can serve, to any backend holding all of its data (k-safety standby
     replicas); in dynamic mode to the nodes whose live set holds it.  Only
     up, caught-up backends count.  [healthy] is an optional routing filter
@@ -45,11 +44,6 @@ val live_replicas : t -> Cdbs_core.Query_class.t -> int
     (fail open), since a slow replica still beats an unavailable answer.
     The filter is called on the base members in backend order up to the
     first it accepts, then once more on each remaining candidate. *)
-
-val eligible_for_read :
-  ?healthy:(int -> bool) -> t -> Cdbs_core.Query_class.t -> int list
-(** Read candidates for a class, in backend order.
-    @raise Invalid_argument when the allocation has no class of this id. *)
 
 val best_read_target :
   ?healthy:(int -> bool) -> ?exclude:int -> t -> now:float -> int -> int option
@@ -61,13 +55,10 @@ val best_read_target :
 
 (** {1 Updates} *)
 
-val targets_for_update : t -> Cdbs_core.Query_class.t -> int list
-(** Every up backend holding any of the class's data (read-once/write-all),
-    stale ones included; updates are never health-filtered.
-    @raise Invalid_argument when the allocation has no class of this id. *)
-
 val targets_for_update_at : t -> int -> int list
-(** {!targets_for_update} for the class at this position. *)
+(** Every up backend holding any of the data of the class at this position
+    (read-once/write-all), stale ones included; updates are never
+    health-filtered. *)
 
 (** {1 Classes by position} *)
 
@@ -77,12 +68,6 @@ val class_position : t -> string -> int option
     resolve a request's class once and route by position. *)
 
 val class_at : t -> int -> Cdbs_core.Query_class.t
-
-val route :
-  ?healthy:(int -> bool) -> t -> now:float -> Request.t -> (int list, string) result
-(** Backends that must process the request: {!best_read_target} for a
-    read, {!targets_for_update} for an update.  Pending work bookkeeping is
-    updated by {!book}. *)
 
 val book : t -> backend:int -> finish:float -> unit
 (** Record that the backend's queue now drains at [finish]. *)

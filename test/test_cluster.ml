@@ -50,46 +50,41 @@ let test_service_time_scaling () =
 
 (* ---------------- scheduler ---------------- *)
 
+let position sched id = Option.get (Scheduler.class_position sched id)
+
 let test_scheduler_least_pending () =
   let alloc = Baselines.full_replication (workload ()) (Backend.homogeneous 3) in
   let sched = Scheduler.create alloc in
   Scheduler.book sched ~backend:0 ~finish:10.;
   Scheduler.book sched ~backend:1 ~finish:5.;
   (* Backend 2 is idle: reads must go there. *)
-  match Scheduler.route sched ~now:0. (Request.read "q1") with
-  | Ok [ 2 ] -> ()
-  | Ok other ->
-      Alcotest.failf "expected backend 2, got %s"
-        (String.concat "," (List.map string_of_int other))
-  | Error e -> Alcotest.fail e
+  Alcotest.(check (option int)) "idle backend 2" (Some 2)
+    (Scheduler.best_read_target sched ~now:0. (position sched "q1"))
 
 let test_scheduler_rowa () =
   let alloc = Baselines.full_replication (workload ()) (Backend.homogeneous 3) in
   let sched = Scheduler.create alloc in
-  match Scheduler.route sched ~now:0. (Request.update "u1") with
-  | Ok targets -> Alcotest.(check int) "all three backends" 3 (List.length targets)
-  | Error e -> Alcotest.fail e
+  Alcotest.(check int) "all three backends" 3
+    (List.length (Scheduler.targets_for_update_at sched (position sched "u1")))
 
 let test_scheduler_partial_rowa () =
   (* With a greedy partial allocation, u1 goes only to backends holding
      fragment a. *)
   let alloc = Greedy.allocate (workload ()) (Backend.homogeneous 3) in
   let sched = Scheduler.create alloc in
-  match Scheduler.route sched ~now:0. (Request.update "u1") with
-  | Ok targets ->
-      List.iter
-        (fun b ->
-          Alcotest.(check bool) "target holds a" true
-            (Fragment.Set.mem (fr "a") (Allocation.fragments_of alloc b)))
-        targets
-  | Error e -> Alcotest.fail e
+  let targets = Scheduler.targets_for_update_at sched (position sched "u1") in
+  Alcotest.(check bool) "some target" true (targets <> []);
+  List.iter
+    (fun b ->
+      Alcotest.(check bool) "target holds a" true
+        (Fragment.Set.mem (fr "a") (Allocation.fragments_of alloc b)))
+    targets
 
 let test_scheduler_unknown_class () =
   let alloc = Greedy.allocate (workload ()) (Backend.homogeneous 2) in
   let sched = Scheduler.create alloc in
-  match Scheduler.route sched ~now:0. (Request.read "nope") with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown class routed"
+  Alcotest.(check (option int)) "unknown class has no position" None
+    (Scheduler.class_position sched "nope")
 
 (* ---------------- simulator ---------------- *)
 
@@ -405,7 +400,7 @@ let reference_read ~dynamic ~live ~healthy ~exclude sched alloc c ~now =
           | _ -> Some b)
       None candidates
   in
-  (candidates, best, asked)
+  (best, asked)
 
 let routing_workload =
   Workload.make
@@ -425,7 +420,7 @@ let routing_workload =
 
 let prop_best_read_target_matches_reference =
   QCheck.Test.make ~count:300
-    ~name:"best_read_target = list-based reference, route and eligible_for_read"
+    ~name:"best_read_target = list-based reference, filtered and unfiltered"
     QCheck.small_nat (fun seed ->
       let rs = Random.State.make [| seed |] in
       let n = 3 + Random.State.int rs 3 in
@@ -472,31 +467,17 @@ let prop_best_read_target_matches_reference =
             let got =
               Scheduler.best_read_target ~healthy ~exclude sched ~now k
             in
-            let candidates, want, want_asked =
+            let want, want_asked =
               reference_read ~dynamic ~live ~healthy:(fun b -> ok.(b)) ~exclude
                 sched alloc c ~now
-            in
-            let routed =
-              match
-                Scheduler.route ~healthy:(fun b -> ok.(b)) sched ~now
-                  (Request.read c.Query_class.id)
-              with
-              | Ok [ b ] -> Some b
-              | Ok _ | Error _ -> None
             in
             got = want
             && List.rev !asked = want_asked
             && (exclude >= 0
-               || routed = want
-                  && Scheduler.best_read_target sched ~now k
-                     = (let _, b, _ =
-                          reference_read ~dynamic ~live
-                            ~healthy:(fun _ -> true) ~exclude sched alloc c ~now
-                        in
-                        b)
-                  && Scheduler.eligible_for_read ~healthy:(fun b -> ok.(b))
-                       sched c
-                     = candidates))
+               || Scheduler.best_read_target sched ~now k
+                  = fst
+                      (reference_read ~dynamic ~live ~healthy:(fun _ -> true)
+                         ~exclude sched alloc c ~now)))
           (-1 :: List.init nodes Fun.id)
       in
       List.for_all agree (List.init (Allocation.num_reads alloc) Fun.id))

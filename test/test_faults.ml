@@ -276,9 +276,19 @@ let test_scheduler_stale_states () =
   let alloc = Ksafety.allocate ~k:1 w (Backend.homogeneous 2) in
   let sched = Scheduler.create alloc in
   let q = Option.get (Workload.find w "q") in
-  let u = Option.get (Workload.find w "u") in
-  Alcotest.(check int) "both serve reads" 2
-    (List.length (Scheduler.eligible_for_read sched q));
+  let position id = Option.get (Scheduler.class_position sched id) in
+  (* The idle read target, then the target with that one excluded: the
+     first two read candidates. *)
+  let readers () =
+    let read exclude =
+      Scheduler.best_read_target ~exclude sched ~now:0. (position "q")
+    in
+    let first = read (-1) in
+    (first, Option.bind first read)
+  in
+  let both = (Some 0, Some 1) in
+  Alcotest.(check (pair (option int) (option int))) "both serve reads" both
+    (readers ());
   Scheduler.set_down sched ~backend:0;
   Alcotest.(check bool) "down" false (Scheduler.is_up sched ~backend:0);
   (match Scheduler.set_stale sched ~backend:0 ~stale:true with
@@ -287,15 +297,15 @@ let test_scheduler_stale_states () =
   Scheduler.set_up ~stale:true sched ~backend:0;
   Alcotest.(check bool) "up again" true (Scheduler.is_up sched ~backend:0);
   Alcotest.(check bool) "but stale" true (Scheduler.is_stale sched ~backend:0);
-  Alcotest.(check (list int)) "stale serves no reads" [ 1 ]
-    (Scheduler.eligible_for_read sched q);
+  Alcotest.(check (pair (option int) (option int))) "stale serves no reads"
+    (Some 1, None) (readers ());
   Alcotest.(check (list int)) "stale still takes updates" [ 0; 1 ]
-    (Scheduler.targets_for_update sched u);
+    (Scheduler.targets_for_update_at sched (position "u"));
   Alcotest.(check int) "stale excluded from live replicas" 1
     (Scheduler.live_replicas sched q);
   Scheduler.set_stale sched ~backend:0 ~stale:false;
-  Alcotest.(check int) "caught up: serving again" 2
-    (List.length (Scheduler.eligible_for_read sched q))
+  Alcotest.(check (pair (option int) (option int))) "caught up: serving again"
+    both (readers ())
 
 (* ---------------- controller lifecycle ---------------- *)
 

@@ -182,18 +182,17 @@ let test_scheduler_healthy_filter () =
   in
   let alloc = Ksafety.allocate ~k:1 w (Backend.homogeneous 3) in
   let sched = Scheduler.create alloc in
-  let q = Option.get (Workload.find w "q") in
-  let all = Scheduler.eligible_for_read sched q in
-  Alcotest.(check bool) "replicated" true (List.length all >= 2);
-  let victim = List.hd all in
-  let filtered =
-    Scheduler.eligible_for_read ~healthy:(fun b -> b <> victim) sched q
-  in
-  Alcotest.(check bool) "breaker-open backend steered around" true
-    (not (List.mem victim filtered) && filtered <> []);
-  (* Every breaker open: fail open, the unfiltered list comes back. *)
-  Alcotest.(check (list int)) "all-open fails open" all
-    (Scheduler.eligible_for_read ~healthy:(fun _ -> false) sched q)
+  let k = Option.get (Scheduler.class_position sched "q") in
+  let read ?healthy () = Scheduler.best_read_target ?healthy sched ~now:0. k in
+  let victim = Option.get (read ()) in
+  (match read ~healthy:(fun b -> b <> victim) () with
+  | Some b ->
+      Alcotest.(check bool) "breaker-open backend steered around" true
+        (b <> victim)
+  | None -> Alcotest.fail "no other replica to steer to");
+  (* Every breaker open: fail open, the unfiltered choice comes back. *)
+  Alcotest.(check (option int)) "all-open fails open" (Some victim)
+    (read ~healthy:(fun _ -> false) ())
 
 (* ---------------- retry jitter ---------------- *)
 
