@@ -46,6 +46,11 @@ let allocate ~rng strategy ~table_workload ~column_workload backends =
     alloc;
   alloc
 
+let checked_alloc ?topology ~context ~k alloc =
+  if Cdbs_core.Invariants.active () then
+    Cdbs_analysis.Check_allocation.check_exn ~k ?topology ~context alloc;
+  alloc
+
 let simulate ?(cost = Cdbs_cluster.Cost_model.default)
     ?(protocol = Cdbs_cluster.Protocol.default) alloc requests =
   let n = Allocation.num_backends alloc in

@@ -23,6 +23,16 @@ val allocate :
 val full_replication :
   Cdbs_core.Workload.t -> Cdbs_core.Backend.t list -> Cdbs_core.Allocation.t
 
+val checked_alloc :
+  ?topology:Cdbs_core.Topology.t ->
+  context:string ->
+  k:int ->
+  Cdbs_core.Allocation.t ->
+  Cdbs_core.Allocation.t
+(** The allocation itself, once the static checker (k-safety, and the
+    zone spread under a [topology]) has passed it when the verifier is
+    installed. *)
+
 val simulate :
   ?cost:Cdbs_cluster.Cost_model.params ->
   ?protocol:Cdbs_cluster.Protocol.t ->

@@ -10,7 +10,6 @@ module Chaos = Cdbs_faults.Chaos
 module Planner = Cdbs_migration.Planner
 module Schedule = Cdbs_migration.Schedule
 module Rng = Cdbs_util.Rng
-module Res = Cdbs_resilience
 module Tel = Cdbs_telemetry
 module Loop = Cdbs_control.Loop
 
@@ -75,24 +74,6 @@ type result = {
   sink : Tel.Sink.t;
 }
 
-let checked_alloc ~context ~k alloc =
-  if Cdbs_core.Invariants.active () then
-    Cdbs_analysis.Check_allocation.check_exn ~k ~context alloc;
-  alloc
-
-(* The full defense stack, as in the overload experiment. *)
-let defenses ~deadline_s =
-  Res.Policy.make
-    ~admission:
-      (Res.Admission.make ~max_depth:64 ~max_pending:(0.8 *. deadline_s) ())
-    ~breaker:Res.Breaker.default_config ~hedge:Res.Hedge.default
-    ~deadline:(Res.Deadline.make ~budget:deadline_s) ()
-
-let p99_ms_of responses =
-  let h = Tel.Histogram.create () in
-  List.iter (fun (_, r) -> Tel.Histogram.record h r) responses;
-  1000. *. Tel.Histogram.percentile h 99.
-
 let run ?(params = default) ?monitor () =
   let p = params in
   if p.nodes_min < 1 || p.nodes_max < p.nodes_min then
@@ -109,12 +90,12 @@ let run ?(params = default) ?monitor () =
   | Some m -> ignore (Cdbs_analysis.Monitor.attach m sink)
   | None -> ());
   let telemetry = Some sink in
-  let resilience = defenses ~deadline_s:p.deadline_s in
+  let resilience = Fig_overload.defenses ~deadline_s:p.deadline_s in
   let day_s = 24. *. 3600. in
   let window_s = p.window_minutes *. 60. in
   let steps = int_of_float (ceil (24. *. 60. /. p.window_minutes)) in
   let alloc_for ~hour nodes =
-    checked_alloc ~context:"Fig_day" ~k:1
+    Common.checked_alloc ~context:"Fig_day" ~k:1
       (Ksafety.allocate ~k:1 (Trace.workload_at ~hour)
          (Backend.homogeneous nodes))
   in
@@ -189,32 +170,9 @@ let run ?(params = default) ?monitor () =
         (match loop with
         | Some l -> Loop.set_allocation l next
         | None -> ());
-        let spans : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
-        let touch b s e =
-          if b >= 0 && b < target && e > s then
-            match Hashtbl.find_opt spans b with
-            | None -> Hashtbl.replace spans b (s, e)
-            | Some (s0, e0) ->
-                Hashtbl.replace spans b (min s0 s, max e0 e)
-        in
-        List.iter
-          (fun (tm : Schedule.timed_move) ->
-            let s = max t0 tm.Schedule.start in
-            let e = min (t0 +. window_s) tm.Schedule.finish in
-            touch tm.Schedule.move.Planner.dest s e;
-            match tm.Schedule.move.Planner.source with
-            | Some src -> touch src s e
-            | None -> ())
-          schedule.Schedule.moves;
-        let faults =
-          Hashtbl.fold
-            (fun b (s, e) acc ->
-              Fault.slowdown ~at:s ~backend:b
-                ~factor:(1. +. p.copy_slowdown) ~duration:(e -. s)
-              :: acc)
-            spans []
-        in
-        (faults, true)
+        ( Fig_drift.contention_faults ~t0 ~window_s ~nodes:target
+            ~factor:p.copy_slowdown schedule,
+          true )
       end
     in
     (* Chaos for the window: crash/recover renewals, capped at the k=1
@@ -268,7 +226,7 @@ let run ?(params = default) ?monitor () =
       (fun b busy -> if b < p.nodes_max then
           busy_acc.(b) <- busy_acc.(b) +. busy)
       fo.Simulator.run.Simulator.busy;
-    let w_p99_ms = p99_ms_of fo.Simulator.responses in
+    let w_p99_ms = 1000. *. Fig_drift.p99_of fo.Simulator.responses in
     (* Feed the window to the control loop and execute its directive as a
        live migration cutting over at the next window boundary, with copy
        contention exactly like a resize's. *)
@@ -298,30 +256,9 @@ let run ?(params = default) ?monitor () =
           Tel.Sink.ev telemetry ~at:schedule.Schedule.copy_done
             "migration.copy_done"
             [ ("copy_mb", Tel.Trace.Float plan.Planner.copy_mb) ];
-          let spans : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
-          let touch b s e =
-            if b >= 0 && b < !nodes && e > s then
-              match Hashtbl.find_opt spans b with
-              | None -> Hashtbl.replace spans b (s, e)
-              | Some (s0, e0) ->
-                  Hashtbl.replace spans b (min s0 s, max e0 e)
-          in
-          List.iter
-            (fun (tm : Schedule.timed_move) ->
-              let s = max t_next tm.Schedule.start in
-              let e = min (t_next +. window_s) tm.Schedule.finish in
-              touch tm.Schedule.move.Planner.dest s e;
-              match tm.Schedule.move.Planner.source with
-              | Some src -> touch src s e
-              | None -> ())
-            schedule.Schedule.moves;
           pending_ctl :=
-            Hashtbl.fold
-              (fun b (s, e) acc ->
-                Fault.slowdown ~at:s ~backend:b
-                  ~factor:(1. +. p.copy_slowdown) ~duration:(e -. s)
-                :: acc)
-              spans [];
+            Fig_drift.contention_faults ~t0:t_next ~window_s ~nodes:!nodes
+              ~factor:p.copy_slowdown schedule;
           alloc := next
         in
         match

@@ -48,11 +48,6 @@ type report = {
   time_to_repair : float;
 }
 
-let checked_alloc ~context ~k alloc =
-  if Cdbs_core.Invariants.active () then
-    Cdbs_analysis.Check_allocation.check_exn ~k ~context alloc;
-  alloc
-
 (* The midday e-learning mix, arrivals uniform over [0, duration). *)
 let requests ~seed ~rate_per_s ~duration =
   let rng = Rng.create seed in
@@ -79,7 +74,7 @@ let degradation ?(nodes = 4) ?(rate_per_s = 30.) ?(duration = 300.)
   List.concat_map
     (fun k ->
       let alloc =
-        checked_alloc ~context:"Fig_faults.degradation" ~k
+        Common.checked_alloc ~context:"Fig_faults.degradation" ~k
           (Ksafety.allocate ~k workload (Backend.homogeneous nodes))
       in
       List.map
@@ -114,7 +109,7 @@ let scenario ?(nodes = 4) ?(rate_per_s = 30.) ?(duration = 300.)
     ?(buckets = 20) ?(seed = 11) ?(repair_bandwidth = 2.) ?monitor () =
   let workload = Trace.workload_at ~hour:14. in
   let alloc =
-    checked_alloc ~context:"Fig_faults.scenario" ~k:1
+    Common.checked_alloc ~context:"Fig_faults.scenario" ~k:1
       (Ksafety.allocate ~k:1 workload (Backend.homogeneous nodes))
   in
   let config = Simulator.homogeneous_config nodes in
@@ -182,7 +177,7 @@ let scenario ?(nodes = 4) ?(rate_per_s = 30.) ?(duration = 300.)
   let effective_k_down = Ksafety.effective_k ~failed:[ victim ] alloc in
   let gained = Ksafety.repair ~k:1 ~failed:[ victim ] alloc in
   ignore
-    (checked_alloc ~context:"Fig_faults.scenario repair" ~k:1 alloc);
+    (Common.checked_alloc ~context:"Fig_faults.scenario repair" ~k:1 alloc);
   let effective_k_repaired = Ksafety.effective_k ~failed:[ victim ] alloc in
   let repair_mb =
     (* Obligations of the crashed backend itself ship at rejoin, not during

@@ -39,11 +39,6 @@ type report = {
   deadline_s : float;
 }
 
-let checked_alloc ~context ~k alloc =
-  if Cdbs_core.Invariants.active () then
-    Cdbs_analysis.Check_allocation.check_exn ~k ~context alloc;
-  alloc
-
 (* Same seeded workload as the fault experiments: the midday e-learning
    mix, arrivals uniform over [0, duration). *)
 let requests ~seed ~rate_per_s ~duration =
@@ -134,7 +129,7 @@ let compare_at ?(nodes = 4) ?(seed = 11) ?(duration = 120.)
     ~rate_per_s () =
   let workload = Trace.workload_at ~hour:14. in
   let alloc =
-    checked_alloc ~context:"Fig_overload.compare_at" ~k:1
+    Common.checked_alloc ~context:"Fig_overload.compare_at" ~k:1
       (Ksafety.allocate ~k:1 workload (Backend.homogeneous nodes))
   in
   let slow_backend =

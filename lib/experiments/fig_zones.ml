@@ -36,11 +36,6 @@ type report = {
   verdict : bool;
 }
 
-let checked_alloc ?topology ~context ~k alloc =
-  if Cdbs_core.Invariants.active () then
-    Cdbs_analysis.Check_allocation.check_exn ~k ?topology ~context alloc;
-  alloc
-
 (* Racks are contiguous index ranges — the layout under which a
    topology-blind allocator stacks replicas the way real ones do, by
    filling neighbouring machines first. *)
@@ -129,11 +124,11 @@ let compare_placements ?(nodes = 6) ?(zones = 2) ?(k = 1) ?(rate_per_s = 20.)
   let topology = rack_topology ~zones nodes in
   let backends = Backend.homogeneous nodes in
   let aware_alloc =
-    checked_alloc ~topology ~context:"Fig_zones aware" ~k
+    Common.checked_alloc ~topology ~context:"Fig_zones aware" ~k
       (Ksafety.allocate ~topology ~k workload backends)
   in
   let naive_alloc =
-    checked_alloc ~context:"Fig_zones naive" ~k
+    Common.checked_alloc ~context:"Fig_zones naive" ~k
       (Ksafety.allocate ~k workload backends)
   in
   let config = Simulator.homogeneous_config nodes in
