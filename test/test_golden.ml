@@ -414,6 +414,137 @@ let tpch_journal_workload () =
   Classification.classify ~schema:Tpch.schema ~size_of
     Classification.By_table journal
 
+(* The allocation checker's findings.  The paper's Sec. 3 example (the
+   CLI's quickstart), TPC-H and TPC-App by table and the trace at 14:00,
+   each on four backends, placed by six allocators and corrupted nine ways,
+   checked under k = 0..2 with no topology, two zones, or a topology one
+   backend too large.  Each case renders its findings as sorted JSON lines:
+   the set of findings is pinned, the order they come in is not. *)
+let quickstart_workload () =
+  let a = Fragment.table "A" ~size:1.
+  and b = Fragment.table "B" ~size:1.
+  and c = Fragment.table "C" ~size:1. in
+  Workload.make
+    ~reads:
+      [
+        Query_class.read "C1" [ a ] ~weight:0.30;
+        Query_class.read "C2" [ b ] ~weight:0.25;
+        Query_class.read "C3" [ c ] ~weight:0.25;
+        Query_class.read "C4" [ a; b ] ~weight:0.20;
+      ]
+    ~updates:[]
+
+(* Corrupt the first (class, backend) pair [applies] accepts, classes in
+   workload order; no-op when none does. *)
+let corrupt_first classes applies corrupt alloc =
+  let n = Allocation.num_backends alloc in
+  let rec scan = function
+    | [] -> ()
+    | c :: rest -> (
+        match List.find_opt (fun b -> applies alloc b c) (List.init n Fun.id) with
+        | Some b -> corrupt alloc b c
+        | None -> scan rest)
+  in
+  scan (classes (Allocation.workload alloc))
+
+let checker_corruptions =
+  let module A = Allocation in
+  let reads w = w.Workload.reads and updates w = w.Workload.updates in
+  let served a b c = A.get_assign a b c > 1e-6 in
+  let store_orphan ~on f a = A.add_fragments a (on a) (Fragment.Set.singleton f) in
+  let idle_or_last a =
+    let n = A.num_backends a in
+    let idle b =
+      Fragment.Set.is_empty (A.fragments_of a b) && A.assigned_load a b <= 1e-9
+    in
+    Option.value ~default:(n - 1) (List.find_opt idle (List.init n Fun.id))
+  in
+  [
+    ("none", ignore);
+    ( "read share without data",
+      corrupt_first reads
+        (fun a b c -> not (A.holds a b c))
+        (fun a b c -> A.set_assign a b c 0.1) );
+    ( "halved read share",
+      corrupt_first reads served (fun a b c ->
+          A.set_assign a b c (A.get_assign a b c /. 2.)) );
+    ( "halved update pin",
+      corrupt_first updates served (fun a b u ->
+          A.set_assign a b u (u.Query_class.weight /. 2.)) );
+    ( "negative read share",
+      corrupt_first reads served (fun a b c -> A.set_assign a b c (-0.05)) );
+    ( "update weight without data",
+      corrupt_first updates
+        (fun a b u -> not (A.overlaps_at a b (A.class_index a u)))
+        (fun a b u -> A.set_assign a b u 0.1) );
+    ( "every fragment everywhere",
+      fun a ->
+        for b = 0 to A.num_backends a - 1 do
+          A.add_fragments a b (Workload.fragments (A.workload a))
+        done );
+    ( "unreferenced fragment",
+      store_orphan ~on:(fun _ -> 0) (Fragment.table "orphan" ~size:5.) );
+    ( "zero-size unreferenced fragment",
+      store_orphan ~on:idle_or_last (Fragment.table "empty" ~size:0.) );
+  ]
+
+let checker_findings b =
+  let n = 4 in
+  let backends = Backend.homogeneous n in
+  let workloads =
+    [
+      ("quickstart", quickstart_workload ());
+      ("tpch table", Tpch.workload ~granularity:`Table ~sf:1.);
+      ("tpcapp table", Tpcapp.workload ~granularity:`Table ~eb:300);
+      ("trace 14h", Day.workload_at ~hour:14.);
+    ]
+  in
+  let allocators w =
+    [
+      ("greedy", Greedy.allocate w backends);
+      ("full", Baselines.full_replication w backends);
+      ("random", Baselines.random_placement ~rng:(Rng.create 8) w backends);
+      ( "memetic",
+        Memetic.allocate
+          ~params:{ Memetic.default_params with Memetic.iterations = 3 }
+          ~rng:(Rng.create 23) w backends );
+      ("ksafety", Ksafety.allocate ~k:1 w backends);
+      ( "ksafety zones",
+        Ksafety.allocate ~topology:(Topology.uniform ~zones:2 n) ~k:1 w
+          backends );
+    ]
+  in
+  let topologies =
+    [
+      ("none", None);
+      ("2 zones", Some (Topology.uniform ~zones:2 n));
+      ("5 backends", Some (Topology.uniform ~zones:2 (n + 1)));
+    ]
+  in
+  List.iter
+    (fun (wl, w) ->
+      List.iter
+        (fun (al, alloc) ->
+          List.iter
+            (fun (cl, corrupt) ->
+              let a = Allocation.copy alloc in
+              corrupt a;
+              List.iter
+                (fun k ->
+                  List.iter
+                    (fun (tl, topology) ->
+                      Printf.bprintf b "case %s / %s / %s / k=%d / %s\n" wl al
+                        cl k tl;
+                      Cdbs_analysis.Check_allocation.check ~k ?topology a
+                      |> List.map Cdbs_analysis.Diagnostic.to_json
+                      |> List.sort String.compare
+                      |> List.iter (Printf.bprintf b "%s\n"))
+                    topologies)
+                [ 0; 1; 2 ])
+            checker_corruptions)
+        (allocators w))
+    workloads
+
 let suite =
   [
     pinned "run_batch: TPC-App allocations under each protocol"
@@ -450,4 +581,6 @@ let suite =
       (fun b -> allocators (tpch_journal_workload ()) b);
     pinned "run_open_with_faults: defenses under chaos"
       "0445d3877cbd4767cfa05dca5bfa52ca" defended_chaos;
+    pinned "Check_allocation.check: findings under corruptions"
+      "3cd75c89954ff95632795b803fb07e2e" checker_findings;
   ]
