@@ -1,6 +1,9 @@
 (** Allocation invariants — an independent re-statement of the paper's
-    structural constraints, checked against any {!Cdbs_core.Allocation.t}
-    regardless of which algorithm produced it.
+    structural constraints, checked against any allocation regardless of
+    which algorithm or representation produced it.  Each rule is written
+    once, as indexed scans over the {!Cdbs_core.Dense} views; {!check}
+    compiles a set-based {!Cdbs_core.Allocation.t} with
+    {!Cdbs_core.Dense.of_allocation} and runs the same scans.
 
     Codes:
     - [ALC001] (error)   negative assignment
@@ -15,57 +18,48 @@
                          holds none of its data
     - [ALC006] (error)   Eq. 11: an update class with positive weight is
                          allocated nowhere
-    - [ALC007] (error)   scale bound, Eqs. 14–15: the allocation's scale
-                         factor exceeds [max_scale]
-    - [ALC008] (error)   storage bound: a backend stores more megabytes
-                         than its [storage_limit_mb] entry allows
-    - [ALC009] (error)   k-safety: a query class is served by fewer than
-                         [k+1] backends (only with [~k > 0])
-    - [ALC010] (warning) k-safety, Eq. 46: a fragment is stored fewer than
-                         [k+1] times (only with [~k > 0])
+    - [ALC009] (error)   k-safety: a query class is held by fewer than
+                         [k+1] live backends (only with [~k > 0]; with
+                         fewer than [k+1] live backends no placement is
+                         k-safe)
+    - [ALC010] (warning) k-safety, Eq. 46: a fragment some class
+                         references is stored fewer than [k+1] times (only
+                         with [~k > 0])
     - [ALC011] (warning) dead storage: a backend holds a fragment no class
                          assigned on it references (prune would drop it;
                          suppressed when [~k > 0] — standby replicas are
                          intentional there)
-    - [ALC012] (info)    idle backend: no fragments and no assigned load
+    - [ALC012] (info)    idle backend: holds no fragment and carries no
+                         assigned load
     - [ALC013] (error)   domain spread: a query class's replicas span
                          fewer than [min (k+1, zones)] fault domains — a
                          single zone outage takes out every copy (only
-                         with [~topology] and [~k > 0])
+                         with [~topology] and [~k > 0]; zones count when
+                         they hold a live backend)
     - [ALC014] (error)   the given [topology] does not cover exactly the
-                         allocation's backends
-    - [ALC015] (warning) diagnostic overflow: the dense-path checker
-                         capped a code's findings (first 100 shown) *)
+                         allocation's backends; the spread checks are
+                         skipped
+    - [ALC015] (warning) diagnostic overflow: a code had more than 100
+                         findings; the first 100 are kept
+
+    ALC010 and ALC011 name a fragment by {!Cdbs_core.Fragment.name} when
+    the instance has materialized fragments, and as [#index] otherwise.
+    Findings that share a code and a subject come in ascending backend
+    and fragment order; {!Diagnostic.sort} orders a report. *)
 
 open Cdbs_core
 
-val check :
-  ?k:int ->
-  ?max_scale:float ->
-  ?storage_limit_mb:float array ->
-  ?topology:Topology.t ->
-  Allocation.t ->
-  Diagnostic.t list
-(** [k] defaults to 0 (no k-safety checks); [max_scale] and
-    [storage_limit_mb] (per backend, in MB) enable the corresponding bound
-    checks when given.  [topology] enables the domain-spread checks:
-    ALC014 always, ALC013 when [k > 0]. *)
+val check_dense : ?k:int -> ?topology:Topology.t -> Dense.t -> Diagnostic.t list
+(** [k] defaults to 0 (no k-safety checks).  [topology] enables the
+    domain-spread checks: ALC014 always, ALC013 when [k > 0].  Retired
+    backends and tombstoned classes are skipped. *)
 
-val check_dense :
-  ?k:int ->
-  ?max_scale:float ->
-  ?topology:Topology.t ->
-  Dense.t ->
-  Diagnostic.t list
-(** The Eq. 8–11 / 14–15 scans ported to the {!Cdbs_core.Dense} views:
-    indexed passes over the assignment matrix and held bitsets, no set
-    operations, so a 10⁵+-fragment allocation verifies in milliseconds.
-    Retired backends and tombstoned classes are skipped.  Per-code output
-    is capped at 100 findings (ALC015 reports the overflow); ALC008/ALC010
-    have no dense counterpart yet. *)
+val check : ?k:int -> ?topology:Topology.t -> Allocation.t -> Diagnostic.t list
+(** [check_dense] on {!Cdbs_core.Dense.of_allocation}. *)
 
 val check_exn :
   ?k:int -> ?topology:Topology.t -> context:string -> Allocation.t -> unit
 (** Raise {!Cdbs_core.Invariants.Violation} listing all error-severity
-    findings; warnings and infos are ignored.  The assertion form used by
-    debug-mode call sites. *)
+    findings of {!check}, in the order it reports them; warnings and
+    infos are ignored.  The assertion form used by debug-mode call
+    sites. *)

@@ -637,13 +637,22 @@ let mutate rng t =
 (* ------------------------------------------------------------------ *)
 
 let of_allocation (alloc : Allocation.t) =
-  let workload = Allocation.workload alloc in
-  let frag_list = Fragment.Set.elements (Workload.fragments workload) in
-  let frags = Array.of_list frag_list in
-  let nf = Array.length frags in
-  let index : (Fragment.t, int) Hashtbl.t = Hashtbl.create (max 16 nf) in
-  Array.iteri (fun i f -> Hashtbl.replace index f i) frags;
+  let n = Allocation.num_backends alloc in
+  let held = Array.init n (Allocation.fragments_of alloc) in
+  (* Fragments a backend holds but no class references get indices too,
+     so a checker sees storage nothing accounts for. *)
+  let frags =
+    Array.of_list
+      (Fragment.Set.elements
+         (Array.fold_left Fragment.Set.union
+            (Workload.fragments (Allocation.workload alloc))
+            held))
+  in
+  let index = Hashtbl.create (max 16 (Array.length frags)) in
+  Array.iteri (fun i (f : Fragment.t) -> Hashtbl.replace index f.kind i) frags;
+  let find (f : Fragment.t) = Hashtbl.find index f.kind in
   let frag_size = Array.map (fun f -> f.Fragment.size) frags in
+  let classes = Allocation.classes alloc in
   let spec_of (c : Query_class.t) =
     {
       cs_id = c.Query_class.id;
@@ -651,37 +660,27 @@ let of_allocation (alloc : Allocation.t) =
       cs_weight = c.Query_class.weight;
       cs_frags =
         Array.of_list
-          (List.map
-             (fun f -> Hashtbl.find index f)
-             (Fragment.Set.elements c.Query_class.fragments));
+          (List.map find (Fragment.Set.elements c.Query_class.fragments));
     }
   in
-  let specs =
-    Array.of_list (List.map spec_of (Workload.all_classes workload))
-  in
   let inst =
-    make_instance ~frags ~backends:(Allocation.backends alloc) ~frag_size specs
+    make_instance ~frags ~backends:(Allocation.backends alloc) ~frag_size
+      (Array.map spec_of classes)
   in
   let t = create inst in
-  let classes = Allocation.classes alloc in
-  for b = 0 to num_backends t - 1 do
-    Fragment.Set.iter
-      (fun f ->
-        let i = Hashtbl.find index f in
-        Bits.set t.held.(b) i)
-      (Allocation.fragments_of alloc b);
-    Array.iteri
-      (fun c qc ->
-        let w = Allocation.get_assign alloc b qc in
-        if w > 0. then begin
-          t.assign.(b).(c) <- w;
-          if is_update inst c then begin
-            Vec.push t.pinned.(b) c;
-            t.upd_pins.(c) <- t.upd_pins.(c) + 1
-          end
-          else Vec.push t.active.(b) c
-        end)
-      classes
+  for b = 0 to n - 1 do
+    Fragment.Set.iter (fun f -> Bits.set t.held.(b) (find f)) held.(b);
+    for c = 0 to Array.length classes - 1 do
+      (* Every share, negative ones included, for the checker to see. *)
+      let w = Allocation.assign_at alloc b c in
+      t.assign.(b).(c) <- w;
+      if w > 0. then
+        if is_update inst c then begin
+          Vec.push t.pinned.(b) c;
+          t.upd_pins.(c) <- t.upd_pins.(c) + 1
+        end
+        else Vec.push t.active.(b) c
+    done
   done;
   refresh t;
   t

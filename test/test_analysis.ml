@@ -179,6 +179,51 @@ let test_check_exn_raises () =
       Alcotest.(check bool) "message names the code" true
         (contains_sub msg "ALC002")
 
+(* Dense.of_allocation must carry everything the checker has to see. *)
+let test_of_allocation_unreferenced_fragment () =
+  let alloc = fresh_alloc () in
+  let orphan = fr "orphan" ~size:3. in
+  Allocation.add_fragments alloc 0 (Fragment.Set.singleton orphan);
+  let t = Dense.of_allocation alloc in
+  Alcotest.(check bool) "held after the round trip" true
+    (Fragment.Set.mem orphan
+       (Allocation.fragments_of (Dense.to_allocation t) 0));
+  Alcotest.(check bool) "ALC011 names it" true
+    (List.exists
+       (fun (d : Diagnostic.t) ->
+         d.code = "ALC011"
+         && List.assoc_opt "fragment" d.data = Some (Diagnostic.Str "orphan"))
+       (Check_allocation.check_dense t))
+
+let test_of_allocation_negative_share () =
+  let alloc = fresh_alloc () in
+  let c = class_of alloc "C1" in
+  Allocation.set_assign alloc (backend_serving alloc c) c (-0.1);
+  has "ALC001" (Check_allocation.check_dense (Dense.of_allocation alloc))
+
+(* A topology that does not cover the allocation's backends, too small or
+   too large, is reported rather than indexed. *)
+let test_topology_size_mismatch () =
+  let t =
+    Dense.of_allocation
+      (Ksafety.allocate ~k:1
+         (Cdbs_workloads.Trace.workload_at ~hour:14.)
+         (Backend.homogeneous 4))
+  in
+  List.iter
+    (fun size ->
+      has "ALC014"
+        (Check_allocation.check_dense ~k:1
+           ~topology:(Topology.uniform ~zones:2 size) t))
+    [ 2; 6 ]
+
+(* With fewer live backends than k+1, no placement is k-safe. *)
+let test_too_few_backends () =
+  let alloc =
+    Ksafety.allocate ~k:1 (paper_workload ()) (Backend.homogeneous 2)
+  in
+  has "ALC009" (Check_allocation.check_dense ~k:2 (Dense.of_allocation alloc))
+
 (* ------------------------------------------------------------------ *)
 (* Unit: workload lints                                                *)
 (* ------------------------------------------------------------------ *)
@@ -498,4 +543,12 @@ let suite =
         test_delta_matching_copy_is_clean;
       Alcotest.test_case "JSON rendering" `Quick test_json_rendering;
       Alcotest.test_case "sort and summary" `Quick test_sort_and_summary;
+      Alcotest.test_case "of_allocation keeps unreferenced storage" `Quick
+        test_of_allocation_unreferenced_fragment;
+      Alcotest.test_case "of_allocation keeps negative shares" `Quick
+        test_of_allocation_negative_share;
+      Alcotest.test_case "topology of the wrong size -> ALC014" `Quick
+        test_topology_size_mismatch;
+      Alcotest.test_case "fewer live backends than k+1 -> ALC009" `Quick
+        test_too_few_backends;
     ]
