@@ -1,5 +1,7 @@
 #!/bin/sh
-# Local CI gate: mirrors .github/workflows/ci.yml.
+# The one list of gates: .github/workflows/ci.yml runs this script after
+# its setup steps, so a new gate is added here and nowhere else.  Run it
+# locally with `sh scripts/check.sh`; it prints "check: OK" on success.
 set -eu
 cd "$(dirname "$0")/.."
 
