@@ -11,9 +11,10 @@
 
     Conversions {!of_allocation}/{!to_allocation} bridge to the legacy
     representation so every existing caller, checker and test keeps
-    working; {!greedy} is an exact port of {!Greedy.allocate} (same
-    placement order, same result up to float tie-breaks that are
-    measure-zero for generic weights). *)
+    working.  {!greedy} places in {!Greedy.allocate}'s order but accounts
+    pinned update load differently (each pin's [w - old] rather than the
+    change in the backend's pinned-update sum), so a few assignments can
+    differ in their last bits. *)
 
 (** {1 Compiled instance} *)
 
@@ -150,6 +151,11 @@ val mutate : Cdbs_util.Rng.t -> t -> t
 (** {1 Conversions} *)
 
 val of_allocation : Allocation.t -> t
+(** Compile an allocation.  Every fragment a class references or a
+    backend holds gets an index, in [Fragment.compare] order, and every
+    non-zero share is copied, negative ones included, so a checker sees
+    all of it. *)
+
 val to_allocation : t -> Allocation.t
-(** @raise Invalid_argument when the instance has no materialized
-    fragments, or (for [to_allocation]) always when fragments are absent. *)
+(** @raise Invalid_argument when the instance was built without
+    materialized fragments. *)
