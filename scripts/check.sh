@@ -100,6 +100,12 @@ dune exec bin/cdbs_cli.exe -- day --smoke --monitor --json --out BENCH_day.json 
   --min-availability 0.99 --max-p99-ms 50 --max-shed-rate 0.01
 test -s BENCH_day.json
 
+# Autotuned day: the same smoke day with the control loop composed in
+# (drift-triggered reallocations alongside the autoscaler's resizes) must
+# hold the same SLO gates with a clean monitor.
+dune exec bin/cdbs_cli.exe -- day --smoke --autotune --monitor --json \
+  --min-availability 0.99 --max-p99-ms 50 --max-shed-rate 0.01
+
 # Drift smoke: the self-tuning control loop against an adversarial
 # workload step-change must beat the static allocation on p99
 # (--require-win), stay monitor-clean (unpaired rollbacks are TRC018

@@ -20,6 +20,11 @@ module Sink = Cdbs_telemetry.Sink
 module Common = Cdbs_experiments.Common
 module Fig_overload = Cdbs_experiments.Fig_overload
 module Fig_migration = Cdbs_experiments.Fig_migration
+module Fig_day = Cdbs_experiments.Fig_day
+module Fig_drift = Cdbs_experiments.Fig_drift
+module Slo = Cdbs_telemetry.Slo_report
+module Monitor = Cdbs_analysis.Monitor
+module Loop = Cdbs_control.Loop
 module Autoscaler = Cdbs_autoscale.Autoscaler
 module Tpch = Cdbs_workloads.Tpch
 module Tpch_queries = Cdbs_workloads.Tpch_queries
@@ -75,20 +80,21 @@ let migration_outcome b (mo : Sim.migration_outcome) =
     mo.Sim.min_live_replicas;
   responses b mo.Sim.responses
 
+let event b (e : Tr.event) =
+  Printf.bprintf b "ev %h %s" e.Tr.at e.Tr.name;
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Tr.Int i -> Printf.bprintf b " %s=%d" k i
+      | Tr.Float f -> Printf.bprintf b " %s=%h" k f
+      | Tr.Str s -> Printf.bprintf b " %s=%S" k s
+      | Tr.Bool x -> Printf.bprintf b " %s=%b" k x)
+    e.Tr.attrs;
+  Buffer.add_char b '\n'
+
 (* Every event a sink sees, attributes included, in emission order. *)
 let record_trace b (sink : Sink.t) =
-  ignore
-    (Tr.subscribe sink.Sink.trace (fun (e : Tr.event) ->
-         Printf.bprintf b "ev %h %s" e.Tr.at e.Tr.name;
-         List.iter
-           (fun (k, v) ->
-             match v with
-             | Tr.Int i -> Printf.bprintf b " %s=%d" k i
-             | Tr.Float f -> Printf.bprintf b " %s=%h" k f
-             | Tr.Str s -> Printf.bprintf b " %s=%S" k s
-             | Tr.Bool x -> Printf.bprintf b " %s=%b" k x)
-           e.Tr.attrs;
-         Buffer.add_char b '\n'))
+  ignore (Tr.subscribe sink.Sink.trace (event b))
 
 let pinned name expected render =
   Alcotest.test_case name `Quick (fun () ->
@@ -545,6 +551,87 @@ let checker_findings b =
         (allocators w))
     workloads
 
+(* The window loops of Fig_day and Fig_drift on their smoke presets, with
+   a monitor attached: each run's SLO reports, window rows, counts, final
+   placement and whole trace.  The ring holds 2^17 events, so the
+   retained trace is every event the run emitted. *)
+let slo b label (r : Slo.t) =
+  Printf.bprintf b "%s %s\n" label (Slo.to_json r);
+  Printf.bprintf b
+    "p50 %h p95 %h p99 %h mean %h availability %h shed_rate %h wasted %h \
+     moved %h drift %h\n"
+    r.Slo.p50_s r.Slo.p95_s r.Slo.p99_s r.Slo.mean_s r.Slo.availability
+    r.Slo.shed_rate r.Slo.wasted_work_s r.Slo.bytes_moved_mb r.Slo.drift_score;
+  List.iter (fun (bk, u) -> Printf.bprintf b " %d=%h" bk u) r.Slo.utilization;
+  Buffer.add_char b '\n'
+
+let whole_trace b (sink : Sink.t) =
+  Printf.bprintf b "trace total %d dropped %d\n" (Tr.total sink.Sink.trace)
+    (Tr.dropped sink.Sink.trace);
+  List.iter (event b) (Tr.events sink.Sink.trace)
+
+let day_and_drift b =
+  let capacity = 1 lsl 17 in
+  List.iter
+    (fun autotune ->
+      let params =
+        { Fig_day.smoke with Fig_day.autotune; trace_capacity = capacity }
+      in
+      let monitor = Monitor.create () in
+      let r = Fig_day.run ~params ~monitor () in
+      Printf.bprintf b "day autotune %b events %d violations %d\n" autotune
+        r.Fig_day.events (Monitor.violations monitor);
+      slo b "report" r.Fig_day.report;
+      List.iter
+        (fun (w : Fig_day.window_row) ->
+          Printf.bprintf b "window %h %h %d %d %d %d %h %b %d\n" w.Fig_day.hour
+            w.Fig_day.rate_per_10min w.Fig_day.nodes w.Fig_day.w_offered
+            w.Fig_day.w_completed w.Fig_day.w_shed w.Fig_day.w_p99_ms
+            w.Fig_day.migrating w.Fig_day.w_faults)
+        r.Fig_day.windows;
+      whole_trace b r.Fig_day.sink)
+    [ false; true ];
+  let tight =
+    { Loop.max_p99_ratio = 1.0; abs_p99_s = 0.01; min_availability = 0.9 }
+  in
+  List.iter
+    (fun (seed, chaos, guardrails) ->
+      let s = Fig_drift.smoke in
+      let control =
+        match guardrails with
+        | None -> s.Fig_drift.control
+        | Some g -> { s.Fig_drift.control with Loop.guardrails = g }
+      in
+      let params =
+        { s with Fig_drift.seed; chaos; control; trace_capacity = capacity }
+      in
+      let monitor = Monitor.create () in
+      let r = Fig_drift.run ~params ~monitor () in
+      Printf.bprintf b
+        "drift seed %d chaos %b tight %b events %d reallocations %d \
+         rollbacks %d commits %d peak %h violations %d\n"
+        seed chaos (guardrails <> None) r.Fig_drift.events
+        r.Fig_drift.reallocations r.Fig_drift.rollbacks r.Fig_drift.commits
+        r.Fig_drift.peak_drift (Monitor.violations monitor);
+      List.iter
+        (fun (label, (a : Fig_drift.arm)) ->
+          slo b label a.Fig_drift.report;
+          List.iter
+            (fun (w : Fig_drift.window_row) ->
+              Printf.bprintf b "window %h %d %d %d %h %S %d\n" w.Fig_drift.hour
+                w.Fig_drift.w_offered w.Fig_drift.w_completed
+                w.Fig_drift.w_shed w.Fig_drift.w_p99_ms w.Fig_drift.w_action
+                w.Fig_drift.w_faults)
+            a.Fig_drift.rows;
+          whole_trace b a.Fig_drift.sink)
+        [ ("static", r.Fig_drift.static_); ("tuned", r.Fig_drift.tuned) ];
+      placement b "final" r.Fig_drift.final_alloc)
+    [
+      (42, false, None); (42, true, None);
+      (42, false, Some tight); (42, true, Some tight);
+      (7, false, Some tight); (7, true, Some tight);
+    ]
+
 let suite =
   [
     pinned "run_batch: TPC-App allocations under each protocol"
@@ -583,4 +670,6 @@ let suite =
       "0445d3877cbd4767cfa05dca5bfa52ca" defended_chaos;
     pinned "Check_allocation.check: findings under corruptions"
       "3cd75c89954ff95632795b803fb07e2e" checker_findings;
+    pinned "Fig_day.run and Fig_drift.run: smoke window loops"
+      "92be9e3278c419812905057314e89038" day_and_drift;
   ]
