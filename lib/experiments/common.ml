@@ -57,6 +57,42 @@ let simulate ?(cost = Cdbs_cluster.Cost_model.default)
   let config = { Simulator.cost; speeds = Array.make n 1.; protocol } in
   Simulator.run_batch config alloc requests
 
+let uniform_requests ~rng ~n ~t0 ~span specs =
+  Cdbs_workloads.Spec.requests ~rng ~n specs
+  |> List.map (fun (r : Cdbs_cluster.Request.t) ->
+         let arrival = t0 +. Cdbs_util.Rng.float rng span in
+         { r with Cdbs_cluster.Request.arrival })
+
+(* Tail latency via the telemetry histogram (2.6 % bucket width at the
+   default resolution) instead of a full sort of the response list. *)
+let p99_of responses =
+  let h = Cdbs_telemetry.Histogram.create () in
+  List.iter (fun (_, r) -> Cdbs_telemetry.Histogram.record h r) responses;
+  Cdbs_telemetry.Histogram.percentile h 99.
+
+type point = { t0 : float; t1 : float; avg_ms : float; n : int; phase : string }
+
+let timeline ~duration ~buckets ~phase_of responses =
+  let width = duration /. float_of_int buckets in
+  let sums = Array.make buckets 0. and counts = Array.make buckets 0 in
+  List.iter
+    (fun (arrival, response) ->
+      let b = min (buckets - 1) (int_of_float (arrival /. width)) in
+      sums.(b) <- sums.(b) +. response;
+      counts.(b) <- counts.(b) + 1)
+    responses;
+  List.init buckets (fun b ->
+      let t0 = float_of_int b *. width in
+      {
+        t0;
+        t1 = t0 +. width;
+        avg_ms =
+          (if counts.(b) > 0 then 1000. *. sums.(b) /. float_of_int counts.(b)
+           else 0.);
+        n = counts.(b);
+        phase = phase_of (t0 +. (width /. 2.));
+      })
+
 let header title =
   Fmt.pr "@.=== %s ===@." title
 

@@ -41,6 +41,38 @@ val simulate :
   Cdbs_cluster.Simulator.outcome
 (** Batch-mode simulation with homogeneous unit-speed backends. *)
 
+val uniform_requests :
+  rng:Cdbs_util.Rng.t ->
+  n:int ->
+  t0:float ->
+  span:float ->
+  Cdbs_workloads.Spec.class_spec list ->
+  Cdbs_cluster.Request.t list
+(** [n] requests of the class specs ({!Cdbs_workloads.Spec.requests}),
+    each arriving uniformly at random in [\[t0, t0 + span)]. *)
+
+val p99_of : (float * float) list -> float
+(** The 99th-percentile response time (seconds) of a run's
+    [(arrival, response)] pairs, read off a telemetry histogram. *)
+
+type point = {
+  t0 : float;  (** bucket start, seconds *)
+  t1 : float;  (** bucket end *)
+  avg_ms : float;  (** mean response of requests arriving in the bucket *)
+  n : int;  (** requests in the bucket *)
+  phase : string;  (** the phase of the bucket's midpoint *)
+}
+
+val timeline :
+  duration:float ->
+  buckets:int ->
+  phase_of:(float -> string) ->
+  (float * float) list ->
+  point list
+(** A response-time timeline: [(arrival, response)] pairs in [buckets]
+    equal buckets over [\[0, duration)], the last bucket taking any later
+    arrival. *)
+
 val header : string -> unit
 (** Print a section header for the harness output. *)
 

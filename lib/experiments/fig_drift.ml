@@ -1,15 +1,11 @@
 module Trace = Cdbs_workloads.Trace
-module Spec = Cdbs_workloads.Spec
 module Backend = Cdbs_core.Backend
 module Ksafety = Cdbs_core.Ksafety
 module Allocation = Cdbs_core.Allocation
 module Simulator = Cdbs_cluster.Simulator
 module Cost_model = Cdbs_cluster.Cost_model
-module Request = Cdbs_cluster.Request
 module Fault = Cdbs_faults.Fault
 module Chaos = Cdbs_faults.Chaos
-module Planner = Cdbs_migration.Planner
-module Schedule = Cdbs_migration.Schedule
 module Rng = Cdbs_util.Rng
 module Tel = Cdbs_telemetry
 module Loop = Cdbs_control.Loop
@@ -131,39 +127,6 @@ let verdict r =
   && r.tuned.report.Tel.Slo_report.availability
      >= r.static_.report.Tel.Slo_report.availability
 
-let p99_of responses =
-  let h = Tel.Histogram.create () in
-  List.iter (fun (_, r) -> Tel.Histogram.record h r) responses;
-  Tel.Histogram.percentile h 99.
-
-(* Merged per-backend contention spans of a migration schedule, clamped
-   to the serving window starting at [t0]: copy traffic contends with
-   foreground service on every backend a move touches. *)
-let contention_faults ~t0 ~window_s ~nodes ~factor
-    (schedule : Schedule.t) =
-  let spans : (int, float * float) Hashtbl.t = Hashtbl.create 8 in
-  let touch b s e =
-    if b >= 0 && b < nodes && e > s then
-      match Hashtbl.find_opt spans b with
-      | None -> Hashtbl.replace spans b (s, e)
-      | Some (s0, e0) -> Hashtbl.replace spans b (min s0 s, max e0 e)
-  in
-  List.iter
-    (fun (tm : Schedule.timed_move) ->
-      let s = max t0 tm.Schedule.start in
-      let e = min (t0 +. window_s) tm.Schedule.finish in
-      touch tm.Schedule.move.Planner.dest s e;
-      match tm.Schedule.move.Planner.source with
-      | Some src -> touch src s e
-      | None -> ())
-    schedule.Schedule.moves;
-  Hashtbl.fold
-    (fun b (s, e) acc ->
-      Fault.slowdown ~at:s ~backend:b ~factor:(1. +. factor)
-        ~duration:(e -. s)
-      :: acc)
-    spans []
-
 let run ?(params = default) ?monitor () =
   let p = params in
   if p.windows < 1 || p.nodes < 2 then invalid_arg "Fig_drift.run: bad shape";
@@ -196,35 +159,17 @@ let run ?(params = default) ?monitor () =
     for w = 0 to p.windows - 1 do
       let t0 = float_of_int w *. window_s in
       window_faults.(w) <-
-        Chaos.generate ~rng:(Rng.split crng) ~num_backends:p.nodes
-          {
-            Chaos.mtbf = p.mtbf;
-            mttr = p.mttr;
-            horizon = window_s;
-            slowdown_prob = 0.;
-            slowdown_factor = 3.;
-            max_concurrent_down = Some 1;
-            correlated_mtbf = None;
-            partition_prob = 0.;
-            zones = 1;
-            shift_mtbf = None;
-            shift_mixes = [];
-          }
-        |> List.map (fun (f : Fault.timed) ->
-               { f with Fault.at = f.Fault.at +. t0 })
+        Serving.crash_chaos ~rng:(Rng.split crng) ~num_backends:p.nodes
+          ~mtbf:p.mtbf ~mttr:p.mttr ~t0 ~window_s
     done;
     let shifts =
       Chaos.generate ~rng:(Rng.split crng) ~num_backends:p.nodes
         {
+          Chaos.default with
           Chaos.mtbf = infinity;
           mttr = 1.;
           horizon;
           slowdown_prob = 0.;
-          slowdown_factor = 3.;
-          max_concurrent_down = None;
-          correlated_mtbf = None;
-          partition_prob = 0.;
-          zones = 1;
           shift_mtbf = Some p.shift_mtbf;
           shift_mixes = [ day_mix; night_mix ];
         }
@@ -253,13 +198,10 @@ let run ?(params = default) ?monitor () =
   let n_req = int_of_float (p.rate_per_10min *. p.window_minutes /. 10.) in
   let streams =
     Array.init p.windows (fun w ->
-        let wrng = Rng.split rng in
-        let t0 = float_of_int w *. window_s in
-        Spec.requests ~rng:wrng ~n:n_req (Trace.specs_of_mix ~mix:truth.(w))
-        |> List.map (fun (r : Request.t) ->
-               { r with Request.arrival = t0 +. Rng.float wrng window_s }))
+        Common.uniform_requests ~rng:(Rng.split rng) ~n:n_req
+          ~t0:(float_of_int w *. window_s) ~span:window_s
+          (Trace.specs_of_mix ~mix:truth.(w)))
   in
-  let resilience = Fig_overload.defenses ~deadline_s:p.deadline_s in
   let config =
     Simulator.homogeneous_config
       ~cost:
@@ -275,95 +217,32 @@ let run ?(params = default) ?monitor () =
          (Trace.workload_of_mix ~mix:day_mix)
          (Backend.homogeneous p.nodes))
   in
-  let events = ref 0 in
   (* One serving arm: identical windows, optionally driven by the
      control loop.  [srng] keeps per-window simulator randomness
      deterministic per arm. *)
   let run_arm ~tuned =
-    let sink = Tel.Sink.create ~capacity:p.trace_capacity () in
-    (match monitor with
-    | Some m -> ignore (Cdbs_analysis.Monitor.attach m sink)
-    | None -> ());
-    let telemetry = Some sink in
-    let srng = Rng.create (p.seed + if tuned then 7 else 13) in
-    let alloc = ref (initial ()) in
-    let loop =
-      if tuned then
-        Some (Loop.create ~config:p.control ~sink ~allocation:!alloc ())
-      else None
+    let s =
+      Serving.create ?monitor
+        ?control:(if tuned then Some p.control else None)
+        ~trace_capacity:p.trace_capacity ~deadline_s:p.deadline_s
+        ~bandwidth_mb_s:p.bandwidth_mb_s ~copy_slowdown:p.copy_slowdown
+        ~window_s ~backends:p.nodes (initial ())
     in
-    let pending_mig = ref [] in
-    let offered = ref 0 and completed = ref 0 in
-    let shed = ref 0 and failed = ref 0 in
-    let retries = ref 0 and hedges = ref 0 in
-    let wasted = ref 0. and faults_n = ref 0 in
-    let bytes_moved = ref 0. and migrations = ref 0 in
-    let busy_acc = Array.make p.nodes 0. in
+    let srng = Rng.create (p.seed + if tuned then 7 else 13) in
     let rows = ref [] in
     for w = 0 to p.windows - 1 do
       let t0 = float_of_int w *. window_s in
-      let faults = Fault.sort (!pending_mig @ window_faults.(w)) in
-      pending_mig := [];
-      faults_n := !faults_n + List.length faults;
-      let fo =
-        Simulator.run_open_with_faults ~rng:(Rng.split srng) ~resilience
-          ~telemetry:sink ?monitor config !alloc streams.(w) ~faults
+      let fo, w_faults =
+        Serving.serve s ~rng:(Rng.split srng) ~config ~faults:window_faults.(w)
+          streams.(w)
       in
-      offered := !offered + fo.Simulator.offered;
-      completed := !completed + fo.Simulator.run.Simulator.completed;
-      shed := !shed + fo.Simulator.shed;
-      failed := !failed + (fo.Simulator.aborted - fo.Simulator.shed);
-      retries := !retries + fo.Simulator.retries;
-      hedges := !hedges + fo.Simulator.hedged;
-      wasted := !wasted +. fo.Simulator.wasted_work;
-      events := !events + fo.Simulator.events;
-      Array.iteri
-        (fun b busy -> if b < p.nodes then busy_acc.(b) <- busy_acc.(b) +. busy)
-        fo.Simulator.run.Simulator.busy;
-      let w_p99_s = p99_of fo.Simulator.responses in
-      let action = ref "" in
-      (match loop with
-      | None -> ()
-      | Some loop ->
-          let availability =
-            if fo.Simulator.offered = 0 then 1.
-            else
-              float_of_int fo.Simulator.run.Simulator.completed
-              /. float_of_int fo.Simulator.offered
-          in
-          let migrate next =
-            let old_fragments =
-              List.init (Allocation.num_backends !alloc)
-                (Allocation.fragments_of !alloc)
-            in
-            let plan = Planner.make ~old_fragments next in
-            let t_next = t0 +. window_s in
-            let schedule =
-              Schedule.make ~start:t_next ~bandwidth:p.bandwidth_mb_s plan
-            in
-            bytes_moved := !bytes_moved +. plan.Planner.copy_mb;
-            incr migrations;
-            Tel.Sink.ev telemetry ~at:t_next "migration.start"
-              [ ("copy_mb", Tel.Trace.Float plan.Planner.copy_mb) ];
-            Tel.Sink.ev telemetry ~at:schedule.Schedule.copy_done
-              "migration.copy_done"
-              [ ("copy_mb", Tel.Trace.Float plan.Planner.copy_mb) ];
-            pending_mig :=
-              contention_faults ~t0:t_next ~window_s ~nodes:p.nodes
-                ~factor:p.copy_slowdown schedule;
-            alloc := next
-          in
-          (match
-             Loop.observe_window loop ~at:(t0 +. window_s) ~p99_s:w_p99_s
-               ~availability
-           with
-          | Loop.Stay -> ()
-          | Loop.Cutover { next; _ } ->
-              action := "cutover";
-              migrate next
-          | Loop.Rollback { prev; _ } ->
-              action := "rollback";
-              migrate prev));
+      let w_p99_s = Common.p99_of fo.Simulator.responses in
+      let w_action =
+        match Serving.observe s ~at:(t0 +. window_s) ~p99_s:w_p99_s fo with
+        | Loop.Stay -> ""
+        | Loop.Cutover _ -> "cutover"
+        | Loop.Rollback _ -> "rollback"
+      in
       rows :=
         {
           hour = hour_of w;
@@ -371,47 +250,24 @@ let run ?(params = default) ?monitor () =
           w_completed = fo.Simulator.run.Simulator.completed;
           w_shed = fo.Simulator.shed;
           w_p99_ms = 1000. *. w_p99_s;
-          w_action = !action;
-          w_faults = List.length faults;
+          w_action;
+          w_faults;
         }
         :: !rows
     done;
-    let hist =
-      match
-        Tel.Metrics.find_histogram sink.Tel.Sink.metrics "sim.response_s"
-      with
-      | Some h -> h
-      | None -> Tel.Histogram.create ()
-    in
-    let reallocations, rollbacks, drift_score =
-      match loop with
-      | Some l -> (Loop.reallocations l, Loop.rollbacks l, Loop.peak_score l)
-      | None -> (0, 0, 0.)
-    in
-    let report =
-      Tel.Slo_report.of_histogram ~duration_s:horizon ~offered:!offered
-        ~completed:!completed ~shed:!shed ~failed:!failed
-        ~wasted_work_s:!wasted ~retries:!retries ~hedges:!hedges
-        ~bytes_moved_mb:!bytes_moved ~migrations:!migrations
-        ~faults_injected:!faults_n
-        ~trace_dropped:(Tel.Trace.dropped sink.Tel.Sink.trace)
-        ~reallocations ~rollbacks ~drift_score
-        ~utilization:
-          (List.init p.nodes (fun b -> (b, busy_acc.(b) /. horizon)))
-        hist
-    in
-    (match loop with Some l -> Loop.detach l | None -> ());
-    ({ report; rows = List.rev !rows; sink }, loop, !alloc)
+    let report = Serving.report s ~duration_s:horizon in
+    ({ report; rows = List.rev !rows; sink = Serving.sink s }, s)
   in
-  let static_, _, _ = run_arm ~tuned:false in
-  let tuned, loop, final_alloc = run_arm ~tuned:true in
+  let static_, s_static = run_arm ~tuned:false in
+  let tuned, s_tuned = run_arm ~tuned:true in
   let reallocations, rollbacks, commits, peak_drift =
-    match loop with
+    match Serving.loop s_tuned with
     | Some l ->
         (Loop.reallocations l, Loop.rollbacks l, Loop.commits l,
          Loop.peak_score l)
     | None -> (0, 0, 0, 0.)
   in
+  let events = Serving.events s_static + Serving.events s_tuned in
   let wall_s = Sys.time () -. t_begin in
   {
     params = p;
@@ -421,10 +277,10 @@ let run ?(params = default) ?monitor () =
     rollbacks;
     commits;
     peak_drift;
-    final_alloc;
-    events = !events;
+    final_alloc = Serving.allocation s_tuned;
+    events;
     wall_s;
-    events_per_s = (if wall_s > 0. then float_of_int !events /. wall_s else 0.);
+    events_per_s = (if wall_s > 0. then float_of_int events /. wall_s else 0.);
   }
 
 let to_json ?(monitor_violations = 0) r =

@@ -73,21 +73,6 @@ type result = {
   events_per_s : float;
 }
 
-val p99_of : (float * float) list -> float
-(** The 99th-percentile response time (seconds) of a run's responses, read
-    off a telemetry histogram. *)
-
-val contention_faults :
-  t0:float ->
-  window_s:float ->
-  nodes:int ->
-  factor:float ->
-  Cdbs_migration.Schedule.t ->
-  Cdbs_faults.Fault.timed list
-(** Copy contention as faults: one [1 + factor] slowdown per backend below
-    [nodes] that a move of the schedule copies to or from, spanning its
-    moves' merged extent clipped to the window [\[t0, t0 + window_s\]]. *)
-
 val verdict : result -> bool
 (** Tuned p99 <= static p99 AND tuned availability >= static
     availability. *)

@@ -1,14 +1,9 @@
 module Trace = Cdbs_workloads.Trace
-module Spec = Cdbs_workloads.Spec
 module Backend = Cdbs_core.Backend
 module Ksafety = Cdbs_core.Ksafety
-module Allocation = Cdbs_core.Allocation
 module Fragment = Cdbs_core.Fragment
 module Simulator = Cdbs_cluster.Simulator
-module Request = Cdbs_cluster.Request
 module Fault = Cdbs_faults.Fault
-module Rng = Cdbs_util.Rng
-module Histogram = Cdbs_telemetry.Histogram
 
 type row = {
   k : int;
@@ -21,7 +16,7 @@ type row = {
   p99_ms : float;
 }
 
-type point = {
+type point = Common.point = {
   t0 : float;
   t1 : float;
   avg_ms : float;
@@ -48,21 +43,6 @@ type report = {
   time_to_repair : float;
 }
 
-(* The midday e-learning mix, arrivals uniform over [0, duration). *)
-let requests ~seed ~rate_per_s ~duration =
-  let rng = Rng.create seed in
-  let n = int_of_float (rate_per_s *. duration) in
-  List.map
-    (fun (r : Request.t) -> { r with Request.arrival = Rng.float rng duration })
-    (Spec.requests ~rng ~n (Trace.specs_at ~hour:14.))
-
-(* Tail latency via the telemetry histogram (2.6 % bucket width at the
-   default resolution) instead of a full sort of the response list. *)
-let p99_ms responses =
-  let h = Histogram.create () in
-  List.iter (fun (_, r) -> Histogram.record h r) responses;
-  1000. *. Histogram.percentile h 99.
-
 (* Degradation grid: for each k-safety degree, crash 0..max_crashes
    backends a quarter into the run (no recovery) and measure how service
    degrades.  With crashes <= k the allocation absorbs every crash:
@@ -84,7 +64,7 @@ let degradation ?(nodes = 4) ?(rate_per_s = 30.) ?(duration = 300.)
           in
           let fo =
             Simulator.run_open_with_faults ?monitor config alloc
-              (requests ~seed ~rate_per_s ~duration)
+              (Fig_overload.requests ~seed ~rate_per_s ~duration)
               ~faults
           in
           {
@@ -95,7 +75,7 @@ let degradation ?(nodes = 4) ?(rate_per_s = 30.) ?(duration = 300.)
             retried = fo.Simulator.retried_requests;
             retries = fo.Simulator.retries;
             avg_ms = 1000. *. fo.Simulator.run.Simulator.avg_response;
-            p99_ms = p99_ms fo.Simulator.responses;
+            p99_ms = 1000. *. Common.p99_of fo.Simulator.responses;
           })
         (List.init (max_crashes + 1) (fun c -> c)))
     [ 0; 1; 2 ]
@@ -132,7 +112,7 @@ let scenario ?(nodes = 4) ?(rate_per_s = 30.) ?(duration = 300.)
   in
   let fo =
     Simulator.run_open_with_faults ?monitor config alloc
-      (requests ~seed ~rate_per_s ~duration)
+      (Fig_overload.requests ~seed ~rate_per_s ~duration)
       ~faults
   in
   let recovered_at, caught_up_at, replayed_mb =
@@ -150,26 +130,8 @@ let scenario ?(nodes = 4) ?(rate_per_s = 30.) ?(duration = 300.)
     else if at < caught_up_at then "catchup"
     else "after"
   in
-  let width = duration /. float_of_int buckets in
-  let sums = Array.make buckets 0. and counts = Array.make buckets 0 in
-  List.iter
-    (fun (arrival, response) ->
-      let b = min (buckets - 1) (int_of_float (arrival /. width)) in
-      sums.(b) <- sums.(b) +. response;
-      counts.(b) <- counts.(b) + 1)
-    fo.Simulator.responses;
   let timeline =
-    List.init buckets (fun b ->
-        let t0 = float_of_int b *. width in
-        {
-          t0;
-          t1 = t0 +. width;
-          avg_ms =
-            (if counts.(b) > 0 then 1000. *. sums.(b) /. float_of_int counts.(b)
-             else 0.);
-          n = counts.(b);
-          phase = phase_of (t0 +. (width /. 2.));
-        })
+    Common.timeline ~duration ~buckets ~phase_of fo.Simulator.responses
   in
   (* The self-repair loop, at the allocation level: re-replicate what the
      crash left under-replicated, on the survivors only. *)

@@ -21,7 +21,7 @@ type row = {
   p99_ms : float;
 }
 
-type point = {
+type point = Common.point = {
   t0 : float;  (** bucket start, seconds *)
   t1 : float;
   avg_ms : float;

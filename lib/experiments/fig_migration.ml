@@ -1,15 +1,13 @@
 module Trace = Cdbs_workloads.Trace
-module Spec = Cdbs_workloads.Spec
 module Greedy = Cdbs_core.Greedy
 module Backend = Cdbs_core.Backend
 module Allocation = Cdbs_core.Allocation
 module Planner = Cdbs_migration.Planner
 module Schedule = Cdbs_migration.Schedule
 module Simulator = Cdbs_cluster.Simulator
-module Request = Cdbs_cluster.Request
 module Rng = Cdbs_util.Rng
 
-type point = {
+type point = Common.point = {
   t0 : float;
   t1 : float;
   avg_ms : float;
@@ -71,7 +69,6 @@ let plan ?(nodes = 4) ?(from_hour = 4.) ?(to_hour = 14.) () =
 let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
     ?(duration = 600.) ?(migrate_at = 150.) ?(buckets = 20) ?(seed = 11)
     ?(from_hour = 4.) ?(to_hour = 14.) () =
-  let rng = Rng.create seed in
   let old_alloc, target = allocations ~nodes ~from_hour ~to_hour in
   let old_fragments =
     List.init nodes (Allocation.fragments_of old_alloc)
@@ -84,12 +81,10 @@ let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
     checked_schedule ~context:"Fig_migration.scenario"
       (Schedule.make ~start:migrate_at ~bandwidth plan)
   in
-  let n = int_of_float (rate_per_s *. duration) in
   let requests =
-    List.map
-      (fun (r : Request.t) ->
-        { r with Request.arrival = Rng.float rng duration })
-      (Spec.requests ~rng ~n (Trace.specs_at ~hour:to_hour))
+    Common.uniform_requests ~rng:(Rng.create seed)
+      ~n:(int_of_float (rate_per_s *. duration))
+      ~t0:0. ~span:duration (Trace.specs_at ~hour:to_hour)
   in
   let config = Simulator.homogeneous_config plan.Planner.num_physical in
   let mo = Simulator.run_open_with_migration config ~target ~schedule requests in
@@ -99,26 +94,8 @@ let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
     else if at < copy_done then "copy"
     else "after"
   in
-  let width = duration /. float_of_int buckets in
-  let sums = Array.make buckets 0. and counts = Array.make buckets 0 in
-  List.iter
-    (fun (arrival, response) ->
-      let b = min (buckets - 1) (int_of_float (arrival /. width)) in
-      sums.(b) <- sums.(b) +. response;
-      counts.(b) <- counts.(b) + 1)
-    mo.Simulator.responses;
   let timeline =
-    List.init buckets (fun b ->
-        let t0 = float_of_int b *. width in
-        {
-          t0;
-          t1 = t0 +. width;
-          avg_ms =
-            (if counts.(b) > 0 then 1000. *. sums.(b) /. float_of_int counts.(b)
-             else 0.);
-          n = counts.(b);
-          phase = phase_of (t0 +. (width /. 2.));
-        })
+    Common.timeline ~duration ~buckets ~phase_of mo.Simulator.responses
   in
   let in_phase p =
     List.filter_map

@@ -8,7 +8,7 @@
     fully served — zero routing errors) during the copy, and the improved
     target allocation after. *)
 
-type point = {
+type point = Common.point = {
   t0 : float;  (** bucket start, seconds *)
   t1 : float;  (** bucket end *)
   avg_ms : float;  (** mean response of requests arriving in the bucket *)

@@ -1,9 +1,7 @@
 module Trace = Cdbs_workloads.Trace
-module Spec = Cdbs_workloads.Spec
 module Backend = Cdbs_core.Backend
 module Ksafety = Cdbs_core.Ksafety
 module Simulator = Cdbs_cluster.Simulator
-module Request = Cdbs_cluster.Request
 module Fault = Cdbs_faults.Fault
 module Rng = Cdbs_util.Rng
 module Res = Cdbs_resilience
@@ -42,11 +40,9 @@ type report = {
 (* Same seeded workload as the fault experiments: the midday e-learning
    mix, arrivals uniform over [0, duration). *)
 let requests ~seed ~rate_per_s ~duration =
-  let rng = Rng.create seed in
-  let n = int_of_float (rate_per_s *. duration) in
-  List.map
-    (fun (r : Request.t) -> { r with Request.arrival = Rng.float rng duration })
-    (Spec.requests ~rng ~n (Trace.specs_at ~hour:14.))
+  Common.uniform_requests ~rng:(Rng.create seed)
+    ~n:(int_of_float (rate_per_s *. duration))
+    ~t0:0. ~span:duration (Trace.specs_at ~hour:14.)
 
 (* Both arms share the same client behaviour — requests are abandoned at
    the deadline.  The undefended arm has no server-side defense: doomed

@@ -1,14 +1,10 @@
 module Trace = Cdbs_workloads.Trace
-module Spec = Cdbs_workloads.Spec
 module Backend = Cdbs_core.Backend
 module Ksafety = Cdbs_core.Ksafety
 module Topology = Cdbs_core.Topology
 module Allocation = Cdbs_core.Allocation
 module Simulator = Cdbs_cluster.Simulator
-module Request = Cdbs_cluster.Request
 module Fault = Cdbs_faults.Fault
-module Rng = Cdbs_util.Rng
-module Histogram = Cdbs_telemetry.Histogram
 module Workload = Cdbs_core.Workload
 
 type side = {
@@ -41,18 +37,6 @@ type report = {
    filling neighbouring machines first. *)
 let rack_topology ~zones nodes =
   Topology.make (Array.init nodes (fun b -> b * zones / nodes))
-
-let requests ~seed ~rate_per_s ~duration =
-  let rng = Rng.create seed in
-  let n = int_of_float (rate_per_s *. duration) in
-  List.map
-    (fun (r : Request.t) -> { r with Request.arrival = Rng.float rng duration })
-    (Spec.requests ~rng ~n (Trace.specs_at ~hour:14.))
-
-let p99_ms responses =
-  let h = Histogram.create () in
-  List.iter (fun (_, r) -> Histogram.record h r) responses;
-  1000. *. Histogram.percentile h 99.
 
 (* Weight that dies with zone [z]: classes whose every replica lives
    inside it.  The adversarial victim is the zone maximizing this —
@@ -113,7 +97,7 @@ let run_side ?monitor ~label ~topology ~k ~config ~reqs ~outage_at
     availability = fo.Simulator.availability;
     aborted = fo.Simulator.aborted;
     retried = fo.Simulator.retried_requests;
-    p99_ms = p99_ms fo.Simulator.responses;
+    p99_ms = 1000. *. Common.p99_of fo.Simulator.responses;
   }
 
 (* Same workload, same seed, same adversarial full-zone outage; the only
@@ -132,7 +116,7 @@ let compare_placements ?(nodes = 6) ?(zones = 2) ?(k = 1) ?(rate_per_s = 20.)
       (Ksafety.allocate ~k workload backends)
   in
   let config = Simulator.homogeneous_config nodes in
-  let reqs = requests ~seed ~rate_per_s ~duration in
+  let reqs = Fig_overload.requests ~seed ~rate_per_s ~duration in
   let outage_at = duration /. 4. and outage_duration = duration /. 2. in
   let run = run_side ?monitor ~k ~config ~reqs ~outage_at ~outage_duration in
   let aware = run ~label:"domain-aware" ~topology aware_alloc in
