@@ -328,7 +328,12 @@ let parse_insert st =
       List.rev (e :: acc)
     end
   in
-  Insert { target; columns; values = vals [] }
+  let values = vals [] in
+  if columns <> [] && List.compare_lengths columns values <> 0 then
+    fail st
+      (Printf.sprintf "INSERT names %d columns but gives %d values"
+         (List.length columns) (List.length values));
+  Insert { target; columns; values }
 
 let parse_update st =
   expect_keyword st "UPDATE";
