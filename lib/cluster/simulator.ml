@@ -185,13 +185,17 @@ type live_migration = {
   mutable replayed : float;
 }
 
+(* Seconds an in-flight read to a partitioned backend hangs before its
+   client gives up and retries elsewhere. *)
+let partition_timeout = 1.
+
 (* The one event clock behind every entry point.  [batch] offers every
    request at t = 0 in list order; otherwise requests arrive at their
    timestamps.  Faults, cuts, migration steps and retry/hedge/catch-up
    events wait on one heap; [sched] carries the placement (static, or
    dynamic for a migration) and comes back in its final state. *)
 let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
-    ?monitor ?topology ?(partition_timeout = 1.) ?migration ?(batch = false)
+    ?monitor ?topology ?migration ?(batch = false)
     ?(keep_responses = false) config sched requests ~faults =
   let n = Scheduler.num_nodes sched in
   if Array.length config.speeds <> n then
@@ -200,8 +204,6 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
   | Some t when Cdbs_core.Topology.num_backends t <> n ->
       invalid_arg (context ^ ": topology backend count <> allocation")
   | _ -> ());
-  if not (partition_timeout >= 0.) then
-    invalid_arg (context ^ ": partition_timeout < 0");
   let zone_of =
     Option.map
       (fun t -> Array.init n (Cdbs_core.Topology.zone_of t))
@@ -1152,9 +1154,9 @@ let run_open config alloc requests =
     .run
 
 let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
-    ?monitor ?topology ?partition_timeout config alloc requests ~faults =
+    ?monitor ?topology config alloc requests ~faults =
   engine ~context:"Simulator.run_open_with_faults" ~policy ?rng ?resilience
-    ?telemetry ?monitor ?topology ?partition_timeout ~keep_responses:true
+    ?telemetry ?monitor ?topology ~keep_responses:true
     config (Scheduler.create alloc) requests ~faults
 
 let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config

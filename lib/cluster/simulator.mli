@@ -125,7 +125,6 @@ val run_open_with_faults :
   ?telemetry:Cdbs_telemetry.Sink.t ->
   ?monitor:Cdbs_analysis.Monitor.t ->
   ?topology:Cdbs_core.Topology.t ->
-  ?partition_timeout:float ->
   config ->
   Cdbs_core.Allocation.t ->
   Request.t list ->
@@ -149,9 +148,9 @@ val run_open_with_faults :
 
     [Partition] isolates its backends while their processes keep running:
     routing treats them as down, but in-flight reads {e time out} instead
-    of failing fast — the retry fires [partition_timeout] seconds (default
-    1.0) after the cut, on top of the usual backoff (slow failure, the
-    defining difference from a crash).  When the partition heals, each
+    of failing fast — the retry fires one second after the cut, on top
+    of the usual backoff (slow failure, the defining difference from a
+    crash).  When the partition heals, each
     isolated backend bumps its monotonic {e fencing epoch} (emitted as
     ["backend.heal"] with [epoch] and [replay_mb]) and rejoins fenced:
     stale, replaying the update volume it missed through the delta
