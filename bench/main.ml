@@ -1,13 +1,8 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. 4-5 and the appendices) plus ablations and Bechamel
-   micro-benchmarks of the allocation machinery.
+(* Bechamel micro-benchmarks of the allocation machinery.  The paper's
+   tables and figures are sections of `cdbs experiment` (`all` runs every
+   one).
 
-   Usage: main.exe [section ...] with sections among
-   tables | tpch | tpcapp | balance | elastic | ablation | day | alloc |
-   micro; no argument (or "all") runs everything.  The [day] section runs
-   the scaled-down day-in-production macro-benchmark and writes its SLO
-   report to BENCH_day.json; the [alloc] section runs the massive-instance
-   allocator benchmark and writes BENCH_alloc.json. *)
+   Usage: main.exe [micro] *)
 
 module E = Cdbs_experiments
 
@@ -96,42 +91,10 @@ let microbenchmarks () =
       in
       ignore (E.Common.simulate alloc reqs))
 
-(* Scaled-down day-in-production macro-benchmark: seed-deterministic, so
-   BENCH_day.json is reproducible run to run (timing fields aside). *)
-let day () =
-  E.Common.header "Day-in-production SLO macro-benchmark (smoke scale)";
-  let r = E.Fig_day.run ~params:E.Fig_day.smoke () in
-  Fmt.pr "%a@." Cdbs_telemetry.Slo_report.pp r.E.Fig_day.report;
-  Fmt.pr "@.%d events in %.1f s (%.0f events/s)@." r.E.Fig_day.events
-    r.E.Fig_day.wall_s r.E.Fig_day.events_per_s;
-  E.Fig_day.write_json ~path:"BENCH_day.json" r;
-  Fmt.pr "wrote BENCH_day.json@."
-
-(* Massive-instance allocator: dense greedy + island memetic + incremental
-   repair at 10^5 fragments, writing BENCH_alloc.json (seed-deterministic
-   apart from the timing fields). *)
-let alloc () = E.Fig_alloc.print_all ()
-
-let run_section = function
-  | "tables" -> E.Tables.print_all ()
-  | "tpch" -> E.Fig_tpch.print_all ()
-  | "tpcapp" -> E.Fig_tpcapp.print_all ()
-  | "balance" -> E.Fig_balance.print_all ()
-  | "elastic" -> E.Fig_elastic.print_all ()
-  | "ablation" -> E.Ablation.print_all ()
-  | "day" -> day ()
-  | "alloc" -> alloc ()
-  | "micro" -> microbenchmarks ()
-  | s -> Fmt.epr "unknown section %s@." s
-
 let () =
-  let sections =
-    match Array.to_list Sys.argv with
-    | _ :: (_ :: _ as args) when not (List.mem "all" args) -> args
-    | _ ->
-        [
-          "tables"; "tpch"; "tpcapp"; "balance"; "elastic"; "ablation";
-          "day"; "alloc"; "micro";
-        ]
-  in
-  List.iter run_section sections
+  match Array.to_list Sys.argv with
+  | [ _ ] | [ _; "micro" ] -> microbenchmarks ()
+  | _ ->
+      prerr_endline
+        "usage: main.exe [micro]  (paper sections: cdbs experiment SECTION)";
+      exit 2

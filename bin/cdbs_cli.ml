@@ -485,42 +485,34 @@ let simulate_cmd =
 (* ------------------------------------------------------------------ *)
 
 let experiment_cmd =
+  let module E = Cdbs_experiments in
+  let sections =
+    [
+      ("tables", E.Tables.print_all); ("tpch", E.Fig_tpch.print_all);
+      ("tpcapp", E.Fig_tpcapp.print_all); ("balance", E.Fig_balance.print_all);
+      ("elastic", E.Fig_elastic.print_all); ("ablation", E.Ablation.print_all);
+      ("migration", E.Fig_migration.print_all);
+      ("faults", E.Fig_faults.print_all); ("overload", E.Fig_overload.print_all);
+      ("day", E.Fig_day.print_all); ("zones", E.Fig_zones.print_all);
+      ("alloc", E.Fig_alloc.print_all);
+    ]
+  in
+  let all () = List.iter (fun (_, print) -> print ()) sections in
   let section_arg =
     Arg.(
       required
-      & pos 0
-          (some
-             (enum
-                [
-                  ("tables", `Tables); ("tpch", `Tpch); ("tpcapp", `Tpcapp);
-                  ("balance", `Balance); ("elastic", `Elastic);
-                  ("ablation", `Ablation); ("migration", `Migration);
-                  ("faults", `Faults); ("overload", `Overload);
-                  ("day", `Day); ("zones", `Zones);
-                ]))
-          None
+      & pos 0 (some (enum (sections @ [ ("all", all) ]))) None
       & info [] ~docv:"SECTION"
           ~doc:
-            "Experiment section: $(b,tables), $(b,tpch), $(b,tpcapp), \
-             $(b,balance), $(b,elastic), $(b,ablation), $(b,migration), \
-             $(b,faults), $(b,overload), $(b,day) or $(b,zones).")
-  in
-  let run = function
-    | `Tables -> Cdbs_experiments.Tables.print_all ()
-    | `Tpch -> Cdbs_experiments.Fig_tpch.print_all ()
-    | `Tpcapp -> Cdbs_experiments.Fig_tpcapp.print_all ()
-    | `Balance -> Cdbs_experiments.Fig_balance.print_all ()
-    | `Elastic -> Cdbs_experiments.Fig_elastic.print_all ()
-    | `Ablation -> Cdbs_experiments.Ablation.print_all ()
-    | `Migration -> Cdbs_experiments.Fig_migration.print_all ()
-    | `Faults -> Cdbs_experiments.Fig_faults.print_all ()
-    | `Overload -> Cdbs_experiments.Fig_overload.print_all ()
-    | `Day -> Cdbs_experiments.Fig_day.print_all ()
-    | `Zones -> Cdbs_experiments.Fig_zones.print_all ()
+            (Printf.sprintf
+               "Experiment section: %s, or $(b,all) for every section in \
+                that order."
+               (String.concat ", "
+                  (List.map (fun (name, _) -> "$(b," ^ name ^ ")") sections))))
   in
   Cmd.v
     (Cmd.info "experiment" ~doc:"Run a paper-reproduction experiment section")
-    Term.(const run $ section_arg)
+    Term.(const (fun print -> print ()) $ section_arg)
 
 (* ------------------------------------------------------------------ *)
 (* migrate                                                             *)
@@ -1009,12 +1001,10 @@ let fault_run_alloc ?topology r =
 
 (* Arrivals uniform over the run, drawn after the fault timeline. *)
 let fault_run_requests ~rng r =
-  List.map
-    (fun (q : Cdbs_cluster.Request.t) ->
-      { q with Cdbs_cluster.Request.arrival = Cdbs_util.Rng.float rng r.duration })
-    (Cdbs_workloads.Spec.requests ~rng
-       ~n:(int_of_float (r.rate *. r.duration))
-       (Cdbs_workloads.Trace.specs_at ~hour:14.))
+  Cdbs_experiments.Common.uniform_requests ~rng
+    ~n:(int_of_float (r.rate *. r.duration))
+    ~t0:0. ~span:r.duration
+    (Cdbs_workloads.Trace.specs_at ~hour:14.)
 
 let chaos_cmd =
   let max_down_arg =

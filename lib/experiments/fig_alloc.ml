@@ -199,12 +199,6 @@ let to_json r =
   Buffer.add_char b '}';
   Buffer.contents b
 
-let write_json ~path r =
-  let oc = open_out path in
-  output_string oc (to_json r);
-  output_char oc '\n';
-  close_out oc
-
 let pp_result ppf r =
   Fmt.pf ppf
     "greedy: %d frags x %d classes on %d backends in %.2f s (scale %.3f, \
@@ -235,6 +229,4 @@ let print_all () =
     "Massive-instance allocator: dense greedy, island memetic, incremental \
      repair";
   let r = run ~params:{ smoke with strategy = Memetic } () in
-  Fmt.pr "%a" pp_result r;
-  write_json ~path:"BENCH_alloc.json" r;
-  Fmt.pr "wrote BENCH_alloc.json@."
+  Fmt.pr "%a" pp_result r

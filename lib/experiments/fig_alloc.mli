@@ -63,5 +63,6 @@ val run : ?params:params -> unit -> result
 val to_json : result -> string
 val pp_result : result Fmt.t
 val print_all : unit -> unit
-(** The bench-harness entry: smoke preset with the memetic enabled,
-    writes [BENCH_alloc.json] in the current directory. *)
+(** The [experiment alloc] section: the smoke preset with the memetic
+    enabled, printed ([cdbs alloc --smoke -s memetic --out FILE] also
+    writes the JSON report). *)

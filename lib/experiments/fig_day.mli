@@ -92,8 +92,6 @@ val to_json : ?monitor_violations:int -> result -> string
     when no monitor was attached) under the same field names the [chaos]
     and [overload] subcommands emit. *)
 
-val write_json : ?monitor_violations:int -> path:string -> result -> unit
-
 val print_all : unit -> unit
 (** Human-readable rendering of a default-parameter run: per-window
     table, SLO report, throughput line. *)
