@@ -1,13 +1,17 @@
 (** Flat-array allocation core for massive instances.
 
-    The legacy {!Allocation} keeps a [Fragment.Set.t] per backend and
-    routes every lookup through class ids — fine for the paper's
-    tens-of-fragments examples, hopeless at 10⁵–10⁷ fragments.  This
-    module compiles a workload into an immutable {!instance} (CSR
+    The set-based {!Allocation} also keeps each backend's fragments as a
+    bitset over an interned fragment universe and addresses classes by
+    position, but it carries the workload's [Query_class.t] and
+    [Fragment.t] records, interns fragments added from outside the
+    workload, and recomputes per-backend sums from its assignment matrix.
+    This module compiles a workload into an immutable {!instance} (CSR
     class→footprint and fragment→update-class tables over integer
-    fragment ids) and represents an allocation as per-backend bitsets
-    plus a dense assignment matrix, so the greedy and memetic hot paths
-    run as indexed loops with reusable scratch buffers.
+    fragment ids, with materialized fragments optional) and represents an
+    allocation as per-backend bitsets plus a dense assignment matrix with
+    cached per-backend load and active/pinned class lists, so the greedy
+    and memetic hot paths at 10⁵–10⁷ fragments run as indexed loops with
+    reusable scratch buffers.
 
     Conversions {!of_allocation}/{!to_allocation} bridge to the legacy
     representation so every existing caller, checker and test keeps
