@@ -332,14 +332,21 @@ let live_day b =
     days
 
 (* Allocator placements: every assignment, each backend's fragment names
-   in sorted order, the scale and the total stored size. *)
-let placement b label (a : Allocation.t) =
-  Printf.bprintf b "%s scale %h stored %h\n" label (Allocation.scale a)
-    (Allocation.total_stored a);
+   in sorted order, the scale and the total stored size.  Numbers are exact
+   ([%h]) unless [digits] rounds them to that many significant digits. *)
+let placement ?digits b label (a : Allocation.t) =
+  let num x =
+    match digits with
+    | None -> Printf.sprintf "%h" x
+    | Some d -> Printf.sprintf "%.*g" d x
+  in
+  Printf.bprintf b "%s scale %s stored %s\n" label
+    (num (Allocation.scale a))
+    (num (Allocation.total_stored a));
   Array.iteri
     (fun bk _ ->
       Array.iter
-        (fun c -> Printf.bprintf b " %h" (Allocation.get_assign a bk c))
+        (fun c -> Printf.bprintf b " %s" (num (Allocation.get_assign a bk c)))
         (Allocation.classes a);
       Buffer.add_char b '\n';
       List.iter (Printf.bprintf b " %s")
@@ -379,6 +386,41 @@ let allocators workload b =
   placement b "ksafety zones"
     (Ksafety.allocate ~topology:(Topology.uniform ~zones:2 n) ~k:1 workload
        backends)
+
+(* Greedy placements on the shipped workloads: TPC-App and TPC-H, each by
+   table and by column, and the trace at every half hour, each on 1-16
+   backends, homogeneous and with capacities 1, 2, 3 repeating (1,664
+   placements).  Numbers are rounded to 12 significant digits, so the
+   fragment sets and shares are pinned but not the rounding of their last
+   bits. *)
+let greedy_sweep b =
+  let workloads =
+    [
+      ("tpcapp table", Tpcapp.workload ~granularity:`Table ~eb:300);
+      ("tpcapp column", Tpcapp.workload ~granularity:`Column ~eb:300);
+      ("tpch table", Tpch.workload ~granularity:`Table ~sf:1.);
+      ("tpch column", Tpch.workload ~granularity:`Column ~sf:1.);
+    ]
+    @ List.init 48 (fun i ->
+          let hour = float_of_int i /. 2. in
+          (Printf.sprintf "trace %g" hour, Day.workload_at ~hour))
+  in
+  List.iter
+    (fun (wl, w) ->
+      for n = 1 to 16 do
+        List.iter
+          (fun (kind, backends) ->
+            placement ~digits:12 b
+              (Printf.sprintf "%s n=%d %s" wl n kind)
+              (Greedy.allocate w backends))
+          [
+            ("homogeneous", Backend.homogeneous n);
+            ( "capacities 1,2,3",
+              Backend.heterogeneous
+                (List.init n (fun i -> float_of_int (1 + (i mod 3)))) );
+          ]
+      done)
+    workloads
 
 (* The shape the sql benchmark reallocates: a TPC-H journal plus point
    UPDATEs on five tables, classified by table. *)
@@ -666,6 +708,8 @@ let suite =
     pinned "allocators: TPC-H journal with point updates by table"
       "0046cba00f189ce240b3e0e00eb97b78"
       (fun b -> allocators (tpch_journal_workload ()) b);
+    pinned "Greedy.allocate: shipped workloads on 1-16 backends"
+      "e457ace3c13590067e3c3f096753555e" greedy_sweep;
     pinned "run_open_with_faults: defenses under chaos"
       "0445d3877cbd4767cfa05dca5bfa52ca" defended_chaos;
     pinned "Check_allocation.check: findings under corruptions"
