@@ -13,6 +13,9 @@ val allocate : Workload.t -> Backend.t list -> Allocation.t
 (** Compute a greedy allocation.  The workload should be normalized
     (weights summing to 1); backends must be non-empty.
 
+    Runs {!Dense.greedy} on the workload compiled by {!Dense.of_allocation}
+    and copies the placement back over the caller's workload and backends.
+
     Deviation from the paper's pseudo-code, for correctness: when placing a
     class's fragments makes a backend overlap update classes beyond
     [updates(C)] (possible when update classes chain through fragments the
@@ -21,4 +24,5 @@ val allocate : Workload.t -> Backend.t list -> Allocation.t
 
 val sort_key : Workload.t -> Query_class.t -> rest_weight:float -> float
 (** The ordering key: [(restWeight(C) + weight(updates(C))) * size(C ∪
-    updates(C))]; exposed for tests reproducing the Appendix A trace. *)
+    updates(C))], computed by {!Dense.class_closure} as the kernel computes
+    it; exposed for tests reproducing the Appendix A trace. *)
