@@ -122,4 +122,9 @@ dune exec bin/cdbs_cli.exe -- alloc --smoke --check --max-seconds 30 \
   --max-moved-frac 0.05 --json --out BENCH_alloc.json
 test -s BENCH_alloc.json
 
+# Memetic smoke: two islands of the dense memetic on one domain; the
+# checker runs on the memetic placement too (non-zero exit on an error).
+dune exec bin/cdbs_cli.exe -- alloc --smoke -s memetic --islands 2 \
+  --generations 2 --domains 1 --no-repair --check --json
+
 echo "check: OK"
