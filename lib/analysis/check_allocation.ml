@@ -1,5 +1,6 @@
 open Cdbs_core
 module D = Diagnostic
+module Vec = Cdbs_util.Vec
 
 (* Findings are capped per code: a systematically broken massive instance
    reports the first hits plus a count, not a million records. *)
@@ -58,36 +59,46 @@ let check_dense ?(k = 0) ?topology (t : Dense.t) =
     | Some frags -> Fragment.name frags.(f)
     | None -> Printf.sprintf "#%d" f
   in
-  (* Eq. 8 plus sign sanity (ALC001/ALC002), per (backend, class). *)
-  for b = 0 to n - 1 do
-    if t.b_alive.(b) then begin
-      let row = t.assign.(b) in
-      for c = 0 to inst.n_classes - 1 do
-        if t.c_alive.(c) then begin
-          let w = row.(c) in
-          if w < -.Eps.assign then
+  (* One pass over the alive classes' shares on alive backends, gathered
+     per backend in ascending class order: the classes each backend
+     serves (for ALC011), and the shares that are negative (ALC001) or
+     lack their data (ALC002, Eq. 8).  Those two are reported
+     backend-major, which decides the ones the per-code cap keeps. *)
+  let served = Array.init n (fun _ -> Vec.create ()) in
+  let bad = Array.init n (fun _ -> Vec.create ()) in
+  for c = 0 to inst.n_classes - 1 do
+    if t.c_alive.(c) then
+      iter_shares t c (fun b w ->
+          if t.b_alive.(b) then begin
+            if w > Eps.assign then Vec.push served.(b) c;
+            if w < -.Eps.assign || (w > Eps.assign && not (holds t b c)) then
+              Vec.push bad.(b) (c, w)
+          end)
+  done;
+  Array.iteri
+    (fun b v ->
+      Vec.iter
+        (fun (c, w) ->
+          if w < 0. then
             add
               (D.error ~code:"ALC001" ~subject:(c_subject c)
                  ~data:[ ("backend", D.Int b); ("assign", D.Num w) ]
-                 "negative assignment %g on %s" w (b_subject b));
-          if w > Eps.assign && not (holds t b c) then
+                 "negative assignment %g on %s" w (b_subject b))
+          else
             add
               (D.error ~code:"ALC002" ~subject:(c_subject c)
                  ~data:[ ("backend", D.Int b); ("assign", D.Num w) ]
                  "assigned %.4f on %s which lacks some of its fragments (Eq. 8)"
-                 w (b_subject b))
-        end
-      done
-    end
-  done;
+                 w (b_subject b)))
+        v)
+    bad;
   (* Eq. 9 (ALC003): read classes fully distributed. *)
   Array.iter
     (fun c ->
       if t.c_alive.(c) then begin
         let total = ref 0. in
-        for b = 0 to n - 1 do
-          if t.b_alive.(b) then total := !total +. t.assign.(b).(c)
-        done;
+        iter_shares t c (fun b w ->
+            if t.b_alive.(b) then total := !total +. w);
         let w = inst.class_weight.(c) in
         if abs_float (!total -. w) > Eps.weight then
           add
@@ -104,7 +115,7 @@ let check_dense ?(k = 0) ?topology (t : Dense.t) =
         let somewhere = ref false in
         for b = 0 to n - 1 do
           if t.b_alive.(b) then begin
-            let a = t.assign.(b).(u) in
+            let a = share t b u in
             if overlaps t b u then begin
               if abs_float (a -. w) > Eps.assign then
                 add
@@ -239,10 +250,7 @@ let check_dense ?(k = 0) ?topology (t : Dense.t) =
              "idle: stores nothing and serves no load")
       else if k = 0 then begin
         Bits.reset needed;
-        for c = 0 to inst.n_classes - 1 do
-          if t.c_alive.(c) && t.assign.(b).(c) > Eps.assign then
-            iter_footprint inst c (Bits.set needed)
-        done;
+        Vec.iter (fun c -> iter_footprint inst c (Bits.set needed)) served.(b);
         Bits.iter
           (fun f ->
             if not (Bits.get needed f) then

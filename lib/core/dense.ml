@@ -153,12 +153,21 @@ let make_instance ?frags ~backends ~frag_size specs =
 (* Allocation state                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The assignment, per class slot: the class's non-zero shares as one
+   float array of (backend, share) pairs in ascending backend order,
+   [|b0; w0; b1; w1; ...|], each backend index stored as a float.  A
+   class's array is never written once built: a write replaces it, so a
+   copy of the state shares every class it does not write, and no domain
+   ever writes an array another one reads.  Float arrays also keep the
+   pairs out of the major GC's scan. *)
+type shares = float array array
+
 type t = {
   inst : instance;
   b_alive : bool array;
   c_alive : bool array;
   held : Bits.t array;
-  assign : float array array;
+  shares : shares;
   load : float array;
   stored : float array;
   upd_pins : int array;
@@ -169,6 +178,52 @@ type t = {
 }
 
 let num_backends t = Array.length t.inst.backends
+let class_slots t = Array.length t.shares
+
+(* Index in [a] of backend [b]'s pair, or of the first pair past it. *)
+let seek a b =
+  let fb = float_of_int b and i = ref 0 in
+  while !i < Array.length a && a.(!i) < fb do
+    i := !i + 2
+  done;
+  !i
+
+let share t b c =
+  let a = t.shares.(c) in
+  let i = seek a b in
+  if i < Array.length a && a.(i) = float_of_int b then a.(i + 1) else 0.
+
+let set_share t b c w =
+  let a = t.shares.(c) in
+  let len = Array.length a and i = seek a b in
+  let present = i < len && a.(i) = float_of_int b in
+  if w = 0. then begin
+    if present then begin
+      let a' = Array.make (len - 2) 0. in
+      Array.blit a 0 a' 0 i;
+      Array.blit a (i + 2) a' i (len - i - 2);
+      t.shares.(c) <- a'
+    end
+  end
+  else if present then begin
+    let a' = Array.copy a in
+    a'.(i + 1) <- w;
+    t.shares.(c) <- a'
+  end
+  else begin
+    let a' = Array.make (len + 2) 0. in
+    Array.blit a 0 a' 0 i;
+    a'.(i) <- float_of_int b;
+    a'.(i + 1) <- w;
+    Array.blit a i a' (i + 2) (len - i);
+    t.shares.(c) <- a'
+  end
+
+let iter_shares t c f =
+  let a = t.shares.(c) in
+  for k = 0 to (Array.length a / 2) - 1 do
+    f (int_of_float a.(2 * k)) a.((2 * k) + 1)
+  done
 
 let create inst =
   let n = Array.length inst.backends in
@@ -180,7 +235,7 @@ let create inst =
     b_alive = Array.make n true;
     c_alive = Array.make cap true;
     held = Array.init n (fun _ -> Bits.create inst.n_frags);
-    assign = Array.init n (fun _ -> Array.make cap 0.);
+    shares = Array.make cap [||];
     load = Array.make n 0.;
     stored = Array.make n 0.;
     upd_pins = Array.make cap 0;
@@ -201,7 +256,7 @@ let copy t =
     b_alive = Array.copy t.b_alive;
     c_alive = Array.copy t.c_alive;
     held = Array.map Bits.copy t.held;
-    assign = Array.map Array.copy t.assign;
+    shares = Array.copy t.shares;
     load = Array.copy t.load;
     stored = Array.copy t.stored;
     upd_pins = Array.copy t.upd_pins;
@@ -210,6 +265,16 @@ let copy t =
     scratch_bits = Bits.create t.inst.n_frags;
     scratch_stack = Vec.create ();
   }
+
+let widen_classes t cap =
+  let nc = t.inst.n_classes in
+  let c_alive = Array.make cap true in
+  Array.blit t.c_alive 0 c_alive 0 nc;
+  let upd_pins = Array.make cap 0 in
+  Array.blit t.upd_pins 0 upd_pins 0 nc;
+  let shares = Array.make cap [||] in
+  Array.blit t.shares 0 shares 0 nc;
+  { t with c_alive; upd_pins; shares }
 
 let holds t b c =
   let ok = ref true in
@@ -240,18 +305,18 @@ let total_stored t =
 
 let cost t = (scale t, total_stored t)
 
-(* Resync the cached per-backend sums from the ground truth (assign rows
+(* Resync the cached per-backend sums from the ground truth (the shares
    and held bitsets), using the same summation order the legacy
-   [Allocation.assigned_load]/[total_stored] use. *)
+   [Allocation.assigned_load]/[total_stored] use: each backend's load in
+   ascending class order.  A zero share adds nothing to a sum that starts
+   at +0., so the pass skips them. *)
 let refresh t =
   let inst = t.inst in
+  Array.fill t.load 0 (num_backends t) 0.;
+  for c = 0 to inst.n_classes - 1 do
+    iter_shares t c (fun b w -> t.load.(b) <- t.load.(b) +. w)
+  done;
   for b = 0 to num_backends t - 1 do
-    let acc = ref 0. in
-    let row = t.assign.(b) in
-    for c = 0 to inst.n_classes - 1 do
-      acc := !acc +. row.(c)
-    done;
-    t.load.(b) <- !acc;
     let st = ref 0. in
     Bits.iter (fun f -> st := !st +. inst.frag_size.(f)) t.held.(b);
     t.stored.(b) <- !st
@@ -284,17 +349,19 @@ let settle ?on_pin t b =
         for k = inst.frag_upd_off.(f) to inst.frag_upd_off.(f + 1) - 1 do
           let u = inst.frag_upd.(k) in
           let w = inst.class_weight.(u) in
-          if t.c_alive.(u) && t.assign.(b).(u) < w then begin
-            let old = t.assign.(b).(u) in
-            t.assign.(b).(u) <- w;
-            t.load.(b) <- t.load.(b) +. (w -. old);
-            added := !added +. (w -. old);
-            if old <= 0. then begin
-              Vec.push t.pinned.(b) u;
-              t.upd_pins.(u) <- t.upd_pins.(u) + 1
-            end;
-            (match on_pin with Some g -> g u | None -> ());
-            iter_footprint inst u (fun j -> install_fragment t b j)
+          if t.c_alive.(u) then begin
+            let old = share t b u in
+            if old < w then begin
+              set_share t b u w;
+              t.load.(b) <- t.load.(b) +. (w -. old);
+              added := !added +. (w -. old);
+              if old <= 0. then begin
+                Vec.push t.pinned.(b) u;
+                t.upd_pins.(u) <- t.upd_pins.(u) + 1
+              end;
+              (match on_pin with Some g -> g u | None -> ());
+              iter_footprint inst u (fun j -> install_fragment t b j)
+            end
           end
         done
   done;
@@ -307,9 +374,9 @@ let install_class ?on_pin t b c =
 
 (* Add read assignment, tracking membership in the active vector. *)
 let add_assign t b c amount =
-  let old = t.assign.(b).(c) in
+  let old = share t b c in
   if old <= 0. && amount > 0. then Vec.push t.active.(b) c;
-  t.assign.(b).(c) <- old +. amount
+  set_share t b c (old +. amount)
 
 (* Local prune of one backend: keep only fragments some assigned read
    class here references, re-establish the update closure, and re-home
@@ -318,7 +385,7 @@ let add_assign t b c amount =
 let prune_backend t b =
   let inst = t.inst in
   Bits.reset t.scratch_bits;
-  Vec.filter_in_place (fun c -> t.assign.(b).(c) > 0.) t.active.(b);
+  Vec.filter_in_place (fun c -> share t b c > 0.) t.active.(b);
   Vec.iter
     (fun c -> iter_footprint inst c (fun f -> Bits.set t.scratch_bits f))
     t.active.(b);
@@ -326,9 +393,10 @@ let prune_backend t b =
   let orphans = ref [] in
   Vec.iter
     (fun u ->
-      if t.assign.(b).(u) > 0. then begin
-        t.load.(b) <- t.load.(b) -. t.assign.(b).(u);
-        t.assign.(b).(u) <- 0.;
+      let a = share t b u in
+      if a > 0. then begin
+        t.load.(b) <- t.load.(b) -. a;
+        set_share t b u 0.;
         t.upd_pins.(u) <- t.upd_pins.(u) - 1;
         if t.upd_pins.(u) = 0 then orphans := u :: !orphans
       end)
@@ -354,10 +422,10 @@ let prune_backend t b =
 (* Move [amount] of read class [c] from [b1] to [b2], installing the data
    (and update closure) on [b2] and pruning [b1]. *)
 let transfer t c ~b1 ~b2 ~amount =
-  let a1 = t.assign.(b1).(c) in
+  let a1 = share t b1 c in
   let amount = min amount a1 in
   if amount > 0. && b1 <> b2 && t.b_alive.(b2) then begin
-    t.assign.(b1).(c) <- a1 -. amount;
+    set_share t b1 c (a1 -. amount);
     t.load.(b1) <- t.load.(b1) -. amount;
     ignore (install_class t b2 c);
     add_assign t b2 c amount;
@@ -613,17 +681,16 @@ let mutate rng t =
     for _ = 1 to attempts do
       let c = reads.(Rng.int rng (Array.length reads)) in
       let ns = ref 0 in
-      for b = 0 to n - 1 do
-        if child.b_alive.(b) && child.assign.(b).(c) > Eps.tiny then begin
-          sources.(!ns) <- b;
-          incr ns
-        end
-      done;
+      iter_shares child c (fun b w ->
+          if child.b_alive.(b) && w > Eps.tiny then begin
+            sources.(!ns) <- b;
+            incr ns
+          end);
       if !ns > 0 then begin
         let b1 = sources.(Rng.int rng !ns) in
         let b2 = Rng.int rng n in
         if b1 <> b2 && child.b_alive.(b2) then begin
-          let a1 = child.assign.(b1).(c) in
+          let a1 = share child b1 c in
           let amount = if Rng.bool rng then a1 else Rng.float rng a1 in
           transfer child c ~b1 ~b2 ~amount
         end
@@ -673,7 +740,7 @@ let of_allocation (alloc : Allocation.t) =
     for c = 0 to Array.length classes - 1 do
       (* Every share, negative ones included, for the checker to see. *)
       let w = Allocation.assign_at alloc b c in
-      t.assign.(b).(c) <- w;
+      if w <> 0. then set_share t b c w;
       if w > 0. then
         if is_update inst c then begin
           Vec.push t.pinned.(b) c;
@@ -723,18 +790,22 @@ let to_allocation t =
       live
   in
   let alloc = Allocation.create workload backend_list in
+  let position = Array.make (num_backends t) (-1) in
   List.iteri
     (fun i b ->
+      position.(b) <- i;
       let set = ref Fragment.Set.empty in
       Bits.iter (fun f -> set := Fragment.Set.add frags.(f) !set) t.held.(b);
-      Allocation.add_fragments alloc i !set;
-      for c = 0 to inst.n_classes - 1 do
-        if t.c_alive.(c) && t.assign.(b).(c) <> 0. then
-          Allocation.set_assign alloc i
-            (Option.get (Workload.find workload inst.class_id.(c)))
-            t.assign.(b).(c)
-      done)
+      Allocation.add_fragments alloc i !set)
     live;
+  for c = 0 to inst.n_classes - 1 do
+    if t.c_alive.(c) then
+      iter_shares t c (fun b w ->
+          if position.(b) >= 0 then
+            Allocation.set_assign alloc position.(b)
+              (Option.get (Workload.find workload inst.class_id.(c)))
+              w)
+  done;
   alloc
 
 (* ------------------------------------------------------------------ *)

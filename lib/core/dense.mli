@@ -8,10 +8,13 @@
     This module compiles a workload into an immutable {!instance} (CSR
     class→footprint and fragment→update-class tables over integer
     fragment ids, with materialized fragments optional) and represents an
-    allocation as per-backend bitsets plus a dense assignment matrix with
-    cached per-backend load and active/pinned class lists, so the greedy
-    and memetic hot paths at 10⁵–10⁷ fragments run as indexed loops with
-    reusable scratch buffers.
+    allocation as per-backend bitsets plus, per class, the sorted
+    (backend, share) pairs of its non-zero shares, with cached
+    per-backend load and active/pinned class lists, so the greedy and
+    memetic hot paths at 10⁵–10⁷ fragments run as indexed loops with
+    reusable scratch buffers.  A state's size grows with its classes and
+    non-zero shares, not with backends × classes, and {!copy} shares
+    every class's pairs with its parent until one side writes them.
 
     Conversions {!of_allocation}/{!to_allocation} bridge to the set-based
     representation.  {!Greedy.allocate} runs {!greedy} through them, so
@@ -96,13 +99,19 @@ val synthetic :
 (** Bitsets over fragment indices (bytes, 8 bits each). *)
 module Bits = Cdbs_util.Bits
 
+type shares
+(** The assignment: for each class slot, its non-zero (backend, share)
+    pairs in ascending backend order, held in an immutable array that a
+    write replaces.  Read and write it through {!share}, {!set_share} and
+    {!iter_shares}. *)
+
 type t = {
   inst : instance;
   b_alive : bool array;  (** retired backends stay in place, flagged dead *)
   c_alive : bool array;  (** retired classes are tombstoned *)
   held : Bits.t array;  (** per backend, over fragments *)
-  assign : float array array;  (** backends × classes *)
-  load : float array;  (** cached row sums of [assign] *)
+  shares : shares;  (** per class slot *)
+  load : float array;  (** cached per-backend sums of the shares *)
   stored : float array;  (** cached size of [held] *)
   upd_pins : int array;  (** per update class: backends where pinned *)
   active : int Cdbs_util.Vec.t array;
@@ -121,7 +130,35 @@ val create : instance -> t
 (** Empty allocation (no data, no assignment). *)
 
 val copy : t -> t
+(** O(classes + non-zero shares + bitsets): the per-class pairs are
+    shared, not copied. *)
+
 val num_backends : t -> int
+
+(** {1 Shares} *)
+
+val share : t -> int -> int -> float
+(** [share t b c]: class [c]'s share on backend [b], [0.] when none. *)
+
+val set_share : t -> int -> int -> float -> unit
+(** [set_share t b c w] replaces class [c]'s pairs with a new array ([w]
+    equal to [0.] drops the pair).  A raw write: the caller keeps [load]
+    and the membership vectors in step. *)
+
+val iter_shares : t -> int -> (int -> float -> unit) -> unit
+(** [iter_shares t c f] calls [f b w] for each of class [c]'s non-zero
+    shares, backends ascending.  It walks the pairs as they were when
+    called, so [f] may write class [c]. *)
+
+val class_slots : t -> int
+(** Physical length of the class-indexed state ([c_alive], [upd_pins],
+    the shares). *)
+
+val widen_classes : t -> int -> t
+(** [widen_classes t cap]: [t] over [cap] class slots, its first
+    [n_classes] copied; the rest are alive, pinned nowhere and hold no
+    shares.  The per-backend state is [t]'s own, not a copy. *)
+
 val holds : t -> int -> int -> bool
 val overlaps : t -> int -> int -> bool
 val replica_count : t -> int -> int

@@ -8,11 +8,10 @@ let allocate (workload : Workload.t) (backend_list : Backend.t list) :
      result copies back by position. *)
   let nc = Array.length (Allocation.classes alloc) in
   for b = 0 to Allocation.num_backends alloc - 1 do
-    Dense.Bits.iter (Allocation.add_fragment_at alloc b) t.Dense.held.(b);
-    for k = 0 to nc - 1 do
-      let w = t.Dense.assign.(b).(k) in
-      if w <> 0. then Allocation.set_assign_at alloc b k w
-    done
+    Dense.Bits.iter (Allocation.add_fragment_at alloc b) t.Dense.held.(b)
+  done;
+  for k = 0 to nc - 1 do
+    Dense.iter_shares t k (fun b w -> Allocation.set_assign_at alloc b k w)
   done;
   Invariants.check_allocation ~context:"Greedy.allocate" alloc;
   alloc

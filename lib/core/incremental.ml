@@ -183,54 +183,29 @@ let extend_instance (inst : Dense.instance) ~reweights ~added ~added_backends
   }
 
 (* Widen the state onto the extended instance, CONSUMING the input: the
-   assign rows, held bitsets and membership vectors are reused by the
-   result, the slack region for appended classes is re-zeroed, and only
-   the small per-backend outer arrays are rebuilt when backends were
-   added.  O(backends + appended classes x backends), no O(fragments)
-   or O(classes) copies on the common path. *)
+   shares, held bitsets and membership vectors are reused by the result,
+   the slack slots for appended classes are reset, and only the small
+   per-backend arrays are rebuilt when backends were added (a new backend
+   holds no shares, so it needs no class-indexed state).  O(backends +
+   appended classes), no O(fragments) or O(classes) copies on the common
+   path. *)
 let extend_state (t : Dense.t) (inst : Dense.instance) : Dense.t =
   let open Dense in
   let n = Array.length t.inst.backends and nc = t.inst.n_classes in
   let n' = Array.length inst.backends and nc' = inst.n_classes in
-  let row_cap = if n = 0 then 0 else Array.length t.assign.(0) in
   let t =
-    if
-      nc' <= Array.length t.c_alive
-      && nc' <= Array.length t.upd_pins
-      && (n = 0 || nc' <= row_cap)
-    then t
-    else begin
-      let cap = max (class_capacity nc') (2 * max row_cap nc') in
-      let c_alive = Array.make cap true in
-      Array.blit t.c_alive 0 c_alive 0 nc;
-      let upd_pins = Array.make cap 0 in
-      Array.blit t.upd_pins 0 upd_pins 0 nc;
-      let assign =
-        Array.map
-          (fun row ->
-            let row' = Array.make cap 0. in
-            Array.blit row 0 row' 0 nc;
-            row')
-          t.assign
-      in
-      { t with c_alive; upd_pins; assign }
-    end
+    if nc' <= class_slots t then t
+    else widen_classes t (max (class_capacity nc') (2 * max (class_slots t) nc'))
   in
   (* Appended-class slots get explicit defaults (never rely on the slack
-     still holding its creation-time zeros). *)
+     still holding its creation-time values). *)
   for c = nc to nc' - 1 do
     t.c_alive.(c) <- true;
-    t.upd_pins.(c) <- 0
+    t.upd_pins.(c) <- 0;
+    iter_shares t c (fun b _ -> set_share t b c 0.)
   done;
-  if nc' > nc then
-    for b = 0 to n - 1 do
-      Array.fill t.assign.(b) nc (nc' - nc) 0.
-    done;
   if n' = n then { t with inst }
   else begin
-    let row_cap =
-      if n = 0 then class_capacity nc' else Array.length t.assign.(0)
-    in
     let b_alive = Array.make n' true in
     Array.blit t.b_alive 0 b_alive 0 n;
     let load = Array.make n' 0. in
@@ -238,24 +213,18 @@ let extend_state (t : Dense.t) (inst : Dense.instance) : Dense.t =
     let stored = Array.make n' 0. in
     Array.blit t.stored 0 stored 0 n;
     {
+      t with
       inst;
       b_alive;
-      c_alive = t.c_alive;
       held =
         Array.init n' (fun b ->
             if b < n then t.held.(b) else Bits.create inst.n_frags);
-      assign =
-        Array.init n' (fun b ->
-            if b < n then t.assign.(b) else Array.make row_cap 0.);
       load;
       stored;
-      upd_pins = t.upd_pins;
       active =
         Array.init n' (fun b -> if b < n then t.active.(b) else Vec.create ());
       pinned =
         Array.init n' (fun b -> if b < n then t.pinned.(b) else Vec.create ());
-      scratch_bits = t.scratch_bits;
-      scratch_stack = t.scratch_stack;
     }
   end
 
@@ -316,9 +285,9 @@ let best_dest (st : Dense.t) ?topology ?(exclude = -1) ?(skip_holders = false) c
 let pin_update (st : Dense.t) b u =
   let open Dense in
   let w = st.inst.class_weight.(u) in
-  if st.assign.(b).(u) < w then begin
-    let old = st.assign.(b).(u) in
-    st.assign.(b).(u) <- w;
+  let old = share st b u in
+  if old < w then begin
+    set_share st b u w;
     st.load.(b) <- st.load.(b) +. (w -. old);
     if old <= 0. then begin
       Vec.push st.pinned.(b) u;
@@ -409,24 +378,21 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
     (fun (c, w0, w1) ->
       touch c;
       if Dense.is_update inst c then
-        for b = 0 to num_backends st - 1 do
-          if st.assign.(b).(c) > 0. then begin
-            st.load.(b) <- st.load.(b) +. (w1 -. st.assign.(b).(c));
-            st.assign.(b).(c) <- w1
-          end
-        done
+        iter_shares st c (fun b a ->
+            if a > 0. then begin
+              st.load.(b) <- st.load.(b) +. (w1 -. a);
+              set_share st b c w1
+            end)
       else begin
         let to_prune = ref [] in
         if w0 > Eps.tiny then
-          for b = 0 to num_backends st - 1 do
-            let a = st.assign.(b).(c) in
-            if a > 0. then begin
-              let a' = a *. (w1 /. w0) in
-              st.assign.(b).(c) <- a';
-              st.load.(b) <- st.load.(b) +. (a' -. a);
-              if a' <= 0. then to_prune := b :: !to_prune
-            end
-          done;
+          iter_shares st c (fun b a ->
+              if a > 0. then begin
+                let a' = a *. (w1 /. w0) in
+                set_share st b c a';
+                st.load.(b) <- st.load.(b) +. (a' -. a);
+                if a' <= 0. then to_prune := b :: !to_prune
+              end);
         if prune_allowed then
           List.iter
             (fun b ->
@@ -451,16 +417,14 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
       touch c;
       st.c_alive.(c) <- false;
       let to_prune = ref [] in
-      for b = 0 to num_backends st - 1 do
-        let a = st.assign.(b).(c) in
-        if a > 0. then begin
-          st.assign.(b).(c) <- 0.;
-          st.load.(b) <- st.load.(b) -. a;
-          if Dense.is_update inst c then
-            st.upd_pins.(c) <- max 0 (st.upd_pins.(c) - 1);
-          to_prune := b :: !to_prune
-        end
-      done;
+      iter_shares st c (fun b a ->
+          if a > 0. then begin
+            set_share st b c 0.;
+            st.load.(b) <- st.load.(b) -. a;
+            if Dense.is_update inst c then
+              st.upd_pins.(c) <- max 0 (st.upd_pins.(c) - 1);
+            to_prune := b :: !to_prune
+          end);
       if prune_allowed then
         List.iter
           (fun b ->
@@ -474,13 +438,13 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
       touch_held rb;
       (* Reads leave first (to holders when possible), then orphaned
          updates are re-homed, then the node's data is dropped. *)
-      Vec.filter_in_place (fun c -> st.assign.(rb).(c) > 0.) st.active.(rb);
+      Vec.filter_in_place (fun c -> share st rb c > 0.) st.active.(rb);
       Vec.iter
         (fun c ->
-          let a = st.assign.(rb).(c) in
+          let a = share st rb c in
           if a > 0. && st.c_alive.(c) then begin
             touch c;
-            st.assign.(rb).(c) <- 0.;
+            set_share st rb c 0.;
             st.load.(rb) <- st.load.(rb) -. a;
             let dest = best_dest st ~exclude:rb c in
             if dest >= 0 then begin
@@ -494,10 +458,11 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
       Vec.clear st.active.(rb);
       Vec.iter
         (fun u ->
-          if st.assign.(rb).(u) > 0. then begin
+          let a = share st rb u in
+          if a > 0. then begin
             touch u;
-            st.load.(rb) <- st.load.(rb) -. st.assign.(rb).(u);
-            st.assign.(rb).(u) <- 0.;
+            st.load.(rb) <- st.load.(rb) -. a;
+            set_share st rb u 0.;
             st.upd_pins.(u) <- st.upd_pins.(u) - 1;
             if st.upd_pins.(u) = 0 && st.c_alive.(u) then begin
               let dest = best_dest st ~exclude:rb u in
@@ -578,7 +543,7 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
         done;
         if !donor >= 0 then begin
           let d = !donor in
-          Vec.filter_in_place (fun c -> st.assign.(d).(c) > 0.) st.active.(d);
+          Vec.filter_in_place (fun c -> share st d c > 0.) st.active.(d);
           (* Cheapest-to-move read class: most weight per missing MB,
              within the remaining fragment budget. *)
           let best_c = ref (-1) and best_ratio = ref neg_infinity in
@@ -589,9 +554,7 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
                 Dense.iter_footprint inst c (fun f ->
                     if not (Bits.get st.held.(nb) f) then incr miss);
                 if !miss <= !budget_left then begin
-                  let ratio =
-                    st.assign.(d).(c) /. (missing_mb st nb c +. 1e-9)
-                  in
+                  let ratio = share st d c /. (missing_mb st nb c +. 1e-9) in
                   if ratio > !best_ratio then begin
                     best_ratio := ratio;
                     best_c := c
@@ -604,17 +567,18 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
             let miss = ref 0 in
             Dense.iter_footprint inst c (fun f ->
                 if not (Bits.get st.held.(nb) f) then incr miss);
-            let amount = min st.assign.(d).(c) (target -. st.load.(nb)) in
+            let a = share st d c in
+            let amount = min a (target -. st.load.(nb)) in
             if amount > Eps.assign then begin
               touch c;
               budget_left := !budget_left - !miss;
               rebalance_frags := !rebalance_frags + !miss;
-              st.assign.(d).(c) <- st.assign.(d).(c) -. amount;
+              set_share st d c (a -. amount);
               st.load.(d) <- st.load.(d) -. amount;
               ignore (install_class st nb c);
               add_assign st nb c amount;
               st.load.(nb) <- st.load.(nb) +. amount;
-              if prune_allowed && st.assign.(d).(c) <= 0. then begin
+              if prune_allowed && share st d c <= 0. then begin
                 touch_held d;
                 prune_backend st d
               end;
@@ -659,7 +623,7 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
         && !donor_r > (!recv_r *. 1.05) +. Eps.assign
       then begin
         let d = !donor and nb = !recv in
-        Vec.filter_in_place (fun c -> st.assign.(d).(c) > 0.) st.active.(d);
+        Vec.filter_in_place (fun c -> share st d c > 0.) st.active.(d);
         (* The pairwise equalizing transfer: enough weight that both
            ends meet at the same relative load, capped per class by what
            the donor actually assigns to it. *)
@@ -682,7 +646,7 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
               Dense.iter_footprint inst c (fun f ->
                   if not (Bits.get st.held.(nb) f) then incr miss);
               if !miss <= !budget_left then begin
-                let amt = min st.assign.(d).(c) equalize in
+                let amt = min (share st d c) equalize in
                 if
                   amt > !best_amt +. Eps.assign
                   || (amt > !best_amt -. Eps.assign && !miss < !best_miss)
@@ -703,12 +667,13 @@ let repair ?(k = 0) ?topology ?budget ?(balance = false) (t : Dense.t)
             touch_held nb;
             budget_left := !budget_left - !miss;
             rebalance_frags := !rebalance_frags + !miss;
-            st.assign.(d).(c) <- st.assign.(d).(c) -. amount;
+            let a = share st d c in
+            set_share st d c (a -. amount);
             st.load.(d) <- st.load.(d) -. amount;
             ignore (install_class st nb c);
             add_assign st nb c amount;
             st.load.(nb) <- st.load.(nb) +. amount;
-            if prune_allowed && st.assign.(d).(c) <= 0. then begin
+            if prune_allowed && share st d c <= 0. then begin
               touch_held d;
               prune_backend st d
             end;
