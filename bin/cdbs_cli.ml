@@ -1448,7 +1448,7 @@ let alloc_cmd =
       & info [ "check" ]
           ~doc:
             "Exit non-zero if the dense checker finds any error in the \
-             produced or repaired allocation.")
+             greedy, memetic or repaired allocation.")
   in
   let max_seconds_arg =
     Arg.(
@@ -1490,6 +1490,7 @@ let alloc_cmd =
     emit output ~json:(Fa.to_json r) (fun () -> Fmt.pr "%a" Fa.pp_result r);
     let errors =
       r.Fa.check_errors
+      + (match r.Fa.memetic with Some m -> m.Fa.memetic_errors | None -> 0)
       + match r.Fa.repair with Some rp -> rp.Fa.repair_errors | None -> 0
     in
     fail_on "alloc"

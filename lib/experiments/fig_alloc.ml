@@ -64,6 +64,7 @@ type memetic_result = {
   memetic_scale : float;
   memetic_stored : float;
   domains_used : int;
+  memetic_errors : int;
 }
 
 type repair_result = {
@@ -134,6 +135,7 @@ let run ?(params = default) () =
             memetic_scale = Dense.scale m;
             memetic_stored = Dense.total_stored m;
             domains_used;
+            memetic_errors = List.length (Diag.errors (Check.check_dense m));
           }
   in
   let repair =
@@ -183,9 +185,9 @@ let to_json r =
   | Some m ->
       Printf.bprintf b
         ",\"memetic\":{\"wall_s\":%.3f,\"scale\":%.4f,\"stored_mb\":%.1f,\
-         \"islands\":%d,\"generations\":%d,\"domains\":%d}"
+         \"islands\":%d,\"generations\":%d,\"domains\":%d,\"errors\":%d}"
         m.memetic_s m.memetic_scale m.memetic_stored r.p.islands
-        r.p.generations m.domains_used);
+        r.p.generations m.domains_used m.memetic_errors);
   (match r.repair with
   | None -> ()
   | Some rp ->
@@ -210,10 +212,10 @@ let pp_result ppf r =
   | Some m ->
       Fmt.pf ppf
         "memetic: %d islands x %d generations on %d domain%s in %.2f s \
-         (scale %.3f, %.0f MB stored)@."
+         (scale %.3f, %.0f MB stored, %d checker errors)@."
         r.p.islands r.p.generations m.domains_used
         (if m.domains_used = 1 then "" else "s")
-        m.memetic_s m.memetic_scale m.memetic_stored);
+        m.memetic_s m.memetic_scale m.memetic_stored m.memetic_errors);
   match r.repair with
   | None -> ()
   | Some rp ->

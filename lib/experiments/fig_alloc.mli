@@ -36,6 +36,7 @@ type memetic_result = {
   memetic_scale : float;
   memetic_stored : float;
   domains_used : int;
+  memetic_errors : int;  (** dense-checker errors on the memetic state *)
 }
 
 type repair_result = {
