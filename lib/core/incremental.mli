@@ -12,8 +12,8 @@
     touched classes are re-replicated and re-spread, so k-safety and
     zone spread survive the delta.
 
-    {!repair} CONSUMES its input: the result reuses the input's assign
-    rows, bitsets and membership vectors in place (widened over an
+    {!repair} CONSUMES its input: the result reuses the input's shares,
+    bitsets and membership vectors in place (widened over an
     extended instance when classes or backends were added), so the
     input state must not be used afterwards — {!Dense.copy} it first if
     the pre-delta allocation is still needed.  This is what makes the
