@@ -7,8 +7,10 @@
     library of temporal invariants over the protocol state machines the
     fault engine, the resilience stack and the migration runner execute —
     the simulation-world equivalent of a thread/address sanitizer for the
-    serving stack.  Violations are reported as {!Diagnostic.t} values
-    under the [TRC*] namespace:
+    serving stack.  {!observe} matches every {!Cdbs_telemetry.Trace.event}
+    constructor by name, with no catch-all case, so a new event kind does
+    not compile until the monitor decides what it means.  Violations are
+    reported as {!Diagnostic.t} values under the [TRC*] namespace:
 
     - [TRC001] crash of an already-crashed backend
     - [TRC002] recovery of a backend that is not down
@@ -30,9 +32,10 @@
       after its arm was consumed), wins exceeding hedges, or a hedge
       armed to fire in the past
     - [TRC010] span pairing: an [.end] event without a matching [.start],
-      or a negative span duration
-    - [TRC011] event sanity: non-finite or negative timestamp, negative
-      service interval, or a protocol event missing a required attribute
+      or a negative span duration (free-form events; a typed
+      ["control.reallocate.start"] also opens its span)
+    - [TRC011] event sanity: non-finite or negative timestamp, or a
+      negative service interval
     - [TRC012] (warning) the attached trace ring overflowed — the
       retained ring is a suffix; monitors still saw every event
     - [TRC013] partition lifecycle: work booked on a partitioned backend

@@ -32,18 +32,15 @@ let stat_of tbl id =
       Hashtbl.replace tbl id s;
       s
 
-let attr e key = List.assoc_opt key e.Trace.attrs
-
 let observe t (e : Trace.event) =
-  if String.equal e.Trace.name "backend.serve" then
-    match (attr e "cls", attr e "start", attr e "finish") with
-    | Some (Trace.Str cls), Some (Trace.Float start), Some (Trace.Float fin)
-      when Float.is_finite start && Float.is_finite fin && fin >= start ->
-        let s = stat_of t.win cls in
-        s.count <- s.count +. 1.;
-        s.service_s <- s.service_s +. (fin -. start);
-        t.harvested <- t.harvested + 1
-    | _ -> ()
+  match e with
+  | Backend_serve { kind = Read cls; start; finish = fin; _ }
+    when Float.is_finite start && Float.is_finite fin && fin >= start ->
+      let s = stat_of t.win cls in
+      s.count <- s.count +. 1.;
+      s.service_s <- s.service_s +. (fin -. start);
+      t.harvested <- t.harvested + 1
+  | _ -> ()
 
 let attach t (sink : Sink.t) =
   let trace = sink.Sink.trace in

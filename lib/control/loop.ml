@@ -78,13 +78,15 @@ let create ?(config = default) ?topology ~sink ~allocation () =
   validate_config config;
   let est = Estimator.create ~half_life_windows:config.half_life_windows () in
   ignore (Estimator.attach est sink);
-  Tel.Sink.ev (Some sink) ~at:0. "control.session"
-    [
-      ("threshold", Tel.Trace.Float config.detector.Drift.threshold);
-      ("hysteresis", Tel.Trace.Float config.detector.Drift.hysteresis);
-      ("cooldown_s", Tel.Trace.Float config.detector.Drift.cooldown_s);
-      ("canary_windows", Tel.Trace.Int config.canary_windows);
-    ];
+  Tel.Trace.push sink.Tel.Sink.trace
+    (Control_session
+       {
+         at = 0.;
+         threshold = config.detector.Drift.threshold;
+         hysteresis = config.detector.Drift.hysteresis;
+         cooldown_s = config.detector.Drift.cooldown_s;
+         canary_windows = config.canary_windows;
+       });
   {
     cfg = config;
     topology;
@@ -115,7 +117,7 @@ let set_allocation t alloc =
     invalid_arg "Loop.set_allocation: a reallocation is in flight";
   t.alloc <- alloc
 
-let ev t ~at name attrs = Tel.Sink.ev (Some t.sink) ~at name attrs
+let ev t e = Tel.Trace.push t.sink.Tel.Sink.trace e
 
 let read_mix (w : Core.Workload.t) =
   List.map
@@ -169,16 +171,17 @@ let plan t ~at ~merged =
     in
     let wins = cost_after <= cost_before *. (1. -. t.cfg.margin) in
     let accepted = clean && wins in
-    ev t ~at "control.plan"
-      [
-        ("accepted", Tel.Trace.Bool accepted);
-        ("clean", Tel.Trace.Bool clean);
-        ("cost_before", Tel.Trace.Float cost_before);
-        ("cost_after", Tel.Trace.Float cost_after);
-        ("moved_mb", Tel.Trace.Float stats.Core.Incremental.moved_mb);
-        ( "moved_fragments",
-          Tel.Trace.Int stats.Core.Incremental.moved_fragments );
-      ];
+    ev t
+      (Control_plan
+         {
+           at;
+           accepted;
+           clean;
+           cost_before;
+           cost_after;
+           moved_mb = stats.Core.Incremental.moved_mb;
+           moved_fragments = stats.Core.Incremental.moved_fragments;
+         });
     if accepted then
       Some (Core.Dense.to_allocation candidate, stats.Core.Incremental.moved_mb)
     else None
@@ -199,14 +202,8 @@ let observe_window t ~at ~p99_s ~availability =
       in
       (match breach with
       | Some (metric, value, limit) ->
-          ev t ~at "control.breach"
-            [
-              ("id", Tel.Trace.Int c.id);
-              ("metric", Tel.Trace.Str metric);
-              ("value", Tel.Trace.Float value);
-              ("limit", Tel.Trace.Float limit);
-            ];
-          ev t ~at "control.rollback" [ ("id", Tel.Trace.Int c.id) ];
+          ev t (Control_breach { at; id = c.id; metric; value; limit });
+          ev t (Control_rollback { at; id = c.id });
           Drift.action_done t.det ~now:at;
           t.alloc <- c.prev;
           t.rollbacks <- t.rollbacks + 1;
@@ -215,7 +212,7 @@ let observe_window t ~at ~p99_s ~availability =
       | None ->
           c.windows_left <- c.windows_left - 1;
           if c.windows_left <= 0 then begin
-            ev t ~at "control.commit" [ ("id", Tel.Trace.Int c.id) ];
+            ev t (Control_commit { at; id = c.id });
             Drift.action_done t.det ~now:at;
             t.commits <- t.commits + 1;
             t.phase <- Observing
@@ -230,12 +227,14 @@ let observe_window t ~at ~p99_s ~availability =
         t.peak_score <- max t.peak_score score;
         if not (Drift.update t.det ~now:at ~score) then Stay
         else begin
-          ev t ~at "control.trigger"
-            [
-              ("score", Tel.Trace.Float score);
-              ("threshold", Tel.Trace.Float t.cfg.detector.Drift.threshold);
-              ("cooldown_s", Tel.Trace.Float t.cfg.detector.Drift.cooldown_s);
-            ];
+          ev t
+            (Control_trigger
+               {
+                 at;
+                 score;
+                 threshold = t.cfg.detector.Drift.threshold;
+                 cooldown_s = t.cfg.detector.Drift.cooldown_s;
+               });
           let merged =
             Estimator.merge_into t.est (Core.Allocation.workload t.alloc)
           in
@@ -248,11 +247,7 @@ let observe_window t ~at ~p99_s ~availability =
           | Some (next, moved_mb) ->
               let id = t.next_id in
               t.next_id <- t.next_id + 1;
-              ev t ~at "control.reallocate.start"
-                [
-                  ("id", Tel.Trace.Int id);
-                  ("moved_mb", Tel.Trace.Float moved_mb);
-                ];
+              ev t (Control_reallocate_start { at; id; moved_mb });
               let prev = t.alloc in
               t.alloc <- next;
               t.reallocations <- t.reallocations + 1;

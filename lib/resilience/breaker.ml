@@ -1,9 +1,4 @@
-type state = Closed | Open | Half_open
-
-let state_label = function
-  | Closed -> "closed"
-  | Open -> "open"
-  | Half_open -> "half_open"
+type state = Cdbs_telemetry.Trace.breaker_state = Closed | Open | Half_open
 
 type config = {
   ewma_alpha : float;

@@ -27,11 +27,9 @@
     Closing a breaker resets the backend's latency statistics so a stale
     EWMA from the bad period cannot immediately re-trip it. *)
 
-type state = Closed | Open | Half_open
-
-val state_label : state -> string
-(** ["closed"], ["open"] or ["half_open"] — the stable wire names used in
-    trace events and verified by the protocol monitor. *)
+type state = Cdbs_telemetry.Trace.breaker_state = Closed | Open | Half_open
+(** The trace's breaker state, so a transition is traced as it is;
+    {!Cdbs_telemetry.Trace.breaker_label} gives its wire name. *)
 
 type config = {
   ewma_alpha : float;  (** smoothing factor in (0, 1] for the latency EWMA *)

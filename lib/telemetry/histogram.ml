@@ -47,10 +47,6 @@ let index_of t v =
   int_of_float
     (floor (log10 (v /. t.min_value) *. float_of_int t.per_decade))
 
-let bucket_lower t i =
-  if i < 0 then 0.
-  else t.min_value *. (10. ** (float_of_int i /. float_of_int t.per_decade))
-
 (* Geometric midpoint of bucket [i]: sqrt(lower * upper), i.e. the bucket
    boundary formula evaluated at i + 1/2. *)
 let bucket_mid t i =

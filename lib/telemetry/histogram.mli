@@ -82,8 +82,5 @@ val buckets : t -> (int * int) list
     [[min_value * 10^(i/per_decade), min_value * 10^((i+1)/per_decade))].
     [infinity] observations are in {!count} but in no bucket. *)
 
-val bucket_lower : t -> int -> float
-(** Lower bound of bucket [i] (the underflow bucket [-1] reports 0). *)
-
 val pp : Format.formatter -> t -> unit
 (** One-line summary: count, mean, p50/p95/p99, max. *)

@@ -18,5 +18,5 @@ let h sink name v =
   | None -> ()
   | Some s -> Histogram.record (Metrics.histogram s.metrics name) v
 
-let ev sink ~at name attrs =
-  match sink with None -> () | Some s -> Trace.emit s.trace ~at name attrs
+let push sink e = match sink with None -> () | Some s -> Trace.push s.trace e
+let ev sink ~at name attrs = push sink (Trace.custom ~at name attrs)

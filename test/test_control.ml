@@ -40,12 +40,9 @@ let clean name m =
 (* One synthetic read-serve event in the shape the simulator emits (the
    estimator keys on the "cls" tag). *)
 let serve tr ~at ~cls ~dur =
-  Trace.emit tr ~at "backend.serve"
-    [
-      ("backend", Trace.Int 0); ("kind", Trace.Str "read");
-      ("cls", Trace.Str cls); ("start", Trace.Float at);
-      ("finish", Trace.Float (at +. dur));
-    ]
+  Trace.push tr
+    (Backend_serve
+       { at; backend = 0; kind = Read cls; start = at; finish = at +. dur })
 
 (* ------------------------------------------------------------------ *)
 (* Estimator                                                           *)

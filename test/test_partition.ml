@@ -237,9 +237,8 @@ let test_partition_fences_until_caught_up () =
   Alcotest.(check int) "every heal lifts its fence" 2 (List.length lifts);
   (* Updates kept flowing on the majority, so the isolated side missed
      volume and the fence can only lift at or after the heal. *)
-  let at_of e = e.Trace.at in
-  let earliest_lift = List.fold_left min infinity (List.map at_of lifts) in
-  let earliest_heal = List.fold_left min infinity (List.map at_of heals) in
+  let earliest_lift = List.fold_left min infinity (List.map Trace.at lifts) in
+  let earliest_heal = List.fold_left min infinity (List.map Trace.at heals) in
   Alcotest.(check bool) "lift not before heal" true
     (earliest_lift >= earliest_heal)
 
@@ -281,19 +280,13 @@ let test_zone_outage_requires_topology () =
    the split-brain the epoch fence exists to prevent. *)
 let test_fencing_witness_regression () =
   let m = Mon.create () in
-  let ev at name attrs = Mon.observe m { Trace.at; name; attrs } in
-  ev 0. "run.start" [ ("backends", Trace.Int 4); ("offered", Trace.Int 0) ];
-  ev 1. "backend.partition" [ ("backend", Trace.Int 0) ];
-  ev 2. "backend.heal"
-    [
-      ("backend", Trace.Int 0); ("epoch", Trace.Int 1);
-      ("replay_mb", Trace.Float 3.);
-    ];
-  ev 3. "backend.serve"
-    [
-      ("backend", Trace.Int 0); ("kind", Trace.Str "read");
-      ("start", Trace.Float 3.); ("finish", Trace.Float 3.1);
-    ];
+  let ev = Mon.observe m in
+  ev (Run_start { at = 0.; backends = 4; offered = 0 });
+  ev (Backend_partition { at = 1.; backend = 0 });
+  ev (Backend_heal { at = 2.; backend = 0; epoch = 1; replay_mb = 3. });
+  ev
+    (Backend_serve
+       { at = 3.; backend = 0; kind = Read "C1"; start = 3.; finish = 3.1 });
   has "TRC015" (Diagnostic.errors (Mon.report m))
 
 (* ---------------- domain-aware k-safety ---------------- *)

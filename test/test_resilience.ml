@@ -361,11 +361,9 @@ let test_shed_victim_tie () =
   in
   let shed_uids =
     List.filter_map
-      (fun (e : Cdbs_telemetry.Trace.event) ->
-        match List.assoc_opt "uid" e.Cdbs_telemetry.Trace.attrs with
-        | Some (Cdbs_telemetry.Trace.Int u) -> Some u
-        | _ -> None)
-      (Cdbs_telemetry.Trace.find sink.Cdbs_telemetry.Sink.trace "request.shed")
+      (function
+        | Cdbs_telemetry.Trace.Request_shed { uid; _ } -> Some uid | _ -> None)
+      (Cdbs_telemetry.Trace.events sink.Cdbs_telemetry.Sink.trace)
   in
   Alcotest.(check int) "one read shed" 1 fo.Simulator.shed;
   Alcotest.(check (list int)) "the newest of the tied queued reads" [ 2 ]
