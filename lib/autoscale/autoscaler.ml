@@ -72,13 +72,20 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
     let n_requests = int_of_float (rate *. window_minutes /. 10.) in
     let specs = Spec.requests ~rng ~n:n_requests (Trace.specs_at ~hour) in
     let window_seconds = window_minutes *. 60. in
+    (* Arrivals are drawn in list order, then the requests are stably
+       sorted by arrival.  Sorting positions by an unboxed key array and
+       building the records in arrival order keeps the sort off the
+       records and lays them out in the order the simulator walks. *)
     let requests =
-      List.map
-        (fun (r : Request.t) ->
-          { r with Request.arrival = Cdbs_util.Rng.float rng window_seconds })
-        specs
-      |> List.sort (fun (a : Request.t) b ->
-             Stdlib.compare a.Request.arrival b.Request.arrival)
+      let specs = Array.of_list specs in
+      let n = Array.length specs in
+      let arrival =
+        Float.Array.init n (fun _ -> Cdbs_util.Rng.float rng window_seconds)
+      in
+      let order = Cdbs_util.Stats.stable_order arrival in
+      List.init n (fun k ->
+          let i = order.(k) in
+          { (specs.(i) : Request.t) with arrival = Float.Array.get arrival i })
     in
     let run alloc_now count =
       let config = Simulator.homogeneous_config count in

@@ -20,6 +20,12 @@ val nearest_rank : float array -> float -> float
     several [p] to share the copy.
     @raise Invalid_argument when queried on an empty sample. *)
 
+val stable_order : Float.Array.t -> int array
+(** The positions [0 .. n-1] of [keys] in ascending key order, equal keys
+    in position order: the permutation a stable sort with [Float.compare]
+    gives.  A merge sort on the unboxed keys, with no comparison
+    closure. *)
+
 val percentile : float -> float list -> float
 (** [percentile p xs] is [nearest_rank (Array.of_list xs) p].
     @raise Invalid_argument on an empty list. *)

@@ -93,16 +93,19 @@ let class_counts ~n specs =
 
 let requests ~rng ~n specs =
   let counts = class_counts ~n specs in
-  let all =
-    List.concat_map
-      (fun spec ->
-        let count = Option.value ~default:0 (List.assoc_opt spec.id counts) in
-        List.init count (fun _ ->
-            match spec.kind with
-            | Read -> Request.read ~cost_mb:spec.request_mb spec.id
-            | Update -> Request.update ~cost_mb:spec.request_mb spec.id))
-      specs
+  (* Requests are immutable, so a spec's copies share one record. *)
+  let arr =
+    Array.concat
+      (List.map
+         (fun spec ->
+           let count =
+             Option.value ~default:0 (List.assoc_opt spec.id counts)
+           in
+           Array.make count
+             (match spec.kind with
+             | Read -> Request.read ~cost_mb:spec.request_mb spec.id
+             | Update -> Request.update ~cost_mb:spec.request_mb spec.id))
+         specs)
   in
-  let arr = Array.of_list all in
   Cdbs_util.Rng.shuffle rng arr;
   Array.to_list arr

@@ -114,6 +114,22 @@ dune exec bin/cdbs_cli.exe -- autotune --smoke --monitor --require-win \
   --json --out BENCH_drift.json
 test -s BENCH_drift.json
 
+# Full-scale elastic day (trace x40, the paper's factor, 10-minute
+# windows).  Tier-1 runs the autoscaler tests on smaller days (scale 1 for
+# live deployment, scale 10 for load tracking), so CI keeps the full-scale
+# day and holds it to the same bounds: a day-average response under
+# 100 ms and at least two scaling actions.  It takes tens of seconds, so
+# test/cli.t does not pin it.
+dune exec bin/cdbs_cli.exe -- experiment elastic | awk '
+  /^day average response:/ { seen = 1; avg = $4 + 0; scaled = $11 + 0 }
+  END {
+    if (!seen || avg >= 100 || scaled < 2) {
+      print "error: full-scale elastic day: average " avg " ms, " scaled \
+        " reallocations" > "/dev/stderr"
+      exit 1
+    }
+  }'
+
 # Allocator scale smoke: 100k fragments x 50 backends through the dense
 # greedy under a wall-clock gate, diagnostic-clean, with the O(delta)
 # incremental-repair gate (a 1% workload delta may move at most 5% of

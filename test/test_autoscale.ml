@@ -56,9 +56,10 @@ let test_policy_cooldown () =
 
 let test_elastic_day_smoke () =
   (* A shortened day (30-minute windows, modest scale) must track the load
-     shape: fewer nodes at night than at the peak, bounded response. *)
+     shape: fewer nodes at night than at the peak, bounded response.
+     Scale 10 is the smallest at which the peak takes a second node. *)
   let summary =
-    Autoscaler.simulate_day ~window_minutes:30. ~scale:20.
+    Autoscaler.simulate_day ~window_minutes:30. ~scale:10.
       ~rng:(Cdbs_util.Rng.create 7) ()
   in
   let nodes_at hour =

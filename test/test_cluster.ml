@@ -350,6 +350,19 @@ let prop_nearest_rank_bits =
       (* Each query reorders the working copy; ask twice, in both orders. *)
       List.for_all (fun p -> same_bits (q p) (want p)) (ps @ List.rev ps))
 
+let prop_stable_order =
+  QCheck.Test.make ~count:500
+    ~name:"stable_order = stable sort of positions by Float.compare"
+    tied_samples (fun (xs, _) ->
+      let keys = Float.Array.of_list xs in
+      let want = Array.init (Float.Array.length keys) Fun.id in
+      Array.stable_sort
+        (fun i j ->
+          Float.compare (Float.Array.get keys i) (Float.Array.get keys j))
+        want;
+      Stats.stable_order keys = want
+      && Stats.stable_order (Float.Array.create 0) = [||])
+
 (* The list-based read routing that [best_read_target] replaced, kept here
    as the reference: the base set (assigned backends, else holders; live
    sets in dynamic mode), the fail-open health filter, then the first
@@ -514,5 +527,6 @@ let suite =
     Alcotest.test_case "controller: empty journal" `Quick
       test_controller_empty_journal;
     QCheck_alcotest.to_alcotest prop_nearest_rank_bits;
+    QCheck_alcotest.to_alcotest prop_stable_order;
     QCheck_alcotest.to_alcotest prop_best_read_target_matches_reference;
   ]

@@ -390,11 +390,14 @@ let test_controller_live_noop () =
 
 (* ---------------- autoscaler + experiment ---------------- *)
 
+(* The unscaled trace (scale 1) already scales the cluster down once at
+   night, so the live path runs; the golden suite pins a scale-4 live day
+   window by window. *)
 let test_autoscaler_live () =
   let rng = Cdbs_util.Rng.create 5 in
   let summary =
     match
-      Cdbs_autoscale.Autoscaler.simulate_days ~days:1 ~live:true
+      Cdbs_autoscale.Autoscaler.simulate_days ~days:1 ~live:true ~scale:1.
         ~bandwidth_mb_s:10. ~rng ()
     with
     | [ s ] -> s
