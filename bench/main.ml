@@ -1,6 +1,6 @@
-(* Bechamel micro-benchmarks of the allocation machinery.  The paper's
-   tables and figures are sections of `cdbs experiment` (`all` runs every
-   one).
+(* Bechamel micro-benchmarks of the allocation machinery, the trace path
+   and the SQL executor.  The paper's tables and figures are sections of
+   `cdbs experiment` (`all` runs every one).
 
    Usage: main.exe [micro] *)
 
@@ -9,10 +9,10 @@ module Tel = Cdbs_telemetry
 
 (* Runs [f] under Bechamel and returns the OLS estimate per run of each
    measure in [instances], in order. *)
-let estimates instances name f =
+let estimates ?(quota = 0.5) instances name f =
   let open Bechamel in
   let test = Test.make ~name (Staged.stage f) in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
+  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second quota) () in
   let ols =
     Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
   in
@@ -65,6 +65,37 @@ let trace_benchmark () =
         (per ns) (per words) (per promoted);
       if not (Cdbs_analysis.Monitor.clean monitor) then
         failwith "trace benchmark: the monitor found violations"
+  | _ -> assert false
+
+(* The executor on joins that produce rows: the 19 TPC-H queries, parsed
+   once, on a linked database at sf-0.001 row counts (every foreign key
+   names a row; Datagen's data leaves nearly every join empty).  Reports
+   wall time and minor-heap words per query set. *)
+let executor_benchmark () =
+  let open Bechamel.Toolkit.Instance in
+  let module Tpch = Cdbs_workloads.Tpch in
+  let db =
+    Tpch.linked_database ~rng:(Cdbs_util.Rng.create 1)
+      ~rows:(Tpch.row_counts ~sf:0.001)
+  in
+  let statements =
+    List.map
+      (fun (_, sql) -> Cdbs_sql.Parser.parse sql)
+      Cdbs_workloads.Tpch_queries.all
+  in
+  let name = "19 TPC-H queries on linked sf-0.001 data" in
+  let run () =
+    List.iter
+      (fun st ->
+        match Cdbs_storage.Executor.execute db st with
+        | Ok _ -> ()
+        | Error e -> failwith e)
+      statements
+  in
+  match estimates ~quota:5. [ monotonic_clock; minor_allocated ] name run with
+  | [ ns; words ] ->
+      Fmt.pr "  %-52s %12.1f us %8.2f M words /query set@." name (ns /. 1e3)
+        (words /. 1e6)
   | _ -> assert false
 
 let microbenchmarks () =
@@ -132,7 +163,8 @@ let microbenchmarks () =
           ~n:2000
       in
       ignore (E.Common.simulate alloc reqs));
-  trace_benchmark ()
+  trace_benchmark ();
+  executor_benchmark ()
 
 let () =
   match Array.to_list Sys.argv with

@@ -36,3 +36,16 @@ val random_allocation :
     (whole) on a uniformly random backend; updates follow by closure.  Load
     is whatever falls out — the baseline that levels off at speedup ≈ 2.5
     in Fig. 4(a). *)
+
+val linked_database :
+  rng:Cdbs_util.Rng.t -> rows:(string * int) list -> Cdbs_storage.Database.t
+(** A database on {!schema} that the 19 queries of {!Tpch_queries} find
+    rows in, with [rows]' counts per table ([region] and [nation] always
+    hold TPC-H's 5 and 25, with 0-based keys and their real names).  Keys
+    are 1..n, as {!Cdbs_storage.Datagen} makes them; every foreign key
+    names an existing row, each [partsupp] row pairs a part with one of its
+    four suppliers and each [lineitem] ships a part from one of them.
+    Dates, flags, segments, priorities, brands, types, sizes, containers,
+    ship modes and comments are drawn from the literals the queries test.
+    {!Cdbs_storage.Datagen} draws keys from [0, 10^6) and strings as random
+    letters, so on its data nearly every join of the queries is empty. *)

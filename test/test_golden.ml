@@ -1,4 +1,6 @@
-(* Golden outcome digests of every simulator entry point.  Each case renders
+(* Golden outcome digests of every simulator entry point, and of the SQL
+   path: executor results on linked TPC-H data and a controller stream's
+   results, journal costs and placement.  Each simulator case renders
    every field of its outcomes with %h (exact hex floats), including the
    per-request responses, the recoveries, the per-backend downtime and the
    per-class replica minima, and pins the MD5 of that rendering.  Fault-
@@ -1063,6 +1065,278 @@ let monitor_reports b =
   done;
   render "TRC012 ring overflow" m
 
+(* ------------------------------------------------------------------ *)
+(* The SQL path: executor results and the controller's journal         *)
+(* ------------------------------------------------------------------ *)
+
+module Database = Cdbs_storage.Database
+module Executor = Cdbs_storage.Executor
+module Value = Cdbs_storage.Value
+module Controller = Cdbs_cluster.Controller
+
+let sql_value b = function
+  | Value.Int i -> Printf.bprintf b " %d" i
+  | Value.Float f -> Printf.bprintf b " %h" f
+  | Value.Str s -> Printf.bprintf b " %S" s
+  | Value.Bool x -> Printf.bprintf b " %b" x
+  | Value.Null -> Buffer.add_string b " NULL"
+
+(* Column names, every row in order, or the error message. *)
+let sql_result b = function
+  | Ok (Executor.Rows { columns; rows }) ->
+      Printf.bprintf b "rows [%s] %d\n" (String.concat "," columns)
+        (List.length rows);
+      List.iter
+        (fun row ->
+          Array.iter (sql_value b) row;
+          Buffer.add_char b '\n')
+        rows
+  | Ok (Executor.Affected n) -> Printf.bprintf b "affected %d\n" n
+  | Error e -> Printf.bprintf b "error %S\n" e
+
+let run_sql b db sql =
+  Printf.bprintf b "> %s\n" sql;
+  sql_result b (Executor.execute_sql db sql)
+
+let mini_tpch () =
+  Tpch.linked_database ~rng:(Rng.create 1)
+    ~rows:
+      [
+        ("supplier", 10); ("customer", 60); ("part", 80); ("partsupp", 320);
+        ("orders", 300); ("lineitem", 1200);
+      ]
+
+(* Mutated statements often lose an ON clause, and cross products of the
+   fact tables must stay small. *)
+let tiny_tpch () =
+  Tpch.linked_database ~rng:(Rng.create 2)
+    ~rows:
+      [
+        ("supplier", 4); ("customer", 10); ("part", 10); ("partsupp", 40);
+        ("orders", 20); ("lineitem", 60);
+      ]
+
+(* perfbench's seven point-write shapes, with fixed keys and values. *)
+let tpch_point_writes =
+  [
+    "UPDATE customer SET c_acctbal = c_acctbal + 123.45 WHERE c_custkey = 17";
+    "UPDATE part SET p_retailprice = 999.99 WHERE p_partkey = 23";
+    "UPDATE supplier SET s_acctbal = s_acctbal - 12.5 WHERE s_suppkey = 3";
+    "UPDATE partsupp SET ps_availqty = ps_availqty - 1 WHERE ps_partkey = 41";
+    "UPDATE orders SET o_totalprice = 5.25 WHERE o_orderkey = 77";
+    "INSERT INTO orders (o_orderkey, o_custkey, o_orderstatus, o_totalprice, \
+     o_orderdate, o_orderpriority, o_clerk, o_shippriority, o_comment) VALUES \
+     (10000001, 12, 'O', 321.5, '1996-03-14', '3-MEDIUM', 'Clerk#42', 0, \
+     'bench')";
+    "INSERT INTO lineitem (l_orderkey, l_partkey, l_suppkey, l_linenumber, \
+     l_quantity, l_extendedprice, l_discount, l_tax, l_returnflag, \
+     l_linestatus, l_shipdate, l_commitdate, l_receiptdate, l_shipinstruct, \
+     l_shipmode, l_comment) VALUES (10000001, 5, 6, 1, 7.0, 70.5, 0.06, 0.02, \
+     'N', 'O', '1997-04-12', '1997-05-21', '1997-06-23', 'NONE', 'MAIL', \
+     'bench')";
+  ]
+
+(* The 19 queries on linked data, after perfbench's point writes, and
+   after writes that touch many rows. *)
+let tpch_executor b =
+  let db = mini_tpch () in
+  let queries () = List.iter (fun (_, sql) -> run_sql b db sql) Tpch_queries.all in
+  queries ();
+  List.iter (run_sql b db) tpch_point_writes;
+  queries ();
+  List.iter (run_sql b db)
+    [
+      "UPDATE lineitem SET l_discount = l_discount + 0.01 WHERE l_shipmode = \
+       'MAIL'";
+      "UPDATE part SET p_size = p_size + 1 WHERE p_size BETWEEN 1 AND 5";
+      "DELETE FROM lineitem WHERE l_quantity > 45";
+      "DELETE FROM orders WHERE o_orderkey = 5 OR o_orderkey = 6";
+      "UPDATE orders SET o_orderkey = 5 WHERE o_orderkey = 7";
+    ];
+  queries ()
+
+(* Unknown columns and tables, arity mismatches, lazy errors, and the
+   resolution, join, grouping and ordering rules. *)
+let executor_rules b =
+  let db = mini_tpch () in
+  List.iter (run_sql b db)
+    [
+      "SELECT bogus FROM nation";
+      "SELECT x.n_name FROM nation";
+      "SELECT n_name FROM nation WHERE bogus = 1";
+      "SELECT n_name FROM nation WHERE n_nationkey < 0 AND bogus = 1";
+      "SELECT n_name FROM nation WHERE n_nationkey < 3 OR bogus = 1";
+      "SELECT n_name FROM nation WHERE n_nationkey IN (1, 2, bogus)";
+      "SELECT n_name FROM nation WHERE upper(n_name) = 'X'";
+      "SELECT upper(n_name) FROM nation";
+      "SELECT count(*) FROM nation GROUP BY bogus";
+      "SELECT count(*) FROM nation WHERE n_nationkey < 0 GROUP BY bogus";
+      "SELECT sum(*) FROM nation";
+      "SELECT sum(*) FROM nation WHERE n_nationkey < 0";
+      "SELECT count(n_name, n_nationkey) FROM nation";
+      "SELECT n_name FROM nation JOIN region ON bogus = r_regionkey";
+      "SELECT n_name FROM nation JOIN region ON n_regionkey = bogus";
+      "SELECT n_name FROM nation JOIN region ON n_regionkey < bogus";
+      "SELECT n_name FROM nation JOIN region ON r_regionkey = n_regionkey \
+       WHERE r_name = 'ASIA' ORDER BY n_name";
+      "SELECT * FROM bogus";
+      "SELECT n_name FROM nation JOIN bogus ON n_regionkey = b";
+      "SELECT * FROM nation JOIN bogus ON n_regionkey = b";
+      "SELECT n_name FROM nation JOIN region ON bogus = r_regionkey JOIN bogus \
+       ON a = b";
+      "INSERT INTO bogus VALUES (1)";
+      "UPDATE bogus SET a = 1";
+      "DELETE FROM bogus";
+      "INSERT INTO region (r_regionkey) VALUES (1, 2)";
+      "INSERT INTO region VALUES (9)";
+      "INSERT INTO region VALUES (1, 'x', 'y')";
+      "INSERT INTO region VALUES (9, bogus, 'y')";
+      "INSERT INTO region (r_regionkey, r_name) VALUES (7, NULL)";
+      "SELECT r_regionkey, r_comment FROM region WHERE r_comment = NULL";
+      "UPDATE nation SET bogus = 1 WHERE n_nationkey = 1";
+      "UPDATE nation SET n_comment = bogus WHERE n_nationkey = 1";
+      "UPDATE nation SET bogus = 1 WHERE n_nationkey = 99";
+      "DELETE FROM nation WHERE bogus = 1";
+      "DELETE FROM nation WHERE n_nationkey = 99 AND bogus = 1";
+      "UPDATE region SET r_name = r_comment, r_comment = r_name WHERE \
+       r_regionkey = 2";
+      "UPDATE region SET r_comment = 'q' WHERE x.r_regionkey = 3";
+      "SELECT * FROM region ORDER BY r_regionkey";
+      "SELECT *, r_name FROM region r WHERE r.r_regionkey > 2";
+      "SELECT n_name FROM nation n WHERE nation.n_nationkey = 1";
+      "SELECT n_name FROM nation ORDER BY n_regionkey DESC, n_name";
+      "SELECT n_name FROM nation ORDER BY bogus, n_name DESC";
+      "SELECT n_regionkey, count(*) AS n FROM nation GROUP BY n_regionkey \
+       ORDER BY n DESC, n_nationkey";
+      "SELECT a.n_name, b.n_name FROM nation a JOIN nation b ON a.n_regionkey \
+       = b.n_nationkey WHERE b.n_name = 'ARGENTINA'";
+      "SELECT nation.n_name, b.n_name FROM nation a JOIN nation b ON \
+       a.n_nationkey = b.n_regionkey";
+      "SELECT n_name, r_name FROM nation a, region WHERE a.n_regionkey = \
+       r_regionkey AND r_name = 'EUROPE' ORDER BY n_name";
+      "SELECT c_name, n_name FROM customer, nation WHERE c_nationkey = \
+       n_nationkey AND n_name = 'GERMANY' AND c_acctbal > 0 ORDER BY c_name";
+      "SELECT count(*) FROM lineitem JOIN part ON l_quantity = p_size";
+      "SELECT count(*), sum(o_totalprice) FROM orders JOIN customer ON \
+       o_custkey = c_custkey AND c_acctbal > 0";
+      "SELECT DISTINCT l_shipmode FROM lineitem ORDER BY l_shipmode LIMIT 3";
+      "SELECT l_returnflag, min(l_quantity), max(l_discount), avg(l_tax), \
+       count(l_comment), sum(l_extendedprice) / count(*) FROM lineitem GROUP \
+       BY l_returnflag HAVING count(*) > 10";
+      "SELECT o_totalprice / 0, o_orderkey - 1, o_orderkey * 2.5, -o_orderkey \
+       FROM orders WHERE o_orderkey <= 3";
+      "SELECT l_orderkey, l_linenumber FROM lineitem WHERE l_orderkey = 5 AND \
+       l_linenumber = 1";
+      "SELECT p_name FROM part WHERE p_name LIKE '_reen%' AND NOT p_size \
+       BETWEEN 2 AND 14";
+      "SELECT s_name, ps_partkey FROM supplier, partsupp WHERE s_suppkey = \
+       ps_suppkey AND ps_partkey < 4 AND s_acctbal > ps_supplycost";
+      "SELECT o_orderkey, count(*) FROM orders JOIN lineitem ON o_orderkey = \
+       l_orderkey WHERE o_orderkey < 10 AND 1 = 1 GROUP BY o_orderkey";
+      "SELECT p_partkey = 3, p_size > 4 AND p_size < 9 FROM part WHERE \
+       p_partkey < 6";
+      "DELETE FROM partsupp WHERE ps_partkey = 2";
+      "SELECT ps_partkey, ps_suppkey FROM partsupp WHERE ps_partkey < 4";
+    ]
+
+(* A fixed-seed corpus of mutated statements from the SQL fuzz property,
+   run one after another on the same database. *)
+let executor_fuzz b =
+  let db = tiny_tpch () in
+  List.iter (run_sql b db)
+    (QCheck.Gen.generate ~rand:(Random.State.make [| 22 |]) ~n:1000
+       Test_sql.mutated_statement)
+
+(* A controller stream shaped like perfbench's sql workload, on a quarter
+   of its rows: reads with the journal's query frequencies and 30% point
+   writes, on full replication, then reallocate, then on the partial
+   placement.  Every result, every journal cost and the placement. *)
+let controller_stream b =
+  let rows =
+    List.map (fun (t, n) -> (t, max 5 (n / 4))) (Tpch.row_counts ~sf:0.001)
+  in
+  let ctl =
+    Controller.create ~schema:Tpch.schema ~rows ~backends:4 ~seed:42
+  in
+  let rng = Rng.create 7 in
+  let fresh = ref 10_000_000 in
+  let write i =
+    let key tbl = 1 + Rng.int rng (List.assoc tbl rows) in
+    let amount () = float_of_int (Rng.int rng 100_000) /. 100. in
+    match i mod 7 with
+    | 0 ->
+        Printf.sprintf
+          "UPDATE customer SET c_acctbal = c_acctbal + %.2f WHERE c_custkey = %d"
+          (amount ()) (key "customer")
+    | 1 ->
+        Printf.sprintf
+          "UPDATE part SET p_retailprice = %.2f WHERE p_partkey = %d"
+          (amount ()) (key "part")
+    | 2 ->
+        Printf.sprintf
+          "UPDATE supplier SET s_acctbal = s_acctbal - %.2f WHERE s_suppkey = %d"
+          (amount ()) (key "supplier")
+    | 3 ->
+        Printf.sprintf
+          "UPDATE partsupp SET ps_availqty = ps_availqty - 1 WHERE ps_partkey \
+           = %d"
+          (key "partsupp")
+    | 4 ->
+        Printf.sprintf
+          "UPDATE orders SET o_totalprice = %.2f WHERE o_orderkey = %d"
+          (amount ()) (key "orders")
+    | 5 ->
+        incr fresh;
+        Printf.sprintf
+          "INSERT INTO orders (o_orderkey, o_custkey, o_orderstatus, \
+           o_totalprice, o_orderdate, o_orderpriority, o_clerk, \
+           o_shippriority, o_comment) VALUES (%d, %d, 'O', %.2f, \
+           '1996-01-10', '3-MEDIUM', 'Clerk#1', 0, 'bench')"
+          !fresh (key "customer") (amount ())
+    | _ ->
+        incr fresh;
+        Printf.sprintf
+          "INSERT INTO lineitem (l_orderkey, l_partkey, l_suppkey, \
+           l_linenumber, l_quantity, l_extendedprice, l_discount, l_tax, \
+           l_returnflag, l_linestatus, l_shipdate, l_commitdate, \
+           l_receiptdate, l_shipinstruct, l_shipmode, l_comment) VALUES (%d, \
+           %d, %d, 1, 3.0, %.2f, 0.05, 0.01, 'N', 'O', '1997-02-11', \
+           '1997-03-21', '1997-03-22', 'NONE', 'MAIL', 'bench')"
+          !fresh (key "part") (key "supplier") (amount ())
+  in
+  let phase n =
+    let writes = n * 3 / 10 in
+    let reads =
+      Journal.entries (Tpch_queries.journal ~rng ~n:(n - writes) ~sf:0.001)
+      |> List.map (fun (e : Journal.entry) -> e.Journal.sql)
+    in
+    let all = Array.of_list (List.init writes write @ reads) in
+    Rng.shuffle rng all;
+    Array.iter
+      (fun sql ->
+        Printf.bprintf b "> %s\n" sql;
+        sql_result b (Controller.submit ctl sql))
+      all
+  in
+  let placement () =
+    List.iter
+      (fun ts -> Printf.bprintf b "backend %s\n" (String.concat "," ts))
+      (Controller.backend_tables ctl)
+  in
+  phase 40;
+  (match Controller.reallocate ctl () with
+  | Ok mb -> Printf.bprintf b "reallocated %h\n" mb
+  | Error e -> Printf.bprintf b "reallocate error %S\n" e);
+  placement ();
+  phase 80;
+  List.iter
+    (fun (e : Journal.entry) ->
+      Printf.bprintf b "journal %h %h\n" e.Journal.at e.Journal.cost)
+    (Journal.entries (Controller.journal ctl));
+  let processed, total = Controller.stats ctl in
+  Printf.bprintf b "processed %d total %h\n" processed total;
+  placement ()
+
 let suite =
   [
     pinned "run_batch: TPC-App allocations under each protocol"
@@ -1109,4 +1383,12 @@ let suite =
       "db827395ec26c9c00aa1399bf451d9f6" dense_core;
     pinned "Monitor.report: one stream per TRC rule"
       "8f8279c4d199df4b58ffeb971ead66e6" monitor_reports;
+    pinned "Executor: TPC-H queries around writes on linked data"
+      "ae8039e59c7cf92be3b4871a927fe3bc" tpch_executor;
+    pinned "Executor: errors and resolution rules"
+      "dfb177da39049681141c48bd0444d18a" executor_rules;
+    pinned "Executor: 1,000 mutated statements"
+      "946dd9bffa019cf4ec6465764dbb7680" executor_fuzz;
+    pinned "Controller.submit: a mixed stream, reallocate, partial placement"
+      "8729b28f6d62b60b8f47ffd6984396c0" controller_stream;
   ]
