@@ -60,6 +60,10 @@ let of_list l =
 
 let clear t = t.len <- 0
 
+let truncate t n =
+  if n < 0 || n > t.len then invalid_arg "Vec.truncate: length out of bounds";
+  t.len <- n
+
 let filter_in_place p t =
   let keep = ref 0 in
   for i = 0 to t.len - 1 do

@@ -19,5 +19,8 @@ val to_array : 'a t -> 'a array
 val of_list : 'a list -> 'a t
 val clear : 'a t -> unit
 
+val truncate : 'a t -> int -> unit
+(** [truncate t n] keeps the first [n] elements. *)
+
 val filter_in_place : ('a -> bool) -> 'a t -> unit
 (** Keep only elements satisfying the predicate, preserving order. *)

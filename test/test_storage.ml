@@ -231,6 +231,47 @@ let test_executor_errors () =
       "not sql at all";
     ]
 
+(* A write that fails changes nothing, although its predicate matched
+   rows before the one it failed on. *)
+let salaries db =
+  snd (query db "SELECT id, salary FROM emp ORDER BY id")
+
+let expect_error db sql expected =
+  match Executor.execute_sql db sql with
+  | Error e -> Alcotest.(check string) sql expected e
+  | Ok _ -> Alcotest.failf "expected an error from %S" sql
+
+let test_failed_update_changes_nothing () =
+  let db = mk_db () in
+  let before = salaries db in
+  expect_error db "UPDATE emp SET salary = 0 WHERE id = 1 OR bogus = 2"
+    "unknown column bogus";
+  Alcotest.(check bool) "rows unchanged" true (salaries db = before)
+
+let test_failed_delete_changes_nothing () =
+  let db = mk_db () in
+  let before = salaries db in
+  expect_error db "DELETE FROM emp WHERE id = 1 OR bogus = 2"
+    "unknown column bogus";
+  Alcotest.(check bool) "rows unchanged" true (salaries db = before)
+
+let test_update_keeps_keys_unique () =
+  let db = mk_db () in
+  let before = salaries db in
+  expect_error db "UPDATE emp SET id = 1 WHERE id = 2"
+    "update: duplicate primary key";
+  Alcotest.(check bool) "rows unchanged" true (salaries db = before);
+  let tbl = Database.table_exn db "emp" in
+  (match Table.find_by_pk tbl [ Value.Int 2 ] with
+  | Some row -> Alcotest.(check bool) "id 2 is bob" true (row.(1) = Value.Str "bob")
+  | None -> Alcotest.fail "id 2 lost");
+  (* Keys may still trade places within one statement. *)
+  Alcotest.(check int) "swap" 2
+    (dml db "UPDATE emp SET id = 3 - id WHERE id <= 2");
+  match Table.find_by_pk tbl [ Value.Int 1 ] with
+  | Some row -> Alcotest.(check bool) "id 1 is bob" true (row.(1) = Value.Str "bob")
+  | None -> Alcotest.fail "id 1 lost"
+
 (* Property: generated rows survive a write-read round trip. *)
 let prop_datagen_rows_valid =
   QCheck.Test.make ~count:30 ~name:"datagen produces valid rows"
@@ -272,5 +313,11 @@ let suite =
       test_update_expression;
     Alcotest.test_case "executor: delete" `Quick test_delete;
     Alcotest.test_case "executor: error cases" `Quick test_executor_errors;
+    Alcotest.test_case "executor: a failing UPDATE changes nothing" `Quick
+      test_failed_update_changes_nothing;
+    Alcotest.test_case "executor: a failing DELETE changes nothing" `Quick
+      test_failed_delete_changes_nothing;
+    Alcotest.test_case "executor: UPDATE keeps primary keys unique" `Quick
+      test_update_keeps_keys_unique;
     QCheck_alcotest.to_alcotest prop_datagen_rows_valid;
   ]
