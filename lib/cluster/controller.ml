@@ -111,13 +111,14 @@ let create ~schema ~rows ~backends ~seed =
 (* Deterministic cost estimate, the paper's "cost estimation from the
    query optimizer" alternative to measured execution times: per referenced
    table, the estimated scan bytes under the statement's predicate
-   (selectivity from cached table statistics). *)
+   (selectivity from cached table statistics, whose column statistics are
+   computed when a predicate first names the column). *)
 let table_stats t name =
   match Hashtbl.find_opt t.stats_cache name with
   | Some st -> st
   | None -> (
       match Database.table t.master name with
-      | None -> { Cdbs_storage.Table_stats.rows = 0; bytes = 0; columns = [] }
+      | None -> Cdbs_storage.Table_stats.empty
       | Some tbl ->
           let st = Cdbs_storage.Table_stats.collect tbl in
           Hashtbl.replace t.stats_cache name st;
@@ -583,7 +584,7 @@ let wanted_tables t ~backend =
       |> List.sort_uniq String.compare
 
 let table_mb t name =
-  float_of_int (table_stats t name).Cdbs_storage.Table_stats.bytes /. 1048576.
+  float_of_int (Cdbs_storage.Table_stats.bytes (table_stats t name)) /. 1048576.
 
 (* Install fresh copies of [tables] from the master into the backend,
    returning the megabytes shipped.  install_table replaces a present

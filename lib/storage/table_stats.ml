@@ -8,54 +8,69 @@ type column_stats = {
 }
 
 type t = {
+  source : Table.t option;
+  version : int;  (** the source's {!Table.version} at {!collect} *)
   rows : int;
   bytes : int;
-  columns : (string * column_stats) list;
+  columns : (string, column_stats option) Hashtbl.t;  (** computed so far *)
 }
 
+let empty =
+  { source = None; version = 0; rows = 0; bytes = 0; columns = Hashtbl.create 0 }
+
 let collect tbl =
-  let schema = Table.schema tbl in
-  let names = Schema.column_names schema in
-  let n_cols = List.length names in
-  let seen = Array.init n_cols (fun _ -> Hashtbl.create 64) in
-  let mins = Array.make n_cols None in
-  let maxs = Array.make n_cols None in
-  let nulls = Array.make n_cols 0 in
-  let rows = ref 0 in
-  let bytes = ref 0 in
+  {
+    source = Some tbl;
+    version = Table.version tbl;
+    rows = Table.row_count tbl;
+    bytes = Table.byte_size tbl;
+    columns = Hashtbl.create 4;
+  }
+
+let rows t = t.rows
+let bytes t = t.bytes
+
+let scan_column tbl i =
+  let seen = Hashtbl.create 64 in
+  let min_value = ref None and max_value = ref None and nulls = ref 0 in
   Table.iter
     (fun row ->
-      incr rows;
-      Array.iteri
-        (fun i v ->
-          bytes := !bytes + Value.byte_size v;
-          if v = Value.Null then nulls.(i) <- nulls.(i) + 1
-          else begin
-            Hashtbl.replace seen.(i) v ();
-            (match mins.(i) with
-            | None -> mins.(i) <- Some v
-            | Some m -> if Value.compare v m < 0 then mins.(i) <- Some v);
-            match maxs.(i) with
-            | None -> maxs.(i) <- Some v
-            | Some m -> if Value.compare v m > 0 then maxs.(i) <- Some v
-          end)
-        row)
+      let v = row.(i) in
+      if v = Value.Null then incr nulls
+      else begin
+        Hashtbl.replace seen v ();
+        (match !min_value with
+        | None -> min_value := Some v
+        | Some m -> if Value.compare v m < 0 then min_value := Some v);
+        match !max_value with
+        | None -> max_value := Some v
+        | Some m -> if Value.compare v m > 0 then max_value := Some v
+      end)
     tbl;
   {
-    rows = !rows;
-    bytes = !bytes;
-    columns =
-      List.mapi
-        (fun i name ->
-          ( name,
-            {
-              distinct = Hashtbl.length seen.(i);
-              min_value = mins.(i);
-              max_value = maxs.(i);
-              nulls = nulls.(i);
-            } ))
-        names;
+    distinct = Hashtbl.length seen;
+    min_value = !min_value;
+    max_value = !max_value;
+    nulls = !nulls;
   }
+
+let column t name =
+  match t.source with
+  | None -> None
+  | Some tbl -> (
+      match Hashtbl.find_opt t.columns name with
+      | Some st -> st
+      | None ->
+          let st =
+            Option.map
+              (fun i ->
+                if Table.version tbl <> t.version then
+                  invalid_arg "Table_stats.column: the table changed since collect";
+                scan_column tbl i)
+              (Table.column_index tbl name)
+          in
+          Hashtbl.replace t.columns name st;
+          st)
 
 let default_eq = 0.05
 let default_range = 0.3
@@ -65,17 +80,20 @@ let column_of = function
   | Column (_, c) -> Some c
   | _ -> None
 
-let stats_of t c = List.assoc_opt c t.columns
-
-(* Fraction of the column's [min, max] span below value v. *)
-let position st v =
-  match (st.min_value, st.max_value) with
-  | Some mn, Some mx -> (
-      match (Value.to_float mn, Value.to_float mx, Value.to_float v) with
-      | Some mn, Some mx, Some v when mx > mn ->
-          Some (max 0. (min 1. ((v -. mn) /. (mx -. mn))))
+(* Fraction of column c's [min, max] span below value v.  A value with no
+   numeric reading has none, whatever the column holds, so its statistics
+   are not computed. *)
+let position t c v =
+  match Value.to_float v with
+  | None -> None
+  | Some v -> (
+      match column t c with
+      | Some { min_value = Some mn; max_value = Some mx; _ } -> (
+          match (Value.to_float mn, Value.to_float mx) with
+          | Some mn, Some mx when mx > mn ->
+              Some (max 0. (min 1. ((v -. mn) /. (mx -. mn))))
+          | _ -> None)
       | _ -> None)
-  | _ -> None
 
 let rec selectivity t (e : expr) : float =
   match e with
@@ -85,7 +103,7 @@ let rec selectivity t (e : expr) : float =
   | Binop (Eq, a, b) -> (
       match (column_of a, column_of b) with
       | Some c, None | None, Some c -> (
-          match stats_of t c with
+          match column t c with
           | Some st when st.distinct > 0 -> 1. /. float_of_int st.distinct
           | _ -> default_eq)
       | Some _, Some _ ->
@@ -95,12 +113,9 @@ let rec selectivity t (e : expr) : float =
   | Binop (Neq, a, b) -> max 0. (1. -. selectivity t (Binop (Eq, a, b)))
   | Binop (((Lt | Le | Gt | Ge) as op), a, b) -> (
       let estimate col v ~below =
-        match stats_of t col with
+        match position t col v with
         | None -> default_range
-        | Some st -> (
-            match position st v with
-            | None -> default_range
-            | Some p -> if below then p else 1. -. p)
+        | Some p -> if below then p else 1. -. p
       in
       match (column_of a, b) with
       | Some c, Lit l ->
@@ -114,15 +129,12 @@ let rec selectivity t (e : expr) : float =
   | Between (a, Lit lo, Lit hi) -> (
       match column_of a with
       | Some c -> (
-          match stats_of t c with
-          | None -> default_range
-          | Some st -> (
-              match
-                ( position st (Value.of_literal lo),
-                  position st (Value.of_literal hi) )
-              with
-              | Some plo, Some phi -> max 0. (phi -. plo)
-              | _ -> default_range))
+          match
+            ( position t c (Value.of_literal lo),
+              position t c (Value.of_literal hi) )
+          with
+          | Some plo, Some phi -> max 0. (phi -. plo)
+          | _ -> default_range)
       | None -> default_range)
   | Between _ -> default_range
   | In_list (a, items) ->

@@ -4,7 +4,8 @@
     "a cost estimation (e.g., from the query optimizer)" (Sec. 3.1).  This
     module provides that second source: per-column statistics collected
     from a table and a textbook selectivity model for predicates, giving
-    deterministic cost estimates without executing anything. *)
+    deterministic cost estimates without executing anything.  Only the
+    columns a predicate names are ever scanned. *)
 
 type column_stats = {
   distinct : int;  (** number of distinct values *)
@@ -13,14 +14,25 @@ type column_stats = {
   nulls : int;
 }
 
-type t = {
-  rows : int;
-  bytes : int;
-  columns : (string * column_stats) list;
-}
+type t
+(** Rows and bytes of a table, and the statistics of each column a
+    predicate has asked about so far. *)
+
+val empty : t
+(** No rows, no bytes, no columns. *)
 
 val collect : Table.t -> t
-(** Scan the table once and build statistics. *)
+(** Rows and bytes now, exactly ({!Table.byte_size}); a column's
+    statistics are computed from the table the first time {!column} or an
+    estimate needs them.  Drop the statistics when the table takes a write:
+    computing a column afterwards raises [Invalid_argument]. *)
+
+val rows : t -> int
+val bytes : t -> int
+
+val column : t -> string -> column_stats option
+(** The named column's statistics, computed on first use; [None] when the
+    table has no such column. *)
 
 val selectivity : t -> Cdbs_sql.Ast.expr -> float
 (** Estimated fraction of rows satisfying the predicate, in [0, 1]:
