@@ -1386,7 +1386,7 @@ let suite =
     pinned "Executor: TPC-H queries around writes on linked data"
       "ae8039e59c7cf92be3b4871a927fe3bc" tpch_executor;
     pinned "Executor: errors and resolution rules"
-      "dfb177da39049681141c48bd0444d18a" executor_rules;
+      "ae88efd244e945b898a03a3d18b0c734" executor_rules;
     pinned "Executor: 1,000 mutated statements"
       "946dd9bffa019cf4ec6465764dbb7680" executor_fuzz;
     pinned "Controller.submit: a mixed stream, reallocate, partial placement"
