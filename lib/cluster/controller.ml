@@ -12,15 +12,10 @@ module Backend = Cdbs_core.Backend
 module Physical = Cdbs_core.Physical
 module Planner = Cdbs_migration.Planner
 module Breaker = Cdbs_resilience.Breaker
-module Workload = Cdbs_core.Workload
-module Drift = Cdbs_control.Drift
 
 type backend_state = {
   mutable db : Database.t;
   mutable pending_cost : float;  (** accumulated routed cost, for balance *)
-  mutable up : bool;
-      (* a down backend takes no traffic; its copy diverges and is rebuilt
-         from the master on rejoin *)
 }
 
 (* One table copy in flight: a snapshot "ships" at the configured bandwidth
@@ -62,7 +57,7 @@ type t = {
   backends : backend_state array;
   journal : Journal.t;
   rng : Cdbs_util.Rng.t;
-  mutable breaker : Breaker.t;
+  breaker : Breaker.t;
       (* per-backend circuit breaker over read routing; its clock is the
          controller's request counter, so cool-downs are measured in
          submitted statements *)
@@ -71,9 +66,6 @@ type t = {
   mutable processed : int;
   mutable total_cost : float;
   mutable clock : float;
-  mutable tuner : Drift.t option;
-      (* drift detector behind [autotune]; created on first use, its
-         clock (like the breaker's) is the request counter *)
 }
 
 let create ~schema ~rows ~backends ~seed =
@@ -89,7 +81,7 @@ let create ~schema ~rows ~backends ~seed =
         | Ok _ -> ()
         | Error e -> invalid_arg ("Controller.create: " ^ e))
       schema;
-    { db; pending_cost = 0.; up = true }
+    { db; pending_cost = 0. }
   in
   {
     schema;
@@ -105,7 +97,6 @@ let create ~schema ~rows ~backends ~seed =
     processed = 0;
     total_cost = 0.;
     clock = 0.;
-    tuner = None;
   }
 
 (* Deterministic cost estimate, the paper's "cost estimation from the
@@ -147,8 +138,9 @@ let holds_tables st tables =
 (* Live migration machinery (used by submit; entry points further down) *)
 (* ------------------------------------------------------------------ *)
 
-let table_of_move (m : Planner.move) =
-  match m.Planner.fragment.Fragment.kind with
+(* Physical placement is table-granular: the table a fragment lives in. *)
+let table_of (f : Fragment.t) =
+  match f.Fragment.kind with
   | Fragment.Table name -> name
   | Fragment.Column { table; _ } | Fragment.Range { table; _ } -> table
 
@@ -177,11 +169,7 @@ let cutover t (mig : migration_state) (cp : copy_state) =
 let finish_migration t (mig : migration_state) =
   List.iter
     (fun (d : Planner.drop) ->
-      match d.Planner.victim.Fragment.kind with
-      | Fragment.Table name ->
-          Database.drop_table t.backends.(d.Planner.at_backend).db name
-      | Fragment.Column { table; _ } | Fragment.Range { table; _ } ->
-          Database.drop_table t.backends.(d.Planner.at_backend).db table)
+      Database.drop_table t.backends.(d.Planner.at_backend).db (table_of d.Planner.victim))
     mig.mig_plan.Planner.drops;
   t.allocation <- Some mig.mig_target;
   t.migration <- None
@@ -203,7 +191,7 @@ let advance_migration t ~budget =
                 continue_ := false
             | mv :: rest ->
                 mig.mig_pending <- rest;
-                let table = table_of_move mv in
+                let table = table_of mv.Planner.fragment in
                 let staging =
                   Database.create_partial t.schema ~tables:[ table ]
                 in
@@ -266,13 +254,11 @@ let submit t sql =
           when List.mem cp.cp_table fp.Analyze.tables ->
             cp.cp_deltas <- sql :: cp.cp_deltas
         | _ -> ());
-        (* ROWA: run on the master and every up backend holding the table.
-           Down backends miss the write and are rebuilt from the master on
-           rejoin. *)
+        (* ROWA: run on the master and every backend holding the table. *)
         let result = Executor.execute t.master stmt in
         Array.iter
           (fun st ->
-            if st.up && holds_tables st fp.Analyze.tables then begin
+            if holds_tables st fp.Analyze.tables then begin
               st.pending_cost <- st.pending_cost +. cost;
               ignore (Executor.execute st.db stmt)
             end)
@@ -280,8 +266,8 @@ let submit t sql =
         result
       end
       else begin
-        (* Least pending eligible backend, down backends excluded.  The
-           circuit breaker then steers around slow-but-alive backends:
+        (* Least pending eligible backend.  The circuit breaker then steers
+           around slow-but-alive backends:
            candidates whose breaker is open are skipped unless every
            candidate's is (fail open — a suspect replica still beats
            refusing the read). *)
@@ -290,8 +276,7 @@ let submit t sql =
           Array.iteri
             (fun i st ->
               if
-                st.up
-                && holds_tables st fp.Analyze.tables
+                holds_tables st fp.Analyze.tables
                 && ((not use_breaker)
                    || Breaker.allows t.breaker ~backend:i ~now:t.clock)
               then
@@ -327,9 +312,6 @@ let submit t sql =
 let journal t = t.journal
 let allocation t = t.allocation
 let breaker t = t.breaker
-
-let set_breaker_config t config =
-  t.breaker <- Breaker.create ~config (Array.length t.backends)
 
 let backend_tables t =
   Array.to_list
@@ -398,11 +380,7 @@ let reallocate t ?(iterations = 40) () =
       (fun v _u ->
         let wanted =
           Fragment.Set.fold
-            (fun f acc ->
-              match f.Fragment.kind with
-              | Fragment.Table name -> name :: acc
-              | Fragment.Column { table; _ } | Fragment.Range { table; _ } ->
-                  table :: acc)
+            (fun f acc -> table_of f :: acc)
             (Allocation.fragments_of alloc v) []
           |> List.sort_uniq String.compare
         in
@@ -492,181 +470,3 @@ let reallocate_live t ?iterations ?bandwidth_mb_per_request () =
         drive_migration t ()
       done;
       Ok plan.Planner.copy_mb
-
-(* ------------------------------------------------------------------ *)
-(* Self-tuning: measured journal mix vs the deployed assumption         *)
-(* ------------------------------------------------------------------ *)
-
-type autotune_outcome =
-  | Tuned of { score : float; shipped_mb : float }
-  | No_drift of float
-  | Insufficient_history
-  | Migration_in_progress
-  | Tune_failed of string
-
-let read_mix (w : Workload.t) =
-  List.map
-    (fun (c : Cdbs_core.Query_class.t) -> (c.Cdbs_core.Query_class.id, c.Cdbs_core.Query_class.weight))
-    w.Workload.reads
-
-let autotune t ?(drift = Drift.default) ?(iterations = 40)
-    ?(bandwidth_mb_per_request = 5.) ?(min_requests = 50) () =
-  let tuner =
-    match t.tuner with
-    | Some d when Drift.config d = drift -> d
-    | _ ->
-        let d = Drift.create drift in
-        t.tuner <- Some d;
-        d
-  in
-  if t.migration <> None then Migration_in_progress
-  else if Journal.length t.journal < max 1 min_requests then
-    Insufficient_history
-  else begin
-    let measured = read_mix (classified_workload t) in
-    let score =
-      match t.allocation with
-      | None ->
-          (* Still fully replicated: no assumed mix has ever been
-             deployed, so any measurable history is full drift. *)
-          infinity
-      | Some a -> Drift.score ~assumed:(read_mix (Allocation.workload a)) ~measured
-    in
-    if not (Drift.update tuner ~now:t.clock ~score) then
-      No_drift score
-    else
-      match reallocate_live t ~iterations ~bandwidth_mb_per_request () with
-      | Error e ->
-          Drift.action_done tuner ~now:t.clock;
-          Tune_failed e
-      | Ok shipped_mb ->
-          Drift.action_done tuner ~now:t.clock;
-          Tuned { score; shipped_mb }
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Crash / rejoin lifecycle and k-safety self-repair                   *)
-(* ------------------------------------------------------------------ *)
-
-let check_backend t ~backend ~fn =
-  if backend < 0 || backend >= Array.length t.backends then
-    invalid_arg (fn ^ ": backend out of range")
-
-let is_backend_up t ~backend =
-  check_backend t ~backend ~fn:"Controller.is_backend_up";
-  t.backends.(backend).up
-
-let failed_backends t =
-  let acc = ref [] in
-  Array.iteri (fun i st -> if not st.up then acc := i :: !acc) t.backends;
-  List.rev !acc
-
-let fail_backend t ~backend =
-  check_backend t ~backend ~fn:"Controller.fail_backend";
-  t.backends.(backend).up <- false;
-  t.backends.(backend).pending_cost <- 0.
-
-(* Fragment placement is table-granular at the physical layer; the tables a
-   backend should host under the current allocation (all of them while
-   fully replicated). *)
-let wanted_tables t ~backend =
-  match t.allocation with
-  | None -> List.map (fun tbl -> tbl.Schema.tbl_name) t.schema
-  | Some alloc ->
-      Fragment.Set.fold
-        (fun f acc ->
-          match f.Fragment.kind with
-          | Fragment.Table name -> name :: acc
-          | Fragment.Column { table; _ } | Fragment.Range { table; _ } ->
-              table :: acc)
-        (Allocation.fragments_of alloc backend)
-        []
-      |> List.sort_uniq String.compare
-
-let table_mb t name =
-  float_of_int (Cdbs_storage.Table_stats.bytes (table_stats t name)) /. 1048576.
-
-(* Install fresh copies of [tables] from the master into the backend,
-   returning the megabytes shipped.  install_table replaces a present
-   (possibly diverged) copy and creates an absent one. *)
-let ship_tables t ~backend tables =
-  let st = t.backends.(backend) in
-  List.fold_left
-    (fun acc tbl ->
-      match Database.install_table ~src:t.master ~dst:st.db tbl with
-      | Ok _ -> acc +. table_mb t tbl
-      | Error e -> invalid_arg ("Controller.ship_tables: " ^ e))
-    0. tables
-
-let rejoin_backend t ~backend =
-  check_backend t ~backend ~fn:"Controller.rejoin_backend";
-  let st = t.backends.(backend) in
-  if st.up then 0.
-  else begin
-    (* Catch-up before re-admission: every hosted table is re-shipped from
-       the authoritative master, folding in all updates missed while down
-       — and any copy obligations a repair assigned to this backend. *)
-    let shipped = ship_tables t ~backend (wanted_tables t ~backend) in
-    st.pending_cost <- 0.;
-    st.up <- true;
-    (* The rebuilt copy starts with a clean bill of health: stale latency
-       statistics from before the crash would only delay re-admission. *)
-    Breaker.force_close t.breaker ~backend;
-    shipped
-  end
-
-let effective_k t =
-  let failed = failed_backends t in
-  match t.allocation with
-  | None -> Array.length t.backends - List.length failed - 1
-  | Some alloc -> Cdbs_core.Ksafety.effective_k ~failed alloc
-
-let repair ?topology t ~k =
-  let healthy () =
-    effective_k t >= k
-    && (* Replica count alone is not the whole target: with a topology the
-          survivors must also span enough fault domains. *)
-    match (topology, t.allocation) with
-    | Some topo, Some alloc ->
-        Cdbs_core.Ksafety.spread_ok ~failed:(failed_backends t)
-          ~topology:topo ~k alloc
-    | _ -> true
-  in
-  if t.migration <> None then Error "a live migration is in progress"
-  else if healthy () then Ok 0.
-  else
-    match t.allocation with
-    | None ->
-        (* Fully replicated: every up backend already holds everything, so
-           effective k is bounded by the surviving node count alone. *)
-        Error "not enough live backends for the requested k"
-    | Some alloc -> (
-        let failed = failed_backends t in
-        match Cdbs_core.Ksafety.repair ?topology ~k ~failed alloc with
-        | exception Invalid_argument m -> Error m
-        | gained ->
-            assert_target ~context:"Controller.repair" alloc;
-            (* Materialize the plan on the survivors; obligations of down
-               backends are honored by {!rejoin_backend}'s full rebuild. *)
-            let shipped = ref 0. in
-            Array.iteri
-              (fun b frags ->
-                if t.backends.(b).up && not (Fragment.Set.is_empty frags)
-                then begin
-                  let tables =
-                    Fragment.Set.fold
-                      (fun f acc ->
-                        match f.Fragment.kind with
-                        | Fragment.Table name -> name :: acc
-                        | Fragment.Column { table; _ }
-                        | Fragment.Range { table; _ } ->
-                            table :: acc)
-                      frags []
-                    |> List.sort_uniq String.compare
-                    |> List.filter (fun tbl ->
-                           Database.table t.backends.(b).db tbl = None)
-                  in
-                  shipped := !shipped +. ship_tables t ~backend:b tables
-                end)
-              gained;
-            Ok !shipped)

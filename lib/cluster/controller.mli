@@ -23,8 +23,7 @@ val create :
 (** Bootstrap: generate data, start [backends] fully replicated backend
     databases (the paper's initial configuration used to collect a first
     weight distribution).  Read routing is guarded by a circuit breaker
-    with {!Cdbs_resilience.Breaker.default_config}; see
-    {!set_breaker_config}. *)
+    with {!Cdbs_resilience.Breaker.default_config}. *)
 
 val submit : t -> string -> (Cdbs_storage.Executor.result, string) result
 (** Route and execute one SQL statement; reads run on the least-pending
@@ -47,10 +46,6 @@ val breaker : t -> Cdbs_resilience.Breaker.t
 (** The controller's circuit breaker — inspect per-backend health or
     force states ({!Cdbs_resilience.Breaker.force_open}) for operational
     overrides and tests. *)
-
-val set_breaker_config : t -> Cdbs_resilience.Breaker.config -> unit
-(** Replace the breaker with a fresh one under [config] (all backends
-    Closed, statistics cleared). *)
 
 val backend_tables : t -> string list list
 (** Per backend, the tables it currently stores. *)
@@ -116,79 +111,3 @@ val reallocate_live :
 val stats : t -> int * float
 (** [(processed, total_cost)]: requests processed and their accumulated
     cost since creation. *)
-
-(** {1 Self-tuning} *)
-
-type autotune_outcome =
-  | Tuned of { score : float; shipped_mb : float }
-      (** drift fired and the live reallocation completed *)
-  | No_drift of float  (** the detector did not fire; the score observed *)
-  | Insufficient_history  (** fewer than [min_requests] journal entries *)
-  | Migration_in_progress
-  | Tune_failed of string  (** detector fired but the reallocation errored *)
-
-val autotune :
-  t ->
-  ?drift:Cdbs_control.Drift.config ->
-  ?iterations:int ->
-  ?bandwidth_mb_per_request:float ->
-  ?min_requests:int ->
-  unit ->
-  autotune_outcome
-(** One turn of the self-healing control loop over the live prototype:
-    classify the query history at table granularity, score the measured
-    read mix against the deployed allocation's assumed weights
-    ({!Cdbs_control.Drift.score}; a still-fully-replicated controller
-    counts as infinite drift), and when the detector fires run
-    {!reallocate_live} to completion.  The detector persists across
-    calls — hysteresis and cooldown apply — and is replaced whenever a
-    different [drift] config is passed.  Like the breaker, its clock is
-    the request counter, so [cooldown_s] is measured in submitted
-    statements.  [min_requests] (default 50) guards against tuning on a
-    thin history. *)
-
-(** {1 Crash / rejoin lifecycle and k-safety self-repair}
-
-    A failed backend takes no traffic: reads route to surviving holders,
-    updates apply ROWA to the master and the up holders only, so the down
-    copy diverges.  {!rejoin_backend} re-admits it only after re-shipping
-    its hosted tables from the authoritative master — the controller-level
-    catch-up gate.  {!repair} restores the k-safety target while serving,
-    by re-replicating under-replicated classes onto survivors. *)
-
-val fail_backend : t -> backend:int -> unit
-(** Mark the backend as crashed (idempotent).
-    @raise Invalid_argument on an out-of-range index. *)
-
-val rejoin_backend : t -> backend:int -> float
-(** Bring a failed backend back: rebuild every table it should host under
-    the current allocation (all tables while fully replicated) from the
-    master, then re-admit it.  Returns the megabytes shipped — the rejoin's
-    catch-up volume, including any copy obligations a {!repair} assigned to
-    the node while it was down.  [0.] when the backend was already up. *)
-
-val is_backend_up : t -> backend:int -> bool
-
-val failed_backends : t -> int list
-(** Indices of currently-failed backends, ascending. *)
-
-val effective_k : t -> int
-(** The k-safety degree in force right now, ignoring failed backends
-    ({!Cdbs_core.Ksafety.effective_k}).  While fully replicated it is the
-    surviving backend count minus 1; [-1] means some query class has no
-    live replica. *)
-
-val repair :
-  ?topology:Cdbs_core.Topology.t -> t -> k:int -> (float, string) result
-(** Self-repair loop body: when [effective_k t < k], re-replicate every
-    under-replicated query class onto surviving backends
-    ({!Cdbs_core.Ksafety.repair}) and ship the new copies from the master.
-    Returns the megabytes shipped ([0.] when already k-safe).  Fails when a
-    live migration is in progress, no allocation is deployed and too few
-    backends survive, or fewer than [k + 1] backends are up.
-
-    With [topology] the repair target includes {e spread}: even when the
-    replica count is intact, a run is triggered if some class's surviving
-    replicas span fewer than [min (k+1, live zones)] fault domains
-    ({!Cdbs_core.Ksafety.spread_ok}) — losing a zone must never leave a
-    class one outage away from extinction. *)
