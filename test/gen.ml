@@ -54,3 +54,12 @@ let scenario_arbitrary =
     QCheck.Gen.(pair workload_gen backends_gen)
     ~print:(fun (w, bs) ->
       Fmt.str "%a on %d backends" Workload.pp w (List.length bs))
+
+(* Relative deviation of each backend's assigned load from its share of
+   the performance (paper Fig. 4(j)): 0 when every backend carries exactly
+   its fair share. *)
+let load_deviation alloc =
+  let backends = Allocation.backends alloc in
+  Cdbs_util.Stats.relative_deviation
+    (List.init (Array.length backends) (fun b ->
+         Allocation.assigned_load alloc b /. backends.(b).Backend.load))

@@ -110,7 +110,7 @@ let test_balance_full_replication () =
   let w = simple_workload () in
   let alloc = Baselines.full_replication w (Backend.homogeneous 4) in
   (* Updates pinned everywhere create equal overload: perfectly balanced. *)
-  Alcotest.(check (float 1e-9)) "balanced" 0. (Balance.deviation alloc)
+  Alcotest.(check (float 1e-9)) "balanced" 0. (Gen.load_deviation alloc)
 
 (* ---------------- greedy properties ---------------- *)
 

@@ -84,7 +84,7 @@ let test_merge_balances () =
   let a2 = Greedy.allocate w (Backend.homogeneous 2) in
   let merged = Segmented.merge [ a1; a2 ] in
   Alcotest.(check bool) "valid" true (Allocation.validate merged = Ok ());
-  Alcotest.(check bool) "balanced" true (Balance.deviation merged < 0.05)
+  Alcotest.(check bool) "balanced" true (Gen.load_deviation merged < 0.05)
 
 (* ---------------- memetic local search ---------------- *)
 
