@@ -379,24 +379,6 @@ let check_schedule (sched : Schedule.t) =
 (* Delta journal                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let check_delta ~plan journal =
-  List.filter_map
-    (fun (dest, fragment) ->
-      let planned =
-        List.exists
-          (fun (m : Planner.move) ->
-            m.Planner.dest = dest && Fragment.equal m.Planner.fragment fragment)
-          plan.Planner.moves
-      in
-      if planned then None
-      else
-        Some
-          (D.error ~code:"DLT001"
-             ~subject:(Fmt.str "capture %s->B%d" (Fragment.name fragment) dest)
-             "open delta capture for a copy the plan never performs — its \
-              updates would never be replayed"))
-    (Delta.open_captures journal)
-
 let raise_errors ~context = function
   | [] -> ()
   | errs ->

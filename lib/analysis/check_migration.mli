@@ -50,11 +50,6 @@ val check_schedule : Cdbs_migration.Schedule.t -> Diagnostic.t list
 (** Verify the timed realization: throttle respected, streams serialized,
     drops after the last copy, moves consistent with the plan. *)
 
-val check_delta :
-  plan:Cdbs_migration.Planner.plan -> 'a Cdbs_migration.Delta.t ->
-  Diagnostic.t list
-(** Verify every open capture corresponds to a copy the plan calls for. *)
-
 val check_plan_exn :
   ?k:int -> context:string -> workload:Workload.t ->
   Cdbs_migration.Planner.plan -> unit

@@ -9,5 +9,3 @@ let install () =
         Check_allocation.check_exn ~context alloc);
     Invariants.enable ()
   end
-
-let installed () = !is_installed

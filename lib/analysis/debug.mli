@@ -11,5 +11,3 @@
 val install : unit -> unit
 (** Enable {!Cdbs_core.Invariants} and register {!Check_allocation} as its
     allocation hook.  Idempotent. *)
-
-val installed : unit -> bool

@@ -31,7 +31,6 @@ let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 let errors ds = List.filter (fun d -> d.severity = Error) ds
 let warnings ds = List.filter (fun d -> d.severity = Warning) ds
-let has_errors ds = List.exists (fun d -> d.severity = Error) ds
 
 let sort ds =
   List.stable_sort

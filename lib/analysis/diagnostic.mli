@@ -50,7 +50,6 @@ val severity_label : severity -> string
 
 val errors : t list -> t list
 val warnings : t list -> t list
-val has_errors : t list -> bool
 
 val sort : t list -> t list
 (** Stable order: errors first, then warnings, then infos; within a

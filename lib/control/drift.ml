@@ -18,18 +18,13 @@ type t = {
   cfg : config;
   mutable armed : bool;
   mutable cooldown_until : float;
-  mutable last_score : float;
 }
 
 let create cfg =
   validate_config cfg;
-  { cfg; armed = true; cooldown_until = neg_infinity; last_score = 0. }
+  { cfg; armed = true; cooldown_until = neg_infinity }
 
 let config t = t.cfg
-let armed t = t.armed
-let cooldown_until t = t.cooldown_until
-let last_score t = t.last_score
-let in_cooldown t ~now = now < t.cooldown_until
 
 (* Weighted relative error over the class mix.  Both vectors are
    re-normalized over their union, so callers can pass raw weights. *)
@@ -56,7 +51,6 @@ let score ~assumed ~measured =
     0. ids
 
 let update t ~now ~score =
-  t.last_score <- score;
   if score <= t.cfg.threshold -. t.cfg.hysteresis then t.armed <- true;
   if t.armed && score >= t.cfg.threshold && now >= t.cooldown_until then begin
     t.armed <- false;

@@ -54,10 +54,3 @@ val action_done : t -> now:float -> unit
     [now]: triggers are suppressed until [now + cooldown_s]. *)
 
 val config : t -> config
-val armed : t -> bool
-val in_cooldown : t -> now:float -> bool
-val cooldown_until : t -> float
-(** [neg_infinity] before any action. *)
-
-val last_score : t -> float
-(** Score of the most recent {!update}. *)

@@ -20,9 +20,6 @@ val create : ?half_life_windows:float -> unit -> t
     boundaries after which a sample's contribution halves.
     @raise Invalid_argument when it is not positive. *)
 
-val observe : t -> Cdbs_telemetry.Trace.event -> unit
-(** Feed one event directly (tests); normally wired via {!attach}. *)
-
 val attach : t -> Cdbs_telemetry.Sink.t -> bool
 (** Subscribe to the sink's trace; [false] when already attached to it
     (idempotent per trace). *)
@@ -49,9 +46,6 @@ val measured_mix : t -> (string * float) list
     normalized to sum 1 and sorted by class id; [[]] when nothing has
     been harvested.  Service mass (not raw counts) is what workload
     weights model — a cheap class served very often is not drift. *)
-
-val mean_service_s : t -> string -> float option
-(** Decayed mean measured service time for one class. *)
 
 val merge_into :
   ?prior_strength:float -> t -> Cdbs_core.Workload.t -> Cdbs_core.Workload.t

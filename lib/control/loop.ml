@@ -7,6 +7,7 @@ type guardrails = {
   min_availability : float;
 }
 
+(* ratio 1.5, no absolute ceiling, availability floor 0.9. *)
 let default_guardrails =
   { max_p99_ratio = 1.5; abs_p99_s = infinity; min_availability = 0.9 }
 
@@ -102,13 +103,11 @@ let create ?(config = default) ?topology ~sink ~allocation () =
     peak_score = 0.;
   }
 
-let estimator t = t.est
 let allocation t = t.alloc
 let reallocations t = t.reallocations
 let rollbacks t = t.rollbacks
 let commits t = t.commits
 let peak_score t = t.peak_score
-let last_score t = Drift.last_score t.det
 let migrating t = match t.phase with Canary _ -> true | Observing -> false
 let detach t = Estimator.detach t.est t.sink
 

@@ -45,9 +45,6 @@ type guardrails = {
   min_availability : float;  (** canary availability floor *)
 }
 
-val default_guardrails : guardrails
-(** ratio 1.5, no absolute ceiling, availability floor 0.9. *)
-
 type config = {
   detector : Drift.config;
   guardrails : guardrails;
@@ -97,8 +94,6 @@ val set_allocation : t -> Cdbs_core.Allocation.t -> unit
 val allocation : t -> Cdbs_core.Allocation.t
 (** The allocation the loop currently believes is serving. *)
 
-val estimator : t -> Estimator.t
-
 val migrating : t -> bool
 (** A cutover's canary is still running. *)
 
@@ -113,8 +108,6 @@ val commits : t -> int
 
 val peak_score : t -> float
 (** Max drift score observed. *)
-
-val last_score : t -> float
 
 val detach : t -> unit
 (** Unsubscribe the estimator from the sink. *)

@@ -73,6 +73,9 @@ let fragments_of_footprint ~size_of granularity (fp : Analyze.footprint) =
               List.fold_left (fun acc f -> Fragment.Set.add f acc) acc selected)
         Fragment.Set.empty fp.Analyze.tables
 
+(* Classify pre-analyzed footprints with explicit costs; used when the
+   workload is defined statistically rather than as SQL text (the paper's
+   e-learning trace had no query text, Sec. 5). *)
 let classify_footprints ~size_of granularity
     (footprints : (Analyze.footprint * float) list) : Workload.t =
   (* Group by (kind, fragment set); accumulate cost. *)

@@ -34,15 +34,6 @@ val classify :
     [U1..Um] in descending weight order.  Statements that fail to parse are
     skipped (real journals contain noise). *)
 
-val classify_footprints :
-  size_of:(Fragment.kind -> float) ->
-  granularity ->
-  (Cdbs_sql.Analyze.footprint * float) list ->
-  Workload.t
-(** Classify pre-analyzed footprints with explicit costs; used when the
-    workload is defined statistically rather than as SQL text (the paper's
-    e-learning trace had no query text, Sec. 5). *)
-
 val default_sizes :
   schema:Cdbs_storage.Schema.t ->
   rows:(string * int) list ->

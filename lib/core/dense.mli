@@ -59,13 +59,6 @@ val class_capacity : int -> int
     count: ~12.5% slack plus a constant, reserved for in-place
     extension. *)
 
-val make_instance :
-  ?frags:Fragment.t array ->
-  backends:Backend.t array ->
-  frag_size:float array ->
-  class_spec array ->
-  instance
-
 val sorted_footprint : int -> int array -> int array
 (** [sorted_footprint n_frags frags]: sorted and deduped, as an instance
     stores a footprint.  @raise Invalid_argument on an index out of range. *)
@@ -171,14 +164,6 @@ val cost : t -> float * float
 val refresh : t -> unit
 
 (** {1 Moves} *)
-
-val install_fragment : t -> int -> int -> unit
-(** Queue-installing primitive; pair with {!settle} to restore Eq. 10. *)
-
-val settle : ?on_pin:(int -> unit) -> t -> int -> float
-(** Chase the update-closure fixpoint on one backend for every fragment
-    installed since the last settle; returns the newly pinned update
-    weight. *)
 
 val install_class : ?on_pin:(int -> unit) -> t -> int -> int -> float
 val add_assign : t -> int -> int -> float -> unit

@@ -1,3 +1,4 @@
+(* Number of backends holding all of the class's fragments. *)
 let class_replica_count alloc c =
   let count = ref 0 in
   for b = 0 to Allocation.num_backends alloc - 1 do
@@ -183,39 +184,6 @@ let allocate ?topology ~k workload backend_list =
   let alloc = Greedy.allocate workload backend_list in
   replicate_all_classes ?topology ~k alloc;
   alloc
-
-let replicate_fragments ~k alloc =
-  let n = Allocation.num_backends alloc in
-  if k + 1 > n then invalid_arg "Ksafety.replicate_fragments: k+1 > backends";
-  let backends = Allocation.backends alloc in
-  Fragment.Set.iter
-    (fun f ->
-      let holders = ref [] in
-      for b = 0 to n - 1 do
-        if Fragment.Set.mem f (Allocation.fragments_of alloc b) then
-          holders := b :: !holders
-      done;
-      let missing = (k + 1) - List.length !holders in
-      if missing > 0 then begin
-        (* Emptiest (relative to capacity) non-holders first. *)
-        let candidates =
-          List.init n (fun b -> b)
-          |> List.filter (fun b -> not (List.mem b !holders))
-          |> List.sort (fun a b ->
-                 Stdlib.compare
-                   (Allocation.assigned_load alloc a
-                   /. backends.(a).Backend.load)
-                   (Allocation.assigned_load alloc b
-                   /. backends.(b).Backend.load))
-        in
-        List.iteri
-          (fun i b ->
-            if i < missing then
-              Allocation.add_fragments alloc b (Fragment.Set.singleton f))
-          candidates
-      end)
-    (Workload.fragments (Allocation.workload alloc));
-  Allocation.ensure_update_closure alloc
 
 let repair ?topology ~k ~failed alloc =
   if k < 0 then invalid_arg "Ksafety.repair: negative k";

@@ -32,14 +32,6 @@ val allocate :
     @raise Invalid_argument when [k + 1] exceeds the backend count, or when
     [topology] does not cover exactly the given backends. *)
 
-val replicate_fragments : k:int -> Allocation.t -> unit
-(** Fragment-level k-safety for read-only data (Eq. 46): place additional
-    copies of any fragment stored fewer than k+1 times, round-robin over
-    the emptiest backends.  In-place; re-establishes the update closure. *)
-
-val class_replica_count : Allocation.t -> Query_class.t -> int
-(** Number of backends holding all of the class's fragments. *)
-
 val class_holders : ?failed:int list -> Allocation.t -> Query_class.t -> int list
 (** The backends holding all of the class's fragments, ascending,
     excluding [failed]. *)

@@ -25,7 +25,6 @@ val default_params : params
 (** 8 individuals × 24 generations over 4 islands, migrating every 6. *)
 
 val better : float * float -> float * float -> bool
-val compare_cost : Dense.t -> Dense.t -> int
 
 val improve :
   ?params:params -> ?domains:int -> seed:int -> Dense.t -> Dense.t

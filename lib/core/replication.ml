@@ -1,3 +1,4 @@
+(* For each workload fragment, on how many backends a copy lives. *)
 let replica_counts alloc =
   let fragments =
     Fragment.Set.elements (Workload.fragments (Allocation.workload alloc))

@@ -5,9 +5,6 @@ val degree : Allocation.t -> float
     divided by the size of the distinct fragments of the workload.  Full
     replication on n backends yields n. *)
 
-val replica_counts : Allocation.t -> (Fragment.t * int) list
-(** For each workload fragment, on how many backends a copy lives. *)
-
 val histogram : Allocation.t -> max_replicas:int -> int array
 (** [histogram a ~max_replicas] counts fragments by replica count:
     index i holds the number of fragments replicated exactly [i+1] times

@@ -1,22 +1,3 @@
-let over_utilization alloc c ~delta =
-  let n = Allocation.num_backends alloc in
-  let backends = Allocation.backends alloc in
-  let total = ref 0. in
-  for b = 0 to n - 1 do
-    total := !total +. Allocation.get_assign alloc b c
-  done;
-  let scale = ref 1. in
-  for b = 0 to n - 1 do
-    let share =
-      if !total > 0. then Allocation.get_assign alloc b c /. !total
-      else 0.
-    in
-    let load = Allocation.assigned_load alloc b +. (delta *. share) in
-    let r = load /. backends.(b).Backend.load in
-    if r > !scale then scale := r
-  done;
-  !scale
-
 let shiftable_weight alloc b =
   let workload = Allocation.workload alloc in
   let n = Allocation.num_backends alloc in

@@ -5,13 +5,6 @@
     and can harden an allocation so each fully loaded backend has classes
     that can be (partially) shifted away. *)
 
-val over_utilization : Allocation.t -> Query_class.t -> delta:float -> float
-(** The scale factor after increasing the class's weight by [delta] (the
-    extra weight lands on the backends currently serving the class, pro
-    rata); per Eq. 19 the speedup drops to [|B| / result].  The paper's
-    example: +2% on the only class of a lone backend of a 4-node cluster
-    drops the maximum speedup from 4 to ≈3.7. *)
-
 val shiftable_weight : Allocation.t -> int -> float
 (** Weight currently on the backend that could move to other backends
     already holding the same classes' data, without new replication. *)

@@ -1,3 +1,6 @@
+(* Eq. 1: [1 / (parallel/nodes + serial)] with [parallel = 1 - serial].
+   For the fully replicated TPC-App setup ([serial = 0.25], 10 nodes) this
+   is the paper's 3.07 (Eq. 29). *)
 let amdahl ~nodes ~serial =
   if nodes <= 0 then invalid_arg "Speedup.amdahl: nodes must be positive";
   let parallel = 1. -. serial in
@@ -17,4 +20,3 @@ let max_speedup_bound workload ~nodes =
   else min (float_of_int nodes) (1. /. worst)
 
 let of_scale ~nodes ~scale = float_of_int nodes /. scale
-let of_allocation = Allocation.speedup

@@ -4,15 +4,11 @@
     reads parallelize perfectly, updates replicate and act as the serial
     fraction. *)
 
-val amdahl : nodes:int -> serial:float -> float
-(** Eq. 1: [1 / (parallel/nodes + serial)] with [parallel = 1 - serial].
-    For the fully replicated TPC-App setup ([serial = 0.25], 10 nodes) this
-    is the paper's 3.07 (Eq. 29). *)
-
 val full_replication : nodes:int -> update_weight:float -> float
 (** Speedup of a fully replicated cluster where updates (total weight
-    [update_weight]) run on every node: {!amdahl} with
-    [serial = update_weight]. *)
+    [update_weight]) run on every node: Eq. 1 (Amdahl's law) with
+    [serial = update_weight].  For the fully replicated TPC-App setup
+    ([update_weight = 0.25], 10 nodes) this is the paper's 3.07 (Eq. 29). *)
 
 val max_speedup_bound : Workload.t -> nodes:int -> float
 (** Eq. 17: an upper bound on any allocation's speedup — the reciprocal of
@@ -23,7 +19,3 @@ val max_speedup_bound : Workload.t -> nodes:int -> float
 val of_scale : nodes:int -> scale:float -> float
 (** Eq. 19: [nodes / scale]; with 10 nodes and scale 1.3 this is the
     paper's 7.7 (Eq. 30). *)
-
-val of_allocation : Allocation.t -> float
-(** Speedup predicted for a concrete allocation (equals
-    {!Allocation.speedup}). *)

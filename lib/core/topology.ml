@@ -17,14 +17,11 @@ let make zone_of =
     seen;
   { zones; zone_of = Array.copy zone_of }
 
-let of_zones zs = make (Array.of_list zs)
-
 let uniform ~zones n =
   if zones <= 0 then invalid_arg "Topology.uniform: zones <= 0";
   if n < zones then invalid_arg "Topology.uniform: fewer backends than zones";
   make (Array.init n (fun b -> b mod zones))
 
-let single n = uniform ~zones:1 n
 let zones t = t.zones
 let num_backends t = Array.length t.zone_of
 
@@ -51,12 +48,6 @@ let zones_spanned t backends =
       if b >= 0 && b < Array.length t.zone_of then seen.(t.zone_of.(b)) <- true)
     backends;
   Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 seen
-
-(* The spread target for a replication degree: with k+1 replicas and [zones]
-   fault domains, the replicas of each fragment must cover
-   min(k+1, zones) distinct domains (Golab-style placement: losing any one
-   domain must leave a serving replica whenever k >= 1 and zones >= 2). *)
-let required_spread t ~k = min (k + 1) t.zones
 
 let pp ppf t =
   Fmt.pf ppf "@[<h>%d zones:" t.zones;

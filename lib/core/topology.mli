@@ -19,17 +19,10 @@ val make : int array -> t
     @raise Invalid_argument on an empty array, a negative zone index, or an
     unpopulated zone (zone indices must be dense). *)
 
-val of_zones : int list -> t
-(** List form of {!make}. *)
-
 val uniform : zones:int -> int -> t
 (** [uniform ~zones n]: [n] backends striped round-robin over [zones]
     domains ([b mod zones] — backend 0 in zone 0, backend 1 in zone 1, ...).
     @raise Invalid_argument when [zones <= 0] or [n < zones]. *)
-
-val single : int -> t
-(** Degenerate one-zone topology: spread constraints are vacuous, placement
-    behaves exactly as without a topology. *)
 
 val zones : t -> int
 val num_backends : t -> int
@@ -43,9 +36,5 @@ val backends_in : t -> int -> int list
 val zones_spanned : t -> int list -> int
 (** Number of distinct zones covered by a backend list (out-of-range
     indices are ignored; duplicates count once). *)
-
-val required_spread : t -> k:int -> int
-(** [min (k+1) (zones t)] — how many domains the replicas of each fragment
-    must cover for the allocation to be domain-aware k-safe. *)
 
 val pp : t Fmt.t

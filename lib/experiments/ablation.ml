@@ -21,6 +21,8 @@ let app_cost =
     sync_overhead = 0.03;
   }
 
+(* Per backend count, for greedy / memetic / optimal (small instances):
+   (name, scale, stored MB) on the TPC-App table workload. *)
 let solver_comparison ?(backend_counts = [ 2; 3; 4 ]) () =
   let workload = Tpcapp.workload ~granularity:`Table ~eb in
   List.map
@@ -75,6 +77,8 @@ let local_search_contribution () =
       ("both strategies", Memetic.Both_strategies);
     ]
 
+(* For k = 0, 1, 2 on TPC-App with 6 backends: (k, scale, degree of
+   replication, simulated throughput q/s). *)
 let ksafety_overhead ?(ks = [ 0; 1; 2 ]) () =
   let workload = Tpcapp.workload ~granularity:`Table ~eb in
   let backends = Backend.homogeneous 6 in
@@ -117,6 +121,8 @@ let protocol_comparison () =
         ])
     allocations
 
+(* For each single backend failure of a 1-safe 4-backend allocation:
+   (failed backend, survives with k=1, survives with k=0). *)
 let failover () =
   let workload = Tpcapp.workload ~granularity:`Table ~eb in
   let backends = Backend.homogeneous 4 in
@@ -127,6 +133,9 @@ let failover () =
         Ksafety.survives safe ~failed:[ b ],
         Ksafety.survives unsafe ~failed:[ b ] ))
 
+(* Classification granularity on the time-partitioned event archive:
+   (granularity, scale, predicted speedup on 6 nodes, degree of
+   replication) — the horizontal-partitioning payoff of Sec. 3.1. *)
 let granularity_comparison () =
   List.map
     (fun (name, granularity) ->
@@ -143,6 +152,8 @@ let granularity_comparison () =
         Replication.degree alloc ))
     [ ("table", `Table); ("column", `Column); ("predicate", `Predicate) ]
 
+(* Reactive day-1 vs forecast-driven day-2 autoscaling over the e-learning
+   trace: (label, avg response s, worst window s, reallocations). *)
 let predictive_scaling () =
   let days =
     Cdbs_autoscale.Autoscaler.simulate_days ~days:2 ~predictive:true

@@ -3,37 +3,13 @@
     the two local-search strategies, k-safety overhead, and robustness
     hardening. *)
 
-val solver_comparison :
-  ?backend_counts:int list -> unit ->
-  (int * (string * float * float) list) list
-(** Per backend count, for greedy / memetic / optimal (small instances):
-    (name, scale, stored MB) on the TPC-App table workload. *)
-
 val local_search_contribution : unit -> (string * float * float) list
 (** Memetic with no local search / strategy 1 only / both, on TPC-App:
     (variant, scale, stored). *)
-
-val ksafety_overhead :
-  ?ks:int list -> unit -> (int * float * float * float) list
-(** For k = 0, 1, 2 on TPC-App with 6 backends: (k, scale, degree of
-    replication, simulated throughput q/s). *)
 
 val protocol_comparison : unit -> (string * string * float * float) list
 (** Update-propagation protocols (ROWA / primary copy / lazy, Sec. 2) on
     TPC-App with 8 backends, for full replication and the table-based
     allocation: (allocation, protocol, throughput q/s, avg response s). *)
-
-val failover : unit -> (int * bool * bool) list
-(** For each single backend failure of a 1-safe 4-backend allocation:
-    (failed backend, survives with k=1, survives with k=0). *)
-
-val granularity_comparison : unit -> (string * float * float * float) list
-(** Classification granularity on the time-partitioned event archive:
-    (granularity, scale, predicted speedup on 6 nodes, degree of
-    replication) — the horizontal-partitioning payoff of Sec. 3.1. *)
-
-val predictive_scaling : unit -> (string * float * float * int) list
-(** Reactive day-1 vs forecast-driven day-2 autoscaling over the e-learning
-    trace: (label, avg response s, worst window s, reallocations). *)
 
 val print_all : unit -> unit

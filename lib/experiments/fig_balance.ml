@@ -84,6 +84,7 @@ let fig4k ?(nodes = 10) ?(runs = 5) () =
   in
   List.init nodes (fun idx -> (idx + 1, tpch.(idx), app.(idx)))
 
+(* Column-based replication histogram (fragments are columns). *)
 let fig4l ?(nodes = 10) ?(runs = 5) () =
   let tpch = histogram ~runs ~nodes tpch_alloc in
   let app =

@@ -12,7 +12,4 @@ val fig4k : ?nodes:int -> ?runs:int -> unit -> (int * float * float) list
     1..nodes, the average number of tables replicated that often, for
     (TPC-H, TPC-App). *)
 
-val fig4l : ?nodes:int -> ?runs:int -> unit -> (int * float * float) list
-(** Column-based replication histogram (fragments are columns). *)
-
 val print_all : unit -> unit

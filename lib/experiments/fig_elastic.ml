@@ -7,6 +7,8 @@ module Backend = Cdbs_core.Backend
 module Allocation = Cdbs_core.Allocation
 module Rng = Cdbs_util.Rng
 
+(* Run the autonomic day; defaults follow the paper (trace scaled 40x,
+   10-minute windows). *)
 let elastic_day ?(scale = 40.) ?(window_minutes = 10.) () =
   Autoscaler.simulate_day ~window_minutes ~scale ~rng:(Rng.create 5) ()
 
@@ -18,6 +20,9 @@ let fig6 ?(step_minutes = 60.) () =
       let mix = Trace.class_mix ~hour in
       (hour, List.map (fun (id, share) -> (id, rate *. share)) mix))
 
+(* Run the Sec. 5 sliding-window segmentation over a synthetic day journal;
+   returns the (start, end) hours of each segment and the backend count of
+   the merged allocation. *)
 let segmentation_demo () =
   let journal = Trace.journal_for_day ~rng:(Rng.create 3) ~scale:1. in
   let size_of =

@@ -2,19 +2,8 @@
     Fig. 5 (response times with and without scaling), and Fig. 6 (query
     class mix over a day). *)
 
-val elastic_day :
-  ?scale:float -> ?window_minutes:float -> unit ->
-  Cdbs_autoscale.Autoscaler.summary
-(** Run the autonomic day; defaults follow the paper (trace scaled 40x,
-    10-minute windows). *)
-
 val fig6 : ?step_minutes:float -> unit -> (float * (string * float) list) list
 (** Per time step: the requests/10min each of the five classes A–E
     contributes (rate x mix share). *)
-
-val segmentation_demo : unit -> (float * float) list * int
-(** Run the Sec. 5 sliding-window segmentation over a synthetic day journal;
-    returns the (start, end) hours of each segment and the backend count of
-    the merged allocation. *)
 
 val print_all : unit -> unit

@@ -49,19 +49,6 @@ type report = {
   time_to_repair : float;  (** [repair_mb / repair_bandwidth] *)
 }
 
-val degradation :
-  ?nodes:int ->
-  ?rate_per_s:float ->
-  ?duration:float ->
-  ?max_crashes:int ->
-  ?seed:int ->
-  ?monitor:Cdbs_analysis.Monitor.t ->
-  unit ->
-  row list
-(** The degradation grid.  Defaults: 4 nodes, 30 requests/s over 300 s,
-    crashes at t = 75 s, k in 0..2, crashes in 0..3.  [monitor] observes
-    every cell's run ({!Cdbs_cluster.Simulator.run_open_with_faults}). *)
-
 val scenario :
   ?nodes:int ->
   ?rate_per_s:float ->

@@ -144,6 +144,7 @@ let compare_at ?(nodes = 4) ?(seed = 11) ?(duration = 120.)
       defended = run ~defended:true;
     } )
 
+(* [compare_at] across offered rates (default 60/120/240/360 req/s). *)
 let sweep ?(nodes = 4) ?(seed = 11) ?(duration = 120.) ?(slow_factor = 3.)
     ?(deadline_s = 1.) ?(rates = [ 60.; 120.; 240.; 360. ]) ?monitor () =
   let victim = ref 0 in

@@ -82,18 +82,6 @@ val compare_at :
     run is not observed — it uses the plain
     {!Cdbs_cluster.Simulator.run_open}). *)
 
-val sweep :
-  ?nodes:int ->
-  ?seed:int ->
-  ?duration:float ->
-  ?slow_factor:float ->
-  ?deadline_s:float ->
-  ?rates:float list ->
-  ?monitor:Cdbs_analysis.Monitor.t ->
-  unit ->
-  report
-(** {!compare_at} across offered rates (default 60/120/240/360 req/s). *)
-
 val acceptance : comparison -> bool * string list
 (** The PR's acceptance predicate: defended p99 <= undefended p99,
     defended availability >= undefended, zero shed updates in both arms,

@@ -55,6 +55,7 @@ let fig4f_4g ?(backend_counts = default_counts) ?(requests = 8000) ?(runs = 3)
           backend_counts ))
     [ Common.Full_replication; Common.Table_based; Common.Column_based ]
 
+(* Column-based throughput deviation: (backends, avg, min, max). *)
 let fig4h ?(backend_counts = default_counts) ?(requests = 8000) ?(runs = 10) ()
     =
   List.map
@@ -71,6 +72,8 @@ let fig4h ?(backend_counts = default_counts) ?(requests = 8000) ?(runs = 10) ()
         Cdbs_util.Stats.maximum samples ))
     backend_counts
 
+(* Large-scale (EB = 12000) relative throughput for 1/5/10 backends per
+   strategy. *)
 let fig4i ?(backend_counts = [ 1; 5; 10 ]) ?(requests = 4000) () =
   let eb = 12_000 in
   let table_workload = Tpcapp.workload_large_scale ~granularity:`Table ~eb in

@@ -6,17 +6,6 @@ val fig4f_4g :
 (** Per strategy and backend count: (backends, throughput q/s, speedup).
     Covers both Fig. 4(f) (speedup) and Fig. 4(g) (throughput). *)
 
-val fig4h :
-  ?backend_counts:int list -> ?requests:int -> ?runs:int -> unit ->
-  (int * float * float * float) list
-(** Column-based throughput deviation: (backends, avg, min, max). *)
-
-val fig4i :
-  ?backend_counts:int list -> ?requests:int -> unit ->
-  (string * float list) list
-(** Large-scale (EB = 12000) relative throughput for 1/5/10 backends per
-    strategy. *)
-
 val theoretical : unit -> (string * float) list
 (** The paper's closed-form predictions: Eq. 29 (full replication cap,
     3.07) and Eq. 30 (partial allocation cap, 7.7). *)

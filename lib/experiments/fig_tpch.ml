@@ -51,6 +51,8 @@ let fig4a ?(backend_counts = default_counts) ?(requests = 2000) ?(runs = 3) () =
       Common.Random_placement;
     ]
 
+(* Column-based allocation deviation: per backend count, (average,
+   minimum, maximum) throughput over the runs. *)
 let fig4b ?(backend_counts = default_counts) ?(requests = 2000) ?(runs = 10) ()
     =
   List.map
@@ -127,6 +129,8 @@ let fig4d ?(backend_counts = [ 1; 2; 3; 4; 5; 6; 7 ]) () =
       (n, full_min, column_min))
     backend_counts
 
+(* Relative throughput of 1/5/10 backends for SF1 and SF10 under each
+   strategy (baseline: 1 node at the same scale factor). *)
 let fig4e () =
   let counts = [ 1; 5; 10 ] in
   let strategies =

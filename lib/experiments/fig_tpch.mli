@@ -15,12 +15,6 @@ val fig4a :
 (** Throughput and speedup of full replication, table-based, column-based
     and random allocation over cluster sizes. *)
 
-val fig4b :
-  ?backend_counts:int list -> ?requests:int -> ?runs:int -> unit ->
-  (int * float * float * float) list
-(** Column-based allocation deviation: per backend count, (average,
-    minimum, maximum) throughput over the runs. *)
-
 val fig4c :
   ?backend_counts:int list -> ?optimal_up_to:int -> unit ->
   (int * float * float * float * float option) list
@@ -30,10 +24,6 @@ val fig4c :
 val fig4d : ?backend_counts:int list -> unit -> (int * float * float) list
 (** Allocation (ETL) duration in minutes: (full replication, column-based)
     per backend count. *)
-
-val fig4e : unit -> (string * float list) list
-(** Relative throughput of 1/5/10 backends for SF1 and SF10 under each
-    strategy (baseline: 1 node at the same scale factor). *)
 
 val print_all : unit -> unit
 (** Run every TPC-H figure and print its series. *)

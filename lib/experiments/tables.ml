@@ -2,6 +2,8 @@ open Cdbs_core
 
 let fr name = Fragment.table name ~size:1.
 
+(* Figure 2: relations A, B, C; classes C1 (30%), C2 (25%), C3 (25%),
+   C4 (20%, referencing A and B). *)
 let readonly_workload () =
   Workload.make
     ~reads:
@@ -13,6 +15,7 @@ let readonly_workload () =
       ]
     ~updates:[]
 
+(* Appendix A: reads Q1–Q4, updates U1–U3. *)
 let appendix_workload () =
   Workload.make
     ~reads:
@@ -29,6 +32,7 @@ let appendix_workload () =
         Query_class.update "U3" [ fr "C" ] ~weight:0.06;
       ]
 
+(* Heterogeneous backends with loads 0.3/0.3/0.2/0.2. *)
 let appendix_backends () = Backend.heterogeneous [ 0.3; 0.3; 0.2; 0.2 ]
 
 let show title alloc =

@@ -2,14 +2,4 @@
     read-only tables (2 and 4 backends), the Appendix A heterogeneous
     update-aware allocation, and the closed-form speedup predictions. *)
 
-val readonly_workload : unit -> Cdbs_core.Workload.t
-(** Figure 2: relations A, B, C; classes C1 (30%), C2 (25%), C3 (25%),
-    C4 (20%, referencing A and B). *)
-
-val appendix_workload : unit -> Cdbs_core.Workload.t
-(** Appendix A: reads Q1–Q4, updates U1–U3. *)
-
-val appendix_backends : unit -> Cdbs_core.Backend.t list
-(** Heterogeneous backends with loads 0.3/0.3/0.2/0.2. *)
-
 val print_all : unit -> unit

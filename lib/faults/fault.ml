@@ -50,9 +50,6 @@ let backends = function
 let sort schedule =
   List.stable_sort (fun a b -> Float.compare a.at b.at) schedule
 
-let of_failures failures =
-  sort (List.map (fun (at, b) -> crash ~at b) failures)
-
 let validate ?zone_of ~num_backends schedule =
   let n = max 1 num_backends in
   let up = Array.make n true in

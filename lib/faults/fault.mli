@@ -80,10 +80,6 @@ val backends : event -> int list
 val sort : schedule -> schedule
 (** Stable sort by timestamp ([Float.compare], not polymorphic compare). *)
 
-val of_failures : (float * int) list -> schedule
-(** Lift a legacy [(time, backend)] permanent-failure list into a
-    crash-only schedule for {!Simulator.run_open_with_faults}. *)
-
 val validate :
   ?zone_of:int array -> num_backends:int -> schedule -> (unit, string) result
 (** Structural checks: event times non-negative (and not NaN), backend
@@ -100,6 +96,5 @@ val validate :
     or simulated — without one).  [Workload_shift] mixes must be
     non-empty with finite, non-negative weights summing above zero. *)
 
-val pp_event : event Fmt.t
 val pp_timed : timed Fmt.t
 val pp : schedule Fmt.t

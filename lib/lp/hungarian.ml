@@ -64,30 +64,3 @@ let solve (cost : float array array) =
   let total = ref 0. in
   Array.iteri (fun i j -> total := !total +. cost.(i).(j)) assignment;
   (assignment, !total)
-
-let solve_rectangular (cost : float array array) =
-  let r = Array.length cost in
-  if r = 0 then invalid_arg "Hungarian.solve_rectangular: empty matrix";
-  let c = Array.length cost.(0) in
-  Array.iter
-    (fun line ->
-      if Array.length line <> c then
-        invalid_arg "Hungarian.solve_rectangular: ragged matrix")
-    cost;
-  let n = max r c in
-  let padded =
-    Array.init n (fun i ->
-        Array.init n (fun j ->
-            if i < r && j < c then cost.(i).(j) else 0.))
-  in
-  let assignment, _ = solve padded in
-  let result = Array.make r (-1) in
-  let total = ref 0. in
-  for i = 0 to r - 1 do
-    let j = assignment.(i) in
-    if j < c then begin
-      result.(i) <- j;
-      total := !total +. cost.(i).(j)
-    end
-  done;
-  (result, !total)

@@ -11,9 +11,3 @@ val solve : float array array -> int array * float
 (** [solve cost] returns [(assignment, total)] where [assignment.(i) = j]
     means row [i] is matched to column [j], and [total] is the summed cost.
     Raises [Invalid_argument] if the matrix is empty or not square. *)
-
-val solve_rectangular : float array array -> int array * float
-(** Like {!solve} but for an [r x c] matrix: the smaller dimension is padded
-    with zero-cost virtual rows/columns.  Entries of the result for virtual
-    rows are omitted; for real rows matched to virtual columns the value is
-    [-1].  The returned array always has length [r]. *)

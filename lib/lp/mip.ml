@@ -14,9 +14,6 @@ type outcome = Solved of solution | No_solution
 
 let int_tol = 1e-6
 
-let binary vars =
-  List.map (fun j -> Simplex.row [ (j, 1.) ] Simplex.Le 1.) vars
-
 (* Pick the integer variable whose relaxation value is closest to 0.5
    (most fractional first). *)
 let branch_var integer_vars (x : float array) =

@@ -25,10 +25,6 @@ type solution = {
 
 type outcome = Solved of solution | No_solution
 
-val binary : int list -> Simplex.row list
-(** [binary vars] returns the [x_j <= 1] rows making each listed variable
-    binary once it is also declared in [integer_vars]. *)
-
 val solve :
   ?node_limit:int -> ?incumbent:float array -> problem -> outcome
 (** [solve p] minimizes [p.lp] with integrality on [p.integer_vars].

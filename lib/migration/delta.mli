@@ -26,15 +26,6 @@ val capture : 'a t -> fragment:Fragment.t -> item:'a -> mb:float -> int
 (** Record an update touching [fragment] into every open capture for it;
     returns the number of captures that recorded it. *)
 
-val pending_mb : 'a t -> dest:int -> fragment:Fragment.t -> float
-(** Megabytes of captured-but-unreplayed updates for the copy. *)
-
 val drain : 'a t -> dest:int -> fragment:Fragment.t -> 'a list * float
 (** Close the capture and return its items in arrival order together with
     their total megabytes.  Returns [([], 0.)] when no capture is open. *)
-
-val open_captures : 'a t -> (int * Fragment.t) list
-(** The (dest, fragment) pairs currently capturing. *)
-
-val total_captured_mb : 'a t -> float
-(** Megabytes captured over the journal's lifetime (drained or not). *)

@@ -1,7 +1,6 @@
 type policy = { max_depth : int; max_pending : float }
 
 let default = { max_depth = 64; max_pending = 1. }
-let unbounded = { max_depth = max_int; max_pending = infinity }
 
 let make ?(max_depth = default.max_depth) ?(max_pending = default.max_pending)
     () =
@@ -15,7 +14,3 @@ let decide p ~depth ~pending ~is_update =
   if is_update then Admit
   else if depth >= p.max_depth || pending > p.max_pending then Shed
   else Admit
-
-let pp_decision ppf = function
-  | Admit -> Fmt.string ppf "admit"
-  | Shed -> Fmt.string ppf "shed"

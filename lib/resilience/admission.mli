@@ -19,9 +19,6 @@ type policy = {
 val default : policy
 (** depth 64, pending watermark 1 s. *)
 
-val unbounded : policy
-(** Never sheds — the legacy behaviour. *)
-
 val make : ?max_depth:int -> ?max_pending:float -> unit -> policy
 (** @raise Invalid_argument when [max_depth < 1] or [max_pending <= 0]. *)
 
@@ -31,5 +28,3 @@ val decide : policy -> depth:int -> pending:float -> is_update:bool -> decision
 (** [decide p ~depth ~pending ~is_update] — [depth] is the number of
     requests already in flight on the backend and [pending] the queueing
     delay a newcomer would see.  Updates are always admitted. *)
-
-val pp_decision : Format.formatter -> decision -> unit

@@ -21,33 +21,6 @@ let default_config =
     probes = 3;
   }
 
-let make_config ?(ewma_alpha = default_config.ewma_alpha)
-    ?(latency_factor = default_config.latency_factor)
-    ?(min_samples = default_config.min_samples)
-    ?(error_window = default_config.error_window)
-    ?(error_threshold = default_config.error_threshold)
-    ?(cool_down = default_config.cool_down) ?(probes = default_config.probes)
-    () =
-  if ewma_alpha <= 0. || ewma_alpha > 1. then
-    invalid_arg "Breaker.make_config: ewma_alpha must be in (0, 1]";
-  if latency_factor < 1. then
-    invalid_arg "Breaker.make_config: latency_factor < 1";
-  if min_samples < 1 then invalid_arg "Breaker.make_config: min_samples < 1";
-  if error_window < 1 then invalid_arg "Breaker.make_config: error_window < 1";
-  if error_threshold <= 0. || error_threshold > 1. then
-    invalid_arg "Breaker.make_config: error_threshold must be in (0, 1]";
-  if cool_down <= 0. then invalid_arg "Breaker.make_config: cool_down <= 0";
-  if probes < 1 then invalid_arg "Breaker.make_config: probes < 1";
-  {
-    ewma_alpha;
-    latency_factor;
-    min_samples;
-    error_window;
-    error_threshold;
-    cool_down;
-    probes;
-  }
-
 type backend = {
   mutable st : state;
   mutable ewma : float;
@@ -90,8 +63,6 @@ let create ?(config = default_config) ?on_transition n =
     trips = 0;
     hook = on_transition;
   }
-
-let set_on_transition t hook = t.hook <- hook
 
 let notify t ~backend st =
   match t.hook with None -> () | Some f -> f ~backend st
@@ -208,16 +179,5 @@ let record_failure t ~backend ~now =
   | Closed -> if error_tripped cfg be then trip t ~backend ~now
 
 let force_open t ~backend ~now = trip t ~backend ~now
-
-let force_close t ~backend =
-  let be = get t backend in
-  if be.st <> Closed then notify t ~backend Closed;
-  be.st <- Closed;
-  be.probe_successes <- 0;
-  reset_stats be
-
-let ewma t ~backend =
-  let be = get t backend in
-  if be.samples = 0 then None else Some be.ewma
 
 let trips t = t.trips

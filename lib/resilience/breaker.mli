@@ -44,17 +44,6 @@ type config = {
 }
 
 val default_config : config
-val make_config :
-  ?ewma_alpha:float ->
-  ?latency_factor:float ->
-  ?min_samples:int ->
-  ?error_window:int ->
-  ?error_threshold:float ->
-  ?cool_down:float ->
-  ?probes:int ->
-  unit ->
-  config
-(** @raise Invalid_argument on out-of-range parameters. *)
 
 type t
 
@@ -64,9 +53,6 @@ val create :
     invoked at every state change with the backend and its {e new} state
     — the observation hook telemetry hangs breaker-transition trace
     events on.  It must not call back into the breaker. *)
-
-val set_on_transition : t -> (backend:int -> state -> unit) option -> unit
-(** Install or remove the transition hook after creation. *)
 
 val config : t -> config
 val num_backends : t -> int
@@ -91,12 +77,6 @@ val record_failure : t -> backend:int -> now:float -> unit
 
 val force_open : t -> backend:int -> now:float -> unit
 (** Operator override: trip regardless of statistics. *)
-
-val force_close : t -> backend:int -> unit
-(** Operator override: close and reset the backend's statistics. *)
-
-val ewma : t -> backend:int -> float option
-(** Current latency EWMA; [None] before the first sample. *)
 
 val trips : t -> int
 (** Total transitions into Open since [create]. *)

@@ -17,10 +17,3 @@ let default =
 
 let make ?admission ?breaker ?hedge ?deadline () =
   { admission; breaker; hedge; deadline }
-
-let pp ppf t =
-  let flag name = function Some _ -> name | None -> "-" ^ name in
-  Fmt.pf ppf "resilience{%s %s %s %s}"
-    (flag "admission" t.admission)
-    (flag "breaker" t.breaker) (flag "hedge" t.hedge)
-    (flag "deadline" t.deadline)

@@ -21,6 +21,3 @@ val make :
   ?deadline:Deadline.policy ->
   unit ->
   t
-
-val pp : Format.formatter -> t -> unit
-(** One-line summary of which defenses are on. *)

@@ -270,19 +270,3 @@ let footprint_of_statement ?(schema = []) (st : statement) : footprint =
 
 let footprint_of_sql ?schema sql =
   footprint_of_statement ?schema (Parser.parse sql)
-
-let pp_bound ppf = function
-  | Neg_inf -> Fmt.string ppf "-inf"
-  | Pos_inf -> Fmt.string ppf "+inf"
-  | Value v -> Fmt.float ppf v
-
-let pp_footprint ppf fp =
-  Fmt.pf ppf "@[<v>tables: %a@,columns: %a@,predicates: %a@,update: %b@]"
-    Fmt.(list ~sep:comma string)
-    fp.tables
-    Fmt.(list ~sep:comma (pair ~sep:(any ".") string string))
-    fp.columns
-    Fmt.(
-      list ~sep:comma (fun ppf ((t, c), iv) ->
-          pf ppf "%s.%s in [%a,%a]" t c pp_bound iv.lo pp_bound iv.hi))
-    fp.predicates fp.is_update

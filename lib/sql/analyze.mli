@@ -38,5 +38,3 @@ val footprint_of_sql : ?schema:(string * string list) list ->
 
 val interval_intersect : interval -> interval -> interval option
 (** Intersection of two ranges, [None] if empty. *)
-
-val pp_footprint : footprint Fmt.t

@@ -20,11 +20,6 @@ let create schema =
 let schema t = t.schema
 let table t name = Hashtbl.find_opt t.tables name
 
-let table_exn t name =
-  match table t name with
-  | Some tbl -> tbl
-  | None -> invalid_arg ("Database.table_exn: no table " ^ name)
-
 let table_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.tables []
   |> List.sort String.compare

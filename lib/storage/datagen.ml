@@ -10,6 +10,8 @@ let random_value rng = function
   | Schema.T_string w -> Value.Str (random_string rng w)
   | Schema.T_bool -> Value.Bool (Rng.bool rng)
 
+(* Fill a table with [rows] generated rows.  Primary-key columns receive
+   the row number (starting at 1); other columns receive random values. *)
 let populate_table rng tbl ~rows =
   let schema = Table.schema tbl in
   let pk = schema.Schema.primary_key in

@@ -4,10 +4,6 @@
     seeded pseudo-random values of the right type, with sequential integer
     primary keys so referential lookups and point updates work. *)
 
-val populate_table : Cdbs_util.Rng.t -> Table.t -> rows:int -> unit
-(** Fill a table with [rows] generated rows.  Primary-key columns receive
-    the row number (starting at 1); other columns receive random values. *)
-
 val populate : Cdbs_util.Rng.t -> Database.t -> rows_per_table:(string * int) list -> unit
 (** Populate each listed table of the database. Tables not listed stay
     empty; unknown table names are ignored. *)

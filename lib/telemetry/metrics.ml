@@ -1,16 +1,13 @@
 type counter = { mutable c_value : int }
-type gauge = { mutable g_value : float }
 
 type t = {
   counters_tbl : (string, counter) Hashtbl.t;
-  gauges_tbl : (string, gauge) Hashtbl.t;
   histos_tbl : (string, Histogram.t) Hashtbl.t;
 }
 
 let create () =
   {
     counters_tbl = Hashtbl.create 16;
-    gauges_tbl = Hashtbl.create 16;
     histos_tbl = Hashtbl.create 16;
   }
 
@@ -24,18 +21,6 @@ let counter t name =
 
 let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
-let counter_value c = c.c_value
-
-let gauge t name =
-  match Hashtbl.find_opt t.gauges_tbl name with
-  | Some g -> g
-  | None ->
-      let g = { g_value = 0. } in
-      Hashtbl.add t.gauges_tbl name g;
-      g
-
-let set_gauge g v = g.g_value <- v
-let gauge_value g = g.g_value
 
 let histogram t ?min_value ?per_decade name =
   match Hashtbl.find_opt t.histos_tbl name with
@@ -45,68 +30,7 @@ let histogram t ?min_value ?per_decade name =
       Hashtbl.add t.histos_tbl name h;
       h
 
-let sorted_bindings tbl value =
-  Hashtbl.fold (fun name v acc -> (name, value v) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let counters t = sorted_bindings t.counters_tbl (fun c -> c.c_value)
-let gauges t = sorted_bindings t.gauges_tbl (fun g -> g.g_value)
-let histograms t = sorted_bindings t.histos_tbl (fun h -> h)
-
 let find_counter t name =
   Option.map (fun c -> c.c_value) (Hashtbl.find_opt t.counters_tbl name)
 
 let find_histogram t name = Hashtbl.find_opt t.histos_tbl name
-
-let pp ppf t =
-  let lines =
-    List.map (fun (n, v) -> Printf.sprintf "counter %s = %d" n v) (counters t)
-    @ List.map (fun (n, v) -> Printf.sprintf "gauge %s = %g" n v) (gauges t)
-    @ List.map
-        (fun (n, h) -> Fmt.str "histogram %s: %a" n Histogram.pp h)
-        (histograms t)
-  in
-  Fmt.(list ~sep:(any "@\n") string) ppf lines
-
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let to_json t =
-  let buf = Buffer.create 256 in
-  let obj label items render =
-    Buffer.add_string buf (Printf.sprintf "\"%s\":{" label);
-    List.iteri
-      (fun i (name, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf (Printf.sprintf "\"%s\":" (json_escape name));
-        render v)
-      items;
-    Buffer.add_char buf '}'
-  in
-  Buffer.add_char buf '{';
-  obj "counters" (counters t) (fun v ->
-      Buffer.add_string buf (string_of_int v));
-  Buffer.add_char buf ',';
-  obj "gauges" (gauges t) (fun v ->
-      Buffer.add_string buf (Printf.sprintf "%.6g" v));
-  Buffer.add_char buf ',';
-  obj "histograms" (histograms t) (fun h ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "{\"count\":%d,\"mean\":%.6g,\"p50\":%.6g,\"p95\":%.6g,\"p99\":%.6g,\"max\":%.6g}"
-           (Histogram.count h) (Histogram.mean h) (Histogram.quantile h 0.5)
-           (Histogram.quantile h 0.95) (Histogram.quantile h 0.99)
-           (Histogram.max_recorded h)));
-  Buffer.add_char buf '}';
-  Buffer.contents buf

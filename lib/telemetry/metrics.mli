@@ -1,13 +1,11 @@
-(** Metrics registry: named counters, gauges and histograms.
+(** Metrics registry: named counters and histograms.
 
     A registry is the per-run (or per-subsystem) bag of instruments.
     Instruments are interned by name — asking twice for the same name
     returns the same instrument, so instrumentation sites don't need to
-    thread instrument handles around.  Enumeration is deterministic
-    (sorted by name) so renderings are stable across runs. *)
+    thread instrument handles around. *)
 
 type counter
-type gauge
 
 type t
 
@@ -18,31 +16,10 @@ val counter : t -> string -> counter
 
 val incr : counter -> unit
 val add : counter -> int -> unit
-val counter_value : counter -> int
-
-val gauge : t -> string -> gauge
-(** Intern a gauge (starts at 0). *)
-
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
 
 val histogram : t -> ?min_value:float -> ?per_decade:int -> string -> Histogram.t
 (** Intern a histogram.  The optional parameters apply only on first
     creation; later lookups return the existing instrument as is. *)
 
-val counters : t -> (string * int) list
-(** All counters, sorted by name. *)
-
-val gauges : t -> (string * float) list
-val histograms : t -> (string * Histogram.t) list
-
 val find_counter : t -> string -> int option
 val find_histogram : t -> string -> Histogram.t option
-
-val pp : Format.formatter -> t -> unit
-(** Text dump: one instrument per line, sorted by name. *)
-
-val to_json : t -> string
-(** Deterministic JSON object
-    [{"counters":{...},"gauges":{...},"histograms":{...}}] with per-
-    histogram count/mean/p50/p95/p99/max summaries. *)

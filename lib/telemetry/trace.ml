@@ -330,16 +330,6 @@ let clear t =
   t.len <- 0;
   t.dropped <- 0
 
-type span = { s_name : string; s_at : float }
-
-let span_start t ~at name attrs =
-  emit t ~at (name ^ ".start") attrs;
-  { s_name = name; s_at = at }
-
-let span_end t ~at span attrs =
-  emit t ~at (span.s_name ^ ".end")
-    (("duration_s", Float (at -. span.s_at)) :: attrs)
-
 let pp_value ppf = function
   | Int i -> Fmt.int ppf i
   | Float f -> Fmt.pf ppf "%g" f

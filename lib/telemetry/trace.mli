@@ -13,7 +13,7 @@
     attribute names.  {!name} and {!attrs} render any event to its wire
     form: a dotted name (["backend.serve"]) and an ordered list of typed
     attributes.  Free-form events that no rule reads (experiment
-    milestones such as ["migration.start"], user spans) are {!Custom},
+    milestones such as ["migration.start"]) are {!Custom},
     built only through {!custom}, which refuses the names the
     constructors own.
 
@@ -215,18 +215,5 @@ val find : t -> string -> event list
 
 val clear : t -> unit
 
-(** {1 Spans}
-
-    A span is a named interval on the simulated clock.  [span_start]
-    emits a free-form ["<name>.start"] event and returns a handle;
-    [span_end] emits ["<name>.end"] carrying the duration plus any extra
-    attributes. *)
-
-type span
-
-val span_start : t -> at:float -> string -> (string * value) list -> span
-val span_end : t -> at:float -> span -> (string * value) list -> unit
-
-val pp_event : Format.formatter -> event -> unit
 val pp : Format.formatter -> t -> unit
 (** All retained events, one per line. *)

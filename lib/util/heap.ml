@@ -91,8 +91,6 @@ let add t ~time ?(rank = 0) v =
   t.len <- t.len + 1;
   sift_up t i
 
-let min_time t = if t.len = 0 then None else Some t.times.(0)
-
 let pop_timed t =
   if t.len = 0 then None
   else begin

@@ -27,9 +27,6 @@ val add : 'a t -> time:float -> ?rank:int -> 'a -> unit
 (** Push an entry.  [rank] breaks ties among equal times (default 0);
     insertion order breaks ties among equal [(time, rank)]. *)
 
-val min_time : 'a t -> float option
-(** Key of the next entry to pop, without popping. *)
-
 val pop : 'a t -> 'a option
 (** Remove and return the minimum entry's payload. *)
 

@@ -53,9 +53,4 @@ let exponential t mean =
   let u = float t 1.0 in
   -.mean *. log (1.0 -. u)
 
-let gaussian t ~mu ~sigma =
-  let u1 = float t 1.0 and u2 = float t 1.0 in
-  let u1 = if u1 <= 1e-12 then 1e-12 else u1 in
-  mu +. (sigma *. sqrt (-2. *. log u1) *. cos (2. *. Float.pi *. u2))
-
 let split t = { state = next_int64 t }

@@ -33,8 +33,5 @@ val exponential : t -> float -> float
 (** [exponential t mean] samples an exponential with the given mean; used
     for inter-arrival times in the cluster simulator. *)
 
-val gaussian : t -> mu:float -> sigma:float -> float
-(** Box–Muller normal sample. *)
-
 val split : t -> t
 (** A generator statistically independent of the parent's future output. *)

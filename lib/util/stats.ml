@@ -2,17 +2,6 @@ let mean = function
   | [] -> 0.
   | xs -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-let stdev xs =
-  match xs with
-  | [] | [ _ ] -> 0.
-  | _ ->
-      let m = mean xs in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. xs
-        /. float_of_int (List.length xs)
-      in
-      sqrt var
-
 let minimum = function
   | [] -> 0.
   | x :: xs -> List.fold_left min x xs

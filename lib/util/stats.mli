@@ -4,9 +4,6 @@
 val mean : float list -> float
 (** Arithmetic mean; 0 for the empty list. *)
 
-val stdev : float list -> float
-(** Population standard deviation; 0 for lists shorter than 2. *)
-
 val minimum : float list -> float
 val maximum : float list -> float
 

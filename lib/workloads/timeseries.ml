@@ -20,6 +20,8 @@ let schema : Schema.t =
   ]
 
 let row_counts = [ ("events", 2_000_000); ("users", 50_000); ("kinds", 40) ]
+(* The split specification for [Cdbs_core.Classification.By_predicate]:
+   [ev_day] cut at days 90, 180 and 270. *)
 let splits = [ ("events", "ev_day", [ 90.; 180.; 270. ]) ]
 
 (* Statement templates: (relative frequency, cost per execution, SQL).

@@ -14,10 +14,6 @@
 val schema : Cdbs_storage.Schema.t
 val row_counts : (string * int) list
 
-val splits : (string * string * float list) list
-(** The split specification for {!Cdbs_core.Classification.By_predicate}:
-    [ev_day] cut at days 90, 180 and 270. *)
-
 val journal : rng:Cdbs_util.Rng.t -> n:int -> Cdbs_core.Journal.t
 (** [n] journal entries: reads over all four quarters (the head quarter
     carries ~30% of the cost) plus three disjoint-range update classes —

@@ -64,12 +64,6 @@ let row_counts ~eb =
     ("order_line", 3_000 * eb);
   ]
 
-let database_mb ~eb =
-  let size_of = Classification.default_sizes ~schema ~rows:(row_counts ~eb) in
-  List.fold_left
-    (fun acc tbl -> acc +. size_of (Fragment.Table tbl.Schema.tbl_name))
-    0. schema
-
 let update_weight = 0.25
 let order_line_weight = 0.13
 

@@ -20,8 +20,6 @@ val row_counts : eb:int -> (string * int) list
 (** Cardinalities for EB emulated browsers (EB = 300 gives the paper's
     ≈280 MB database; EB = 12000 gives ≈8 GB). *)
 
-val database_mb : eb:int -> float
-
 val specs :
   granularity:[ `Table | `Column ] -> eb:int -> Spec.class_spec list
 (** 8 classes at table granularity, 10 at column granularity. *)
@@ -35,11 +33,6 @@ val requests :
   eb:int ->
   n:int ->
   Cdbs_cluster.Request.t list
-
-val specs_large_scale : eb:int -> Spec.class_spec list
-(** The EB = 12000 large-scale profile of Fig. 4(i): update-to-read request
-    ratio about 1:1 with markedly more expensive updates (larger rows and
-    indexes); reads carry 55 % of the weight. *)
 
 val workload_large_scale :
   granularity:[ `Table | `Column ] -> eb:int -> Cdbs_core.Workload.t

@@ -71,12 +71,6 @@ let row_counts ~sf =
     ("lineitem", scale 6_000_000);
   ]
 
-let database_mb ~sf =
-  let size_of = Classification.default_sizes ~schema ~rows:(row_counts ~sf) in
-  List.fold_left
-    (fun acc tbl -> acc +. size_of (Fragment.Table tbl.Schema.tbl_name))
-    0. schema
-
 (* A database the 19 queries find rows in: keys 1..n (region and nation
    keep TPC-H's 0-based 5 and 25), foreign keys drawn among existing rows,
    and the strings, dates and numbers the queries compare against drawn
@@ -362,6 +356,3 @@ let workload ~granularity ~sf =
   Spec.to_workload ~schema ~rows:(row_counts ~sf) ~granularity (specs ~sf)
 
 let requests ~rng ~sf ~n = Spec.requests ~rng ~n (specs ~sf)
-
-let random_allocation ~rng workload backend_list =
-  Cdbs_core.Baselines.random_placement ~rng workload backend_list

@@ -15,9 +15,6 @@ val schema : Cdbs_storage.Schema.t
 val row_counts : sf:float -> (string * int) list
 (** Cardinalities at the given scale factor (SF1 = the paper's 1 GB). *)
 
-val database_mb : sf:float -> float
-(** Total database size under the schema's column widths. *)
-
 val specs : sf:float -> Spec.class_spec list
 (** The 19 query-class specifications; weights normalized downstream. *)
 
@@ -26,16 +23,6 @@ val workload :
 
 val requests :
   rng:Cdbs_util.Rng.t -> sf:float -> n:int -> Cdbs_cluster.Request.t list
-
-val random_allocation :
-  rng:Cdbs_util.Rng.t ->
-  Cdbs_core.Workload.t ->
-  Cdbs_core.Backend.t list ->
-  Cdbs_core.Allocation.t
-(** The paper's "random allocation" baseline: every query class is placed
-    (whole) on a uniformly random backend; updates follow by closure.  Load
-    is whatever falls out — the baseline that levels off at speedup ≈ 2.5
-    in Fig. 4(a). *)
 
 val linked_database :
   rng:Cdbs_util.Rng.t -> rows:(string * int) list -> Cdbs_storage.Database.t

@@ -134,6 +134,9 @@ let specs_of_mix ~mix =
 
 let specs_at ~hour = specs_of_mix ~mix:(class_mix ~hour)
 
+(* [mix_at] for an arbitrary read mix: the full normalized weight
+   vector (reads scaled into the read share, fixed update weights) that
+   [specs_of_mix] encodes. *)
 let mix_of ~mix =
   let share = normalize_mix mix in
   List.map (fun (id, _, _, _) -> (id, read_share *. share id)) class_defs
@@ -146,27 +149,6 @@ let workload_of_mix ~mix =
     (specs_of_mix ~mix)
 
 let workload_at ~hour = workload_of_mix ~mix:(class_mix ~hour)
-
-let requests_for_day ~rng ~scale ~step_minutes =
-  let out = ref [] in
-  let step_h = step_minutes /. 60. in
-  let windows = int_of_float (24. /. step_h) in
-  for w = 0 to windows - 1 do
-    let hour = float_of_int w *. step_h in
-    let rate = rate_per_10min ~hour *. scale in
-    let n = int_of_float (rate *. step_minutes /. 10.) in
-    let specs = specs_at ~hour in
-    let reqs = Spec.requests ~rng ~n specs in
-    List.iter
-      (fun (r : Request.t) ->
-        let jitter = Rng.float rng (step_minutes *. 60.) in
-        let arrival = (hour *. 3600.) +. jitter in
-        out := { r with Request.arrival } :: !out)
-      reqs
-  done;
-  List.sort
-    (fun (a : Request.t) b -> Stdlib.compare a.Request.arrival b.Request.arrival)
-    !out
 
 let journal_for_day ~rng ~scale =
   ignore rng;

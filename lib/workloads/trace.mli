@@ -39,21 +39,6 @@ val mix_at : hour:float -> (string * float) list
     drift detector) can assert the shift a generated window carries
     instead of re-deriving it. *)
 
-val mix_of : mix:(string * float) list -> (string * float) list
-(** [mix_at] for an arbitrary read mix: the full normalized weight
-    vector (reads scaled into the read share, fixed update weights) that
-    {!specs_of_mix} encodes. *)
-
-val requests_for_day :
-  rng:Cdbs_util.Rng.t ->
-  scale:float ->
-  step_minutes:float ->
-  Cdbs_cluster.Request.t list
-(** A full day of timestamped requests: every [step_minutes] window draws
-    [scale * rate] requests with the window's class mix, Poisson-ish
-    arrival jitter inside the window.  Arrival times are seconds since
-    midnight.  The paper scales the original trace by 40. *)
-
 val journal_for_day :
   rng:Cdbs_util.Rng.t -> scale:float -> Cdbs_core.Journal.t
 (** The corresponding query journal (footprint-level entries encoded as

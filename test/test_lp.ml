@@ -112,7 +112,7 @@ let test_mip_knapsack () =
       objective = [| -5.; -4.; -3. |];
       rows =
         Simplex.row [ (0, 2.); (1, 3.); (2, 1.) ] Simplex.Le 5.
-        :: Mip.binary [ 0; 1; 2 ];
+        :: List.map (fun j -> Simplex.row [ (j, 1.) ] Simplex.Le 1.) [ 0; 1; 2 ];
     }
   in
   match Mip.solve { Mip.lp; integer_vars = [ 0; 1; 2 ] } with
@@ -204,12 +204,6 @@ let test_hungarian_random_vs_bruteforce () =
     Alcotest.(check (float 1e-6)) "optimal" !best total
   done
 
-let test_hungarian_rectangular () =
-  let cost = [| [| 1.; 9.; 9. |]; [| 9.; 1.; 9. |] |] in
-  let assignment, total = Hungarian.solve_rectangular cost in
-  Alcotest.(check int) "rows" 2 (Array.length assignment);
-  Alcotest.(check (float 1e-9)) "total" 2. total
-
 (* The paper's Section 3 read-only example solved exactly: on 2 backends the
    optimum replicates exactly one relation. *)
 let test_optimal_readonly_example () =
@@ -288,8 +282,6 @@ let suite =
     Alcotest.test_case "hungarian: classic 3x3" `Quick test_hungarian_classic;
     Alcotest.test_case "hungarian: random vs brute force" `Quick
       test_hungarian_random_vs_bruteforce;
-    Alcotest.test_case "hungarian: rectangular" `Quick
-      test_hungarian_rectangular;
     Alcotest.test_case "optimal: read-only example" `Quick
       test_optimal_readonly_example;
     Alcotest.test_case "optimal: appendix A homogeneous" `Slow

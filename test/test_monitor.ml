@@ -32,7 +32,7 @@ let has_error code ds = has code (Diagnostic.errors ds)
 let has_warning code ds = has code (Diagnostic.warnings ds)
 
 let no_errors name ds =
-  if Diagnostic.has_errors ds then
+  if Diagnostic.errors ds <> [] then
     Alcotest.failf "%s: unexpected errors: %s" name
       (String.concat ", " (codes (Diagnostic.errors ds)))
 

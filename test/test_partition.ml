@@ -54,10 +54,7 @@ let test_topology_basics () =
     (Topology.backends_in t 0);
   Alcotest.(check int) "zone of 5" 2 (Topology.zone_of t 5);
   Alcotest.(check int) "spanned dedups" 2
-    (Topology.zones_spanned t [ 0; 3; 1 ]);
-  Alcotest.(check int) "required spread k=1" 2 (Topology.required_spread t ~k:1);
-  Alcotest.(check int) "required spread capped by zones" 3
-    (Topology.required_spread t ~k:5)
+    (Topology.zones_spanned t [ 0; 3; 1 ])
 
 let test_topology_rejects_gaps () =
   (match Topology.make [| 0; 2 |] with

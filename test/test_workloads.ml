@@ -62,13 +62,24 @@ let test_tpch_workload_valid () =
       Alcotest.(check int) "read-only" 0 (List.length w.Workload.updates))
     [ `Table; `Column ]
 
+(* Total database size under the schema's column widths. *)
+let database_mb schema rows =
+  let size_of = Classification.default_sizes ~schema ~rows in
+  List.fold_left
+    (fun acc tbl ->
+      acc +. size_of (Fragment.Table tbl.Cdbs_storage.Schema.tbl_name))
+    0. schema
+
+let tpch_mb ~sf = database_mb Tpch.schema (Tpch.row_counts ~sf)
+let tpcapp_mb ~eb = database_mb Tpcapp.schema (Tpcapp.row_counts ~eb)
+
 let test_tpch_fact_tables_dominate () =
   (* The paper: lineitem and orders hold over 80% of the data. *)
   let size_of =
     Classification.default_sizes ~schema:Tpch.schema
       ~rows:(Tpch.row_counts ~sf:1.)
   in
-  let total = Tpch.database_mb ~sf:1. in
+  let total = tpch_mb ~sf:1. in
   let facts =
     size_of (Fragment.Table "lineitem") +. size_of (Fragment.Table "orders")
   in
@@ -76,7 +87,7 @@ let test_tpch_fact_tables_dominate () =
 
 let test_tpch_scaling () =
   Alcotest.(check bool) "SF10 is 10x SF1" true
-    (Tpch.database_mb ~sf:10. /. Tpch.database_mb ~sf:1. > 9.5)
+    (tpch_mb ~sf:10. /. tpch_mb ~sf:1. > 9.5)
 
 let test_tpch_column_footprints_within_schema () =
   let w = Tpch.workload ~granularity:`Column ~sf:1. in
@@ -130,9 +141,9 @@ let test_tpcapp_request_mix () =
 
 let test_tpcapp_database_sizes () =
   Alcotest.(check bool) "EB300 near 280MB" true
-    (abs_float (Tpcapp.database_mb ~eb:300 -. 280.) < 80.);
+    (abs_float (tpcapp_mb ~eb:300 -. 280.) < 80.);
   Alcotest.(check bool) "EB12000 near 8GB" true
-    (abs_float (Tpcapp.database_mb ~eb:12_000 -. 8192.) < 1500.)
+    (abs_float (tpcapp_mb ~eb:12_000 -. 8192.) < 1500.)
 
 let test_tpcapp_updated_tables_are_queried_tables () =
   (* Paper: all queried tables are also updated (column classes then span
@@ -186,17 +197,6 @@ let test_trace_mix_night_b () =
     Alcotest.(check (float 1e-9)) "mix sums to 1" 1. total
   done
 
-let test_trace_day_requests_sorted () =
-  let rng = Cdbs_util.Rng.create 2 in
-  let reqs = Trace.requests_for_day ~rng ~scale:0.02 ~step_minutes:60. in
-  let rec sorted = function
-    | a :: (b :: _ as rest) ->
-        a.Request.arrival <= b.Request.arrival && sorted rest
-    | _ -> true
-  in
-  Alcotest.(check bool) "sorted by arrival" true (sorted reqs);
-  Alcotest.(check bool) "non-empty" true (List.length reqs > 100)
-
 let test_trace_journal_classifies () =
   let journal = Trace.journal_for_day ~rng:(Cdbs_util.Rng.create 2) ~scale:1. in
   let size_of =
@@ -234,8 +234,6 @@ let suite =
       test_tpcapp_updated_tables_are_queried_tables;
     Alcotest.test_case "trace: rate profile" `Quick test_trace_rate_profile;
     Alcotest.test_case "trace: class mix" `Quick test_trace_mix_night_b;
-    Alcotest.test_case "trace: day request stream" `Quick
-      test_trace_day_requests_sorted;
     Alcotest.test_case "trace: journal classifies" `Quick
       test_trace_journal_classifies;
   ]
