@@ -16,6 +16,13 @@ dune runtest
 # The benchmark's own helpers (percentiles, quartiles, verdicts, spans).
 python3 perfbench/test_run.py
 
+# Export guard: every exported value has a caller outside its own module
+# and the tests, or an entry in scripts/exports_allow.txt with the reason
+# it stays.  The self-test first shows each of the guard's rules firing on
+# a fixture tree.
+python3 scripts/test_check_exports.py
+python3 scripts/check_exports.py
+
 # Benchmark correctness smoke: run.py exits 0 even when a workload's
 # checks fail (monitor-clean, no shed update, SQL against the reference,
 # determinism), so read the verdict off its last line.
