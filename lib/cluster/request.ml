@@ -10,8 +10,3 @@ let[@warning "-16"] read ?(arrival = 0.) ?cost_mb class_id =
 
 let[@warning "-16"] update ?(arrival = 0.) ?cost_mb class_id =
   { class_id; is_update = true; arrival; cost_mb }
-
-let pp ppf r =
-  Fmt.pf ppf "%s%s@%.3f"
-    (if r.is_update then "U:" else "Q:")
-    r.class_id r.arrival

@@ -12,4 +12,3 @@ type t = {
 
 val read : ?arrival:float -> ?cost_mb:float -> string -> t
 val update : ?arrival:float -> ?cost_mb:float -> string -> t
-val pp : t Fmt.t
