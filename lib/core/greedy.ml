@@ -1,9 +1,9 @@
-let allocate (workload : Workload.t) (backend_list : Backend.t list) :
-    Allocation.t =
+let via_dense ~context place (workload : Workload.t)
+    (backend_list : Backend.t list) : Allocation.t =
   let alloc = Allocation.create workload backend_list in
   if Allocation.num_backends alloc = 0 then
-    invalid_arg "Greedy.allocate: no backends";
-  let t = Dense.greedy (Dense.of_allocation alloc).Dense.inst in
+    invalid_arg (context ^ ": no backends");
+  let t = place (Dense.of_allocation alloc).Dense.inst in
   (* The instance numbers fragments and classes as [alloc] does, so the
      result copies back by position. *)
   let nc = Array.length (Allocation.classes alloc) in
@@ -13,8 +13,10 @@ let allocate (workload : Workload.t) (backend_list : Backend.t list) :
   for k = 0 to nc - 1 do
     Dense.iter_shares t k (fun b w -> Allocation.set_assign_at alloc b k w)
   done;
-  Invariants.check_allocation ~context:"Greedy.allocate" alloc;
+  Invariants.check_allocation ~context alloc;
   alloc
+
+let allocate = via_dense ~context:"Greedy.allocate" Dense.greedy
 
 let sort_key workload c ~rest_weight =
   let alloc = Allocation.create workload [] in

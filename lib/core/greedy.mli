@@ -13,14 +13,25 @@ val allocate : Workload.t -> Backend.t list -> Allocation.t
 (** Compute a greedy allocation.  The workload should be normalized
     (weights summing to 1); backends must be non-empty.
 
-    Runs {!Dense.greedy} on the workload compiled by {!Dense.of_allocation}
-    and copies the placement back over the caller's workload and backends.
+    [via_dense Dense.greedy]: the caller's workload and backends carry
+    the placement {!Dense.greedy} computes.
 
     Deviation from the paper's pseudo-code, for correctness: when placing a
     class's fragments makes a backend overlap update classes beyond
     [updates(C)] (possible when update classes chain through fragments the
     class itself does not reference), those update classes are pinned too,
     so the result always satisfies the validity constraint of Eq. 10. *)
+
+val via_dense :
+  context:string -> (Dense.instance -> Dense.t) -> Workload.t ->
+  Backend.t list -> Allocation.t
+(** [via_dense ~context place workload backends] compiles the workload
+    over the backends with {!Dense.of_allocation}, runs [place] on the
+    instance and copies the resulting placement back by position into a
+    fresh allocation, then runs {!Invariants.check_allocation} under
+    [context].  One compile and one write-back: {!Ksafety.allocate} runs
+    {!Dense.greedy} and its k-safety pass through it.
+    @raise Invalid_argument on an empty backend list. *)
 
 val sort_key : Workload.t -> Query_class.t -> rest_weight:float -> float
 (** The ordering key: [(restWeight(C) + weight(updates(C))) * size(C ∪

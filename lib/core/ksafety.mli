@@ -17,20 +17,40 @@
 val allocate :
   ?topology:Topology.t -> k:int -> Workload.t -> Backend.t list ->
   Allocation.t
-(** Greedy allocation with the k-safety extension (Algorithm 4): after the
-    base first-fit pass, under-replicated classes are re-enqueued as
-    zero-weight replicas that must land on backends not already holding
-    them.
-
-    With [topology], placement is fault-domain aware: candidate backends in
-    zones not yet holding a replica of the class are preferred outright
-    (the spread key dominates the data-movement key), and a final pass adds
-    replicas — restricted to uncovered zones — until every class spans
-    [min (k+1, zones)] fault domains.  The spread pass may push a class
-    above k+1 copies when the first k+1 landed in fewer zones.
+(** Greedy allocation with the k-safety extension (Algorithm 4): the
+    workload is compiled once, {!Dense.greedy} places it and {!replicate}
+    adds zero-weight replicas until every class is held by k+1 backends
+    (and, with [topology], spans [min (k+1, zones)] fault domains), then
+    the placement is written back once ({!Greedy.via_dense}).  The spread
+    pass may push a class above k+1 copies when the first k+1 landed in
+    fewer zones.
 
     @raise Invalid_argument when [k + 1] exceeds the backend count, or when
     [topology] does not cover exactly the given backends. *)
+
+val replicate :
+  ?topology:Topology.t -> ?on_write:(int -> unit) -> ?only:(int -> bool) ->
+  k:int -> Dense.t -> unit
+(** The one k-safe placement pass, in place: {!allocate}, {!repair} and
+    the k step of {!Incremental.repair} run it.  The classes are the
+    alive ones [only] selects (default: all), heaviest first, ties in
+    index order.
+
+    A count pass gives each class k+1 replicas on alive backends (fewer
+    when fewer are alive); with [topology], a spread pass then adds
+    replicas in zones the class does not cover until it spans
+    [min (k+1)] zones that have an alive backend.  Each replica goes to
+    the alive backend not yet holding the class that minimizes, in
+    order: whether its zone already holds a replica; the bytes of
+    [C ∪ updates(C)] it is missing, summed in ascending fragment index;
+    and its load over its capacity, the load summed over its shares in
+    ascending class order (as {!Allocation.assigned_load} sums it).  The
+    lowest index wins a tie.  The replica carries no read weight; the
+    update classes its data brings are pinned at full weight.
+
+    [on_write b] runs before the pass first writes backend [b]: a caller
+    snapshots there what it needs to report the moves.  The pass leaves
+    [load] as those ascending sums. *)
 
 val class_holders : ?failed:int list -> Allocation.t -> Query_class.t -> int list
 (** The backends holding all of the class's fragments, ascending,
@@ -69,17 +89,18 @@ val repair :
   ?topology:Topology.t -> k:int -> failed:int list -> Allocation.t ->
   Fragment.Set.t array
 (** Restore [effective_k ~failed] to at least [k] by re-replicating every
-    under-replicated class onto surviving backends (Algorithm 4's placement
-    rule, restricted to non-failed nodes), in place.  Returns the fragments
-    each backend gained — the copy obligations a controller must ship to
-    materialize the repair (entries for failed backends become due when the
-    node rejoins).
+    under-replicated class onto surviving backends: {!replicate} on the
+    compiled allocation with the [failed] backends dead, written back in
+    place.  Returns the fragments each backend gained — the copy
+    obligations a controller must ship to materialize the repair (the
+    failed backends gain nothing).
 
-    With [topology], the repair also restores {e spread}: after the count
-    pass, classes whose surviving replicas span fewer than
-    [min (k+1, zones with a surviving backend)] domains gain replicas in
-    uncovered zones, so the post-repair allocation satisfies {!spread_ok}
-    [~failed].
+    With [topology], the repair also restores {e spread}: classes whose
+    surviving replicas span fewer than [min (k+1, zones with a surviving
+    backend)] domains gain replicas in uncovered zones, so the
+    post-repair allocation satisfies {!spread_ok} [~failed].  The input
+    is expected to satisfy the update closure (Eq. 10), as every
+    allocator's output does.
 
     @raise Invalid_argument when [k + 1] exceeds the number of surviving
     backends, or when [topology] does not cover exactly the allocation's
