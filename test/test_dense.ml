@@ -122,6 +122,34 @@ let prop_repair_preserves_ksafety =
       |> Cdbs_analysis.Diagnostic.errors
       = [])
 
+(* (b'') Retiring a backend of a k-safe placement takes its standby
+   replicas with it; the repair must put them back, spread over the zones
+   when there is a topology. *)
+let prop_retire_backend_keeps_ksafety =
+  QCheck.Test.make ~count:200
+    ~name:"retiring a backend keeps k-safety and zone spread"
+    (QCheck.pair Gen.scenario_arbitrary QCheck.small_nat)
+    (fun ((w, backends), salt) ->
+      let n = List.length backends in
+      let k = 1 + (salt mod 2) and zones = [| 0; 2; 3 |].(salt / 2 mod 3) in
+      QCheck.assume (n >= k + 2 && zones <= n);
+      let topology =
+        if zones = 0 then None else Some (Topology.uniform ~zones n)
+      in
+      let t = Dense.of_allocation (Ksafety.allocate ?topology ~k w backends) in
+      let st, _ =
+        Incremental.repair ~k ?topology t
+          [ Incremental.Retire_backend { backend = salt mod n } ]
+      in
+      match
+        Cdbs_analysis.Check_allocation.check_dense ~k ?topology st
+        |> Cdbs_analysis.Diagnostic.errors
+      with
+      | [] -> true
+      | d :: _ ->
+          QCheck.Test.fail_reportf "k=%d zones=%d retired B%d: %a" k zones
+            (salt mod n) Cdbs_analysis.Diagnostic.pp d)
+
 (* (c) The island-parallel memetic is bit-deterministic for a fixed
    (seed, islands) no matter how many domains run it. *)
 let prop_memetic_par_deterministic =
@@ -549,6 +577,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_roundtrip;
     QCheck_alcotest.to_alcotest prop_repair_clean;
     QCheck_alcotest.to_alcotest prop_repair_preserves_ksafety;
+    QCheck_alcotest.to_alcotest prop_retire_backend_keeps_ksafety;
     QCheck_alcotest.to_alcotest prop_memetic_par_deterministic;
     Alcotest.test_case "repair budget=0 adds no rebalance copies" `Quick
       test_repair_budget_zero;
