@@ -2,9 +2,12 @@
 """Fail on exported values that nothing outside their own module calls.
 
 Every `val` in a `lib/**/*.mli` is an export.  A file references the export
-`M.v` when it names both `M` and `v` as identifiers outside strings and
-comments; the export's own `.ml`/`.mli` do not count, and files under
-`test/` are tests.  The check fails on:
+`M.v` when, outside strings and comments, it names `v` qualified by `M`:
+`M.v`, `A.M.v`, or `X.v` after `module X = A.M`; or names `v` unqualified
+after `open M` (anywhere in the file) or inside `M.( ... )`.  Another
+module's value of the same name is no reference.  The export's own
+`.ml`/`.mli` do not count, and files under `test/` are tests.  The check
+fails on:
 
   unreferenced   no file outside the module names it, and its own `.ml`
                  does not use it either: delete it;
@@ -32,6 +35,8 @@ ALLOW = os.path.join("scripts", "exports_allow.txt")
 
 IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 NUMBER = re.compile(r"[0-9][0-9A-Za-z_'.]*")
+# Operator runs are one token, so the dot of `+.` qualifies nothing.
+OPERATOR = re.compile(r"[!$%&*+\-./:<=>?@^|~]+")
 CHAR = re.compile(
     r"'(?:\\(?:[\\'\"ntbr ]|[0-9]{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\'\n])'")
 QUOTED = re.compile(r"\{([a-z_]*)\|")
@@ -45,9 +50,10 @@ def skip_string(src, i):
     return i + 1
 
 
-def identifiers(src):
+def tokens(src):
     """Occurrence counts of the identifiers outside comments and strings,
-    and the identifier sequence in source order."""
+    and the sequence of identifiers, operators and parentheses in source
+    order."""
     seq = []
     i, n, depth = 0, len(src), 0
     while i < n:
@@ -65,15 +71,69 @@ def identifiers(src):
             i = CHAR.match(src, i).end()
         elif depth:
             i += 1
+        elif src[i] in "()":
+            seq.append(src[i])
+            i += 1
         else:
-            m = IDENT.match(src, i) or NUMBER.match(src, i)
+            m = (IDENT.match(src, i) or NUMBER.match(src, i)
+                 or OPERATOR.match(src, i))
             if m is None:
                 i += 1
                 continue
-            if m.re is IDENT:
+            if m.re is not NUMBER:
                 seq.append(m.group())
             i = m.end()
-    return collections.Counter(seq), seq
+    return collections.Counter(t for t in seq if IDENT.fullmatch(t)), seq
+
+
+def is_module(tok):
+    return tok[:1].isupper() and IDENT.fullmatch(tok) is not None
+
+
+def path_end(seq, j):
+    """Index of the last component of the module path `A.B.M` at seq[j]."""
+    while j + 2 < len(seq) and seq[j + 1] == "." and is_module(seq[j + 2]):
+        j += 2
+    return j
+
+
+def references(seq):
+    """The (module, value) pairs a token sequence references."""
+    aliases = {}
+    for k, tok in enumerate(seq[:-3]):
+        if tok == "module" and is_module(seq[k + 1]) and seq[k + 2] == "=" \
+                and is_module(seq[k + 3]):
+            j = path_end(seq, k + 3)
+            if j + 1 >= len(seq) or seq[j + 1] not in ("(", "."):
+                aliases[seq[k + 1]] = seq[j]
+
+    def resolve(m):
+        return aliases.get(m, m)
+
+    refs, opens = set(), set()
+    for k, tok in enumerate(seq):
+        if tok == "open" and k + 1 < len(seq):
+            j = k + 2 if seq[k + 1] == "!" else k + 1
+            if j < len(seq) and is_module(seq[j]):
+                opens.add(resolve(seq[path_end(seq, j)]))
+        elif tok == "." and 0 < k < len(seq) - 1 and is_module(seq[k - 1]):
+            nxt = seq[k + 1]
+            if IDENT.fullmatch(nxt):
+                refs.add((resolve(seq[k - 1]), nxt))
+            elif nxt == "(":
+                # A local open: the unqualified names up to the matching
+                # parenthesis.
+                mod, depth = resolve(seq[k - 1]), 0
+                for j in range(k + 1, len(seq)):
+                    depth += {"(": 1, ")": -1}.get(seq[j], 0)
+                    if depth == 0:
+                        break
+                    if IDENT.fullmatch(seq[j]) and seq[j - 1] != ".":
+                        refs.add((mod, seq[j]))
+    for k, tok in enumerate(seq):
+        if IDENT.fullmatch(tok) and (k == 0 or seq[k - 1] != "."):
+            refs.update((m, tok) for m in opens)
+    return refs
 
 
 def sources(root):
@@ -87,7 +147,7 @@ def sources(root):
 
 
 def exports(path, seq):
-    """(module, value) for each `val` of a .mli's identifier sequence."""
+    """(module, value) for each `val` of a .mli's token sequence."""
     mod = os.path.basename(path)[:-4].capitalize()
     return [(mod, seq[k + 1]) for k, tok in enumerate(seq[:-1]) if tok == "val"]
 
@@ -108,11 +168,11 @@ def read_allow(root):
 
 def check(root):
     """The problems found in the tree at root, one line each."""
-    ids = {}
-    seqs = {}
+    ids, seqs, refsets = {}, {}, {}
     for path in sources(root):
         with open(os.path.join(root, path)) as f:
-            ids[path], seqs[path] = identifiers(f.read())
+            ids[path], seqs[path] = tokens(f.read())
+        refsets[path] = references(seqs[path])
     allow = read_allow(root)
     problems = []
     known, test_only = set(), set()
@@ -124,7 +184,7 @@ def check(root):
             name = mod + "." + v
             known.add(name)
             refs = [p for p in ids if p not in (ml, mli)
-                    and mod in ids[p] and v in ids[p]]
+                    and (mod, v) in refsets[p]]
             live = [p for p in refs if p.split(os.sep)[0] != "test"]
             # The definition itself is one occurrence in the .ml.
             used_inside = own_uses[v] > 1

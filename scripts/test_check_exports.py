@@ -24,6 +24,10 @@ val helper : int -> int
 val probe : unit -> int
 val seam : unit -> int
 val bare : unit -> int
+val perimeter : float -> float
+val circle : float -> float
+val square : float -> float
+val tri : unit -> float
 """,
     "lib/demo/shapes.ml": """\
 let helper x = x + 1
@@ -32,10 +36,35 @@ let unused = 42
 let probe () = 1
 let seam () = 2
 let bare () = 3
+let perimeter r = 6.28 *. r
+let circle = area
+let square s = s *. s
+let tri () = 0.5
 """,
-    # Names in strings and comments are no references.
+    "lib/demo/grid.mli": """\
+val perimeter : int -> int
+""",
+    "lib/demo/grid.ml": """\
+let perimeter n = 4 * n
+""",
+    # Names in strings and comments are no references, and neither is
+    # another module's value of the same name: Grid.perimeter does not
+    # reach Shapes.perimeter.
     "bin/main.ml": """\
 let () = print_float (Shapes.area 1.0); print_string "Shapes.unused"
+let () = print_int (Grid.perimeter 2)
+""",
+    # An alias, an open and a local open each reach a Shapes value.
+    "bin/alias.ml": """\
+module S = Shapes
+let c = S.circle 1.0
+""",
+    "bin/opened.ml": """\
+open Shapes
+let s = 2. +. square 3.
+""",
+    "bin/local.ml": """\
+let t = Shapes.(tri () +. 1.)
 """,
     "test/test_shapes.ml": """\
 let () = assert (Shapes.probe () = 1 && Shapes.seam () + Shapes.bare () = 5)
@@ -52,6 +81,7 @@ Shapes.bare
 
 EXPECTED = [
     "unreferenced export Shapes.unused",
+    "unreferenced export Shapes.perimeter",
     "internal-only export Shapes.helper",
     "test-only export Shapes.probe",
     "stale entry Shapes.gone: no such export",
