@@ -164,8 +164,7 @@ let check_bookkeeping (plan : Planner.plan) =
   else []
 
 (* Replay the step sequence (expand move-by-move, contract at the barrier)
-   and track every class's live replica count independently of
-   Planner.min_live_replicas. *)
+   and track every class's live replica count. *)
 let check_replica_floors ~k ~workload (plan : Planner.plan) =
   let n = plan.Planner.num_physical in
   let in_range i = i >= 0 && i < n in

@@ -27,10 +27,6 @@ type t = {
   data : (string * value) list;
 }
 
-val make :
-  severity -> code:string -> subject:string ->
-  ?data:(string * value) list -> string -> t
-
 val error :
   code:string -> subject:string -> ?data:(string * value) list ->
   ('a, unit, string, t) format4 -> 'a

@@ -103,7 +103,6 @@ let create ?(config = default) ?topology ~sink ~allocation () =
     peak_score = 0.;
   }
 
-let allocation t = t.alloc
 let reallocations t = t.reallocations
 let rollbacks t = t.rollbacks
 let commits t = t.commits

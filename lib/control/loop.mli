@@ -91,9 +91,6 @@ val set_allocation : t -> Cdbs_core.Allocation.t -> unit
     become the assumed mix.
     @raise Invalid_argument while a reallocation is in flight. *)
 
-val allocation : t -> Cdbs_core.Allocation.t
-(** The allocation the loop currently believes is serving. *)
-
 val migrating : t -> bool
 (** A cutover's canary is still running. *)
 

@@ -198,12 +198,6 @@ let assigned_load t b =
   done;
   !s
 
-let update_weight t b c =
-  List.fold_left
-    (fun acc u -> acc +. get_assign t b u)
-    0.
-    (Workload.updates_of t.workload c)
-
 let scale t =
   let s = ref 1. in
   for b = 0 to Array.length t.backends - 1 do

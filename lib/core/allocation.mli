@@ -47,10 +47,6 @@ val add_fragments : t -> int -> Fragment.Set.t -> unit
 val assigned_load : t -> int -> float
 (** Sum of assigned class weights on the backend (Eq. 14). *)
 
-val update_weight : t -> int -> Query_class.t -> float
-(** [updateWeight(B, C)] (Eq. 13): update load already on the backend that
-    overlaps class [C]'s data. *)
-
 val scale : t -> float
 (** max over backends of assignedLoad/load, floored at 1 (Eq. 15).  The
     factor by which replicated updates inflate the total work. *)

@@ -18,5 +18,3 @@ let heterogeneous perfs =
     (fun i p ->
       { id = i; name = Printf.sprintf "B%d" (i + 1); load = p /. total })
     perfs
-
-let pp ppf b = Fmt.pf ppf "%s(load=%.3f)" b.name b.load

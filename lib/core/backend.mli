@@ -18,4 +18,3 @@ val heterogeneous : float list -> t list
 (** Backends with the given relative performances, normalized to sum to 1.
     @raise Invalid_argument on an empty list or non-positive entries. *)
 
-val pp : t Fmt.t

@@ -15,8 +15,6 @@ let record t ~sql ~cost = record_at t ~at:0. ~sql ~cost
 
 let length = Vec.length
 let entries t = Vec.to_list t
-let total_cost t = Vec.fold_left (fun acc e -> acc +. e.cost) 0. t
-
 let occurrences t =
   let counts = Hashtbl.create 64 in
   Vec.iter

@@ -22,7 +22,6 @@ val record : t -> sql:string -> cost:float -> unit
 val record_at : t -> at:float -> sql:string -> cost:float -> unit
 val length : t -> int
 val entries : t -> entry list
-val total_cost : t -> float
 
 val occurrences : t -> (string * int) list
 (** The characteristic function j as an association list. *)

@@ -108,6 +108,3 @@ let improve ?(params = default_params) ?domains ~seed t =
     best_of (Array.append [| t |] (Array.map (fun isl -> best_of isl.members) islands))
   in
   Dense.copy best
-
-let allocate ?params ?domains ~seed inst =
-  improve ?params ?domains ~seed (Dense.greedy inst)

@@ -32,6 +32,3 @@ val improve :
     the input (the input stays in the candidate set). [domains] caps the
     pool ({!Cdbs_util.Pool.available} by default). *)
 
-val allocate :
-  ?params:params -> ?domains:int -> seed:int -> Dense.instance -> Dense.t
-(** {!Dense.greedy} seed followed by {!improve}. *)

@@ -53,19 +53,6 @@ let plan_scaled ~old_fragments new_alloc =
   in
   plan_of_sets ~old_sets:(Array.of_list old_fragments) ~new_sets
 
-let deltas p ~old_fragments ~new_fragments =
-  let old_sets = Array.of_list old_fragments in
-  let new_sets = Array.of_list new_fragments in
-  Array.to_list
-    (Array.mapi
-       (fun v u ->
-         let already =
-           if u >= 0 && u < Array.length old_sets then old_sets.(u)
-           else Fragment.Set.empty
-         in
-         Fragment.Set.diff new_sets.(v) already)
-       p.mapping)
-
 let duration ?(prepare_rate = 100.) ?(transfer_rate = 35.) ?(load_rate = 25.)
     p ~fragmentation =
   (* The controller ships from a single source, so the network stage is

@@ -30,15 +30,6 @@ val plan_scaled : old_fragments:Fragment.Set.t list -> Allocation.t -> plan
     the new allocation has backends).  Extra old backends are
     decommissioned; extra new backends start empty. *)
 
-val deltas :
-  plan ->
-  old_fragments:Fragment.Set.t list ->
-  new_fragments:Fragment.Set.t list ->
-  Fragment.Set.t list
-(** Per new backend, the fragments that must actually be shipped under the
-    matching (what the ETL step copies); everything else is already in
-    place on the matched old node. *)
-
 val duration :
   ?prepare_rate:float ->
   ?transfer_rate:float ->

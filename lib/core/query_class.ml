@@ -18,8 +18,6 @@ let size t = Fragment.set_size t.fragments
 let overlaps a b = not (Fragment.Set.disjoint a.fragments b.fragments)
 
 let is_update t = t.kind = Update
-let compare a b = String.compare a.id b.id
-
 let pp ppf t =
   Fmt.pf ppf "%s[%s w=%.3f {%a}]" t.id
     (match t.kind with Read -> "R" | Update -> "U")

@@ -26,7 +26,4 @@ val overlaps : t -> t -> bool
 
 val is_update : t -> bool
 
-val compare : t -> t -> int
-(** Order by [id]. *)
-
 val pp : t Fmt.t

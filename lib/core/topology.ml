@@ -48,12 +48,3 @@ let zones_spanned t backends =
       if b >= 0 && b < Array.length t.zone_of then seen.(t.zone_of.(b)) <- true)
     backends;
   Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 seen
-
-let pp ppf t =
-  Fmt.pf ppf "@[<h>%d zones:" t.zones;
-  for z = 0 to t.zones - 1 do
-    Fmt.pf ppf " z%d={%a}" z
-      Fmt.(list ~sep:(any ",") (fmt "B%d"))
-      (List.map (fun b -> b + 1) (backends_in t z))
-  done;
-  Fmt.pf ppf "@]"

@@ -37,4 +37,3 @@ val zones_spanned : t -> int list -> int
 (** Number of distinct zones covered by a backend list (out-of-range
     indices are ignored; duplicates count once). *)
 
-val pp : t Fmt.t

@@ -33,26 +33,6 @@ let normalize t =
     in
     { reads = List.map scale t.reads; updates = List.map scale t.updates }
 
-let validate t =
-  let classes = all_classes t in
-  let ids = List.map (fun c -> c.Query_class.id) classes in
-  if List.length (List.sort_uniq String.compare ids) <> List.length ids then
-    Error "duplicate query class ids"
-  else if List.exists (fun c -> c.Query_class.weight < 0.) classes then
-    Error "negative class weight"
-  else if
-    List.exists
-      (fun c -> Fragment.Set.is_empty c.Query_class.fragments)
-      classes
-  then Error "query class with empty fragment set"
-  else if List.exists Query_class.is_update t.reads then
-    Error "update class listed among reads"
-  else if List.exists (fun c -> not (Query_class.is_update c)) t.updates then
-    Error "read class listed among updates"
-  else if abs_float (total_weight t -. 1.) > Eps.weight then
-    Error (Printf.sprintf "weights sum to %f, expected 1" (total_weight t))
-  else Ok ()
-
 let find t id =
   List.find_opt (fun c -> c.Query_class.id = id) (all_classes t)
 

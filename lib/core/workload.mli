@@ -29,10 +29,5 @@ val normalize : t -> t
 (** Rescale all weights so they sum to 1 (no-op on an already normalized or
     empty workload). *)
 
-val validate : t -> (unit, string) result
-(** Check invariants: ids unique, weights non-negative and summing to 1
-    (tolerance 1e-6), every class references at least one fragment, kinds
-    consistent with the list they are in. *)
-
 val find : t -> string -> Query_class.t option
 val pp : t Fmt.t

@@ -297,32 +297,3 @@ let to_json ?(monitor_violations = 0) r =
     r.peak_drift monitor_violations (verdict r)
     (Tel.Slo_report.to_json r.static_.report)
     (Tel.Slo_report.to_json r.tuned.report)
-
-let print_arm name (a : arm) =
-  Fmt.pr "@.%s:@." name;
-  Fmt.pr "%6s%9s%10s%7s%10s%10s%8s@." "hour" "offered" "completed" "shed"
-    "p99(ms)" "action" "faults";
-  List.iter
-    (fun w ->
-      Fmt.pr "%6.1f%9d%10d%7d%10.1f%10s%8d@." w.hour w.w_offered
-        w.w_completed w.w_shed w.w_p99_ms w.w_action w.w_faults)
-    a.rows;
-  Fmt.pr "@.%a@." Tel.Slo_report.pp a.report
-
-let print_all () =
-  Common.header
-    "Workload drift: self-tuning control loop vs static allocation under \
-     an adversarial step-change";
-  let r = run () in
-  print_arm "static allocation" r.static_;
-  print_arm "self-tuning" r.tuned;
-  Fmt.pr "@.reallocations %d (%d rolled back, %d committed), peak drift \
-          %.2f@."
-    r.reallocations r.rollbacks r.commits r.peak_drift;
-  Fmt.pr "verdict: self-tuning %s (p99 %.0f ms vs %.0f ms, availability \
-          %.4f vs %.4f)@."
-    (if verdict r then "wins" else "does NOT win")
-    (1000. *. r.tuned.report.Tel.Slo_report.p99_s)
-    (1000. *. r.static_.report.Tel.Slo_report.p99_s)
-    r.tuned.report.Tel.Slo_report.availability
-    r.static_.report.Tel.Slo_report.availability

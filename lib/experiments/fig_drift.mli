@@ -84,4 +84,3 @@ val run :
     (TRC016–018) of the whole experiment. *)
 
 val to_json : ?monitor_violations:int -> result -> string
-val print_all : unit -> unit

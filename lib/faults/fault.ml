@@ -213,6 +213,3 @@ let pp_event ppf = function
         mix
 
 let pp_timed ppf { at; event } = Fmt.pf ppf "%8.2fs %a" at pp_event event
-
-let pp ppf schedule =
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut pp_timed) schedule

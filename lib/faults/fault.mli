@@ -97,4 +97,3 @@ val validate :
     non-empty with finite, non-negative weights summing above zero. *)
 
 val pp_timed : timed Fmt.t
-val pp : schedule Fmt.t

@@ -104,59 +104,6 @@ let make ~old_fragments target =
 
 let is_noop p = p.moves = [] && p.drops = []
 
-let class_replicas live (c : Query_class.t) =
-  Array.fold_left
-    (fun acc set ->
-      if Fragment.Set.subset c.Query_class.fragments set then acc + 1 else acc)
-    0 live
-
-let min_live_replicas ?k:_ plan workload =
-  let classes = Workload.all_classes workload in
-  let live = Array.copy plan.old_sets in
-  let mins =
-    List.map (fun c -> (c, ref (class_replicas live c))) classes
-  in
-  let observe () =
-    List.iter
-      (fun (c, m) ->
-        let r = class_replicas live c in
-        if r < !m then m := r)
-      mins
-  in
-  List.iter
-    (fun mv ->
-      live.(mv.dest) <- Fragment.Set.add mv.fragment live.(mv.dest);
-      observe ())
-    plan.moves;
-  (* Contract phase: all drops land at one barrier. *)
-  List.iter
-    (fun d ->
-      live.(d.at_backend) <- Fragment.Set.remove d.victim live.(d.at_backend))
-    plan.drops;
-  observe ();
-  List.map (fun ((c : Query_class.t), m) -> (c.Query_class.id, !m)) mins
-
-let validate ?(k = 0) plan workload =
-  let classes = Workload.all_classes workload in
-  let initial c = class_replicas plan.old_sets c in
-  let final c = class_replicas plan.target_sets c in
-  let mins = min_live_replicas plan workload in
-  let errs =
-    List.filter_map
-      (fun (c : Query_class.t) ->
-        let m = List.assoc c.Query_class.id mins in
-        let floor = min (k + 1) (min (initial c) (final c)) in
-        if m < floor then
-          Some
-            (Fmt.str "class %s drops to %d live replicas (floor %d)"
-               c.Query_class.id m floor)
-        else if m < 1 && initial c >= 1 && final c >= 1 then
-          Some (Fmt.str "class %s loses its last live replica" c.Query_class.id)
-        else None)
-      classes
-  in
-  match errs with [] -> Ok () | e :: _ -> Error e
-
 let pp_move ppf m =
   Fmt.pf ppf "%a -> B%d (%s, %.1f MB)" Fragment.pp m.fragment m.dest
     (match m.source with Some u -> Fmt.str "from B%d" u | None -> "from master")

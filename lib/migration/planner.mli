@@ -62,19 +62,5 @@ val make : old_fragments:Fragment.Set.t list -> Allocation.t -> plan
 val is_noop : plan -> bool
 (** No data to ship and nothing to drop: the placement already matches. *)
 
-val min_live_replicas :
-  ?k:int -> plan -> Workload.t -> (string * int) list
-(** Replay the plan's step sequence and report, per query class, the
-    minimum number of simultaneously live full replicas over the whole
-    migration.  With the expand-then-contract ordering this minimum is
-    [min (initial count) (final count)] — the function exists so tests and
-    callers can verify the invariant rather than trust it.  [k] is unused
-    for the computation but documents intent in call sites. *)
-
-val validate : ?k:int -> plan -> Workload.t -> (unit, string) result
-(** Check that no query class ever drops below [min (k+1) (initial) (final)]
-    live replicas at any step boundary, and never below one when it was
-    initially served.  [k] defaults to 0. *)
-
 val pp_move : move Fmt.t
 val pp : plan Fmt.t

@@ -38,8 +38,6 @@ let make ?(start = 0.) ~bandwidth (plan : Planner.plan) =
   in
   { plan; bandwidth; start; moves; copy_done = !copy_done; drops_at = !copy_done }
 
-let duration t = t.drops_at -. t.start
-
 let copying t ~backend ~at =
   List.exists
     (fun (tm : timed_move) ->

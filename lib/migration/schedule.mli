@@ -29,9 +29,6 @@ val make : ?start:float -> bandwidth:float -> Planner.plan -> t
 (** Greedy earliest-start scheduling of the plan's moves in plan order.
     @raise Invalid_argument when [bandwidth <= 0]. *)
 
-val duration : t -> float
-(** [drops_at - start]: wall-clock length of the migration. *)
-
 val copying : t -> backend:int -> at:float -> bool
 (** Whether the physical node is the source or destination of an in-flight
     copy at time [at] — i.e. whether foreground requests on it contend with

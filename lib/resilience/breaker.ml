@@ -68,7 +68,6 @@ let notify t ~backend st =
   match t.hook with None -> () | Some f -> f ~backend st
 
 let config t = t.config
-let num_backends t = Array.length t.backends
 let get t b = t.backends.(b)
 
 let reset_stats be =

@@ -55,7 +55,6 @@ val create :
     events on.  It must not call back into the breaker. *)
 
 val config : t -> config
-val num_backends : t -> int
 
 val state : t -> backend:int -> state
 (** Raw state, without the time-based Open -> Half_open transition. *)

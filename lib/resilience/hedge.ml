@@ -8,17 +8,6 @@ type policy = {
 let default =
   { percentile = 95.; min_delay = 0.05; min_observations = 20; window = 256 }
 
-let make ?(percentile = default.percentile) ?(min_delay = default.min_delay)
-    ?(min_observations = default.min_observations) ?(window = default.window)
-    () =
-  if percentile <= 0. || percentile > 100. then
-    invalid_arg "Hedge.make: percentile must be in (0, 100]";
-  if min_delay <= 0. then invalid_arg "Hedge.make: min_delay <= 0";
-  if min_observations < 1 then invalid_arg "Hedge.make: min_observations < 1";
-  if window < min_observations then
-    invalid_arg "Hedge.make: window < min_observations";
-  { percentile; min_delay; min_observations; window }
-
 module Histogram = Cdbs_telemetry.Histogram
 
 (* Two rotating histogram windows (current + previous) instead of a raw

@@ -23,15 +23,6 @@ type policy = {
 val default : policy
 (** p95 delay, 50 ms floor, 20 observations, 256-slot reservoir. *)
 
-val make :
-  ?percentile:float ->
-  ?min_delay:float ->
-  ?min_observations:int ->
-  ?window:int ->
-  unit ->
-  policy
-(** @raise Invalid_argument on out-of-range parameters. *)
-
 type t
 (** A latency tracker (mutable rotating histogram windows). *)
 

@@ -17,7 +17,6 @@ let create_partial (schema : Schema.t) ~tables =
 let create schema =
   create_partial schema ~tables:(List.map (fun tb -> tb.Schema.tbl_name) schema)
 
-let schema t = t.schema
 let table t name = Hashtbl.find_opt t.tables name
 
 let table_names t =

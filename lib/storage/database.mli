@@ -8,7 +8,6 @@ val create : Schema.t -> t
 val create_partial : Schema.t -> tables:string list -> t
 (** Instantiate only the listed tables — a partially replicated backend. *)
 
-val schema : t -> Schema.t
 val table : t -> string -> Table.t option
 val table_names : t -> string list
 val byte_size : t -> int

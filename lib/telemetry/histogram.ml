@@ -156,8 +156,3 @@ let buckets t =
     if t.counts.(i) > 0 then acc := (i, t.counts.(i)) :: !acc
   done;
   if t.underflow > 0 then (-1, t.underflow) :: !acc else !acc
-
-let pp ppf t =
-  Fmt.pf ppf "n=%d mean=%.6g p50=%.6g p95=%.6g p99=%.6g max=%.6g" t.total
-    (mean t) (quantile t 0.5) (quantile t 0.95) (quantile t 0.99)
-    (max_recorded t)

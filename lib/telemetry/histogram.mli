@@ -82,5 +82,3 @@ val buckets : t -> (int * int) list
     [[min_value * 10^(i/per_decade), min_value * 10^((i+1)/per_decade))].
     [infinity] observations are in {!count} but in no bucket. *)
 
-val pp : Format.formatter -> t -> unit
-(** One-line summary: count, mean, p50/p95/p99, max. *)

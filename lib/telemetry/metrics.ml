@@ -19,7 +19,6 @@ let counter t name =
       Hashtbl.add t.counters_tbl name c;
       c
 
-let incr c = c.c_value <- c.c_value + 1
 let add c n = c.c_value <- c.c_value + n
 
 let histogram t ?min_value ?per_decade name =

@@ -14,7 +14,6 @@ val create : unit -> t
 val counter : t -> string -> counter
 (** Intern a counter (starts at 0). *)
 
-val incr : counter -> unit
 val add : counter -> int -> unit
 
 val histogram : t -> ?min_value:float -> ?per_decade:int -> string -> Histogram.t

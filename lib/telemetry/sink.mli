@@ -3,23 +3,17 @@
     Instrumented code takes a [Sink.t option]; passing [None] keeps the
     instrumented path free of telemetry work, so legacy behaviour (and
     bit-identical outputs) are preserved when observation is off.  The
-    [c]/[h]/[push]/[ev] helpers make call sites one-liners that are
-    no-ops on [None]; a per-request call site also skips building its
-    event when the sink is off. *)
+    [cn]/[push]/[ev] helpers make call sites one-liners that are no-ops on
+    [None]; a per-request call site also skips building its event when the
+    sink is off. *)
 
 type t = { metrics : Metrics.t; trace : Trace.t }
 
 val create : ?capacity:int -> unit -> t
 (** Fresh sink; [capacity] bounds the trace ring (default 4096). *)
 
-val c : t option -> string -> unit
-(** Increment a named counter (no-op on [None]). *)
-
 val cn : t option -> string -> int -> unit
 (** Add [n] to a named counter (no-op on [None]). *)
-
-val h : t option -> string -> float -> unit
-(** Record into a named histogram (no-op on [None]). *)
 
 val push : t option -> Trace.event -> unit
 (** Record a typed trace event (no-op on [None]). *)

@@ -312,7 +312,6 @@ let push t e =
   | [] -> ()
   | subs -> List.iter (fun (_, f) -> f e) subs
 
-let emit t ~at name attrs = push t (custom ~at name attrs)
 let length t = t.len
 let dropped t = t.dropped
 let total t = t.len + t.dropped
@@ -321,25 +320,3 @@ let events t =
   let cap = capacity t in
   let start = (t.head - t.len + cap) mod cap in
   List.init t.len (fun i -> t.ring.((start + i) mod cap))
-
-let find t n = List.filter (fun e -> String.equal (name e) n) (events t)
-
-let clear t =
-  Array.fill t.ring 0 (capacity t) vacant;
-  t.head <- 0;
-  t.len <- 0;
-  t.dropped <- 0
-
-let pp_value ppf = function
-  | Int i -> Fmt.int ppf i
-  | Float f -> Fmt.pf ppf "%g" f
-  | Str s -> Fmt.string ppf s
-  | Bool b -> Fmt.bool ppf b
-
-let pp_event ppf e =
-  Fmt.pf ppf "[%10.4f] %s%a" (at e) (name e)
-    Fmt.(
-      list ~sep:nop (fun ppf (k, v) -> Fmt.pf ppf " %s=%a" k pp_value v))
-    (attrs e)
-
-let pp ppf t = Fmt.(list ~sep:(any "@\n") pp_event) ppf (events t)

@@ -180,10 +180,6 @@ val push : t -> event -> unit
 (** Append an event; evicts the oldest when full.  Every subscriber is
     invoked with the event, whether or not the ring retains it. *)
 
-val emit : t -> at:float -> string -> (string * value) list -> unit
-(** [push] of a {!custom} event.
-    @raise Invalid_argument when a constructor owns the name. *)
-
 (** {1 Subscriptions}
 
     Ring consumers see a bounded window; subscribers see the full stream.
@@ -210,10 +206,3 @@ val total : t -> int
 val events : t -> event list
 (** Retained events, oldest first. *)
 
-val find : t -> string -> event list
-(** Retained events with the given {!name}, oldest first. *)
-
-val clear : t -> unit
-
-val pp : Format.formatter -> t -> unit
-(** All retained events, one per line. *)

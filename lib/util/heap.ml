@@ -20,8 +20,6 @@ let create ?(capacity = 256) () =
   }
 
 let length t = t.len
-let is_empty t = t.len = 0
-
 (* Strict "entry i orders before entry j". *)
 let before t i j =
   let c = Float.compare t.times.(i) t.times.(j) in
@@ -107,10 +105,6 @@ let pop_timed t =
   end
 
 let pop t = match pop_timed t with None -> None | Some (_, v) -> Some v
-
-let clear t =
-  Array.fill t.vals 0 t.len None;
-  t.len <- 0
 
 let rec drain_until t ~time ~f =
   if t.len > 0 && Float.compare t.times.(0) time <= 0 then

@@ -21,7 +21,6 @@ val create : ?capacity:int -> unit -> 'a t
     @raise Invalid_argument when [capacity <= 0]. *)
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 val add : 'a t -> time:float -> ?rank:int -> 'a -> unit
 (** Push an entry.  [rank] breaks ties among equal times (default 0);
@@ -32,9 +31,6 @@ val pop : 'a t -> 'a option
 
 val pop_timed : 'a t -> (float * 'a) option
 (** Remove and return the minimum entry as [(time, payload)]. *)
-
-val clear : 'a t -> unit
-(** Drop every entry (keeps the backing arrays). *)
 
 val drain_until : 'a t -> time:float -> f:(float -> 'a -> unit) -> unit
 (** Pop every entry at or before [time] in the heap's order

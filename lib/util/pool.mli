@@ -19,5 +19,3 @@ val map : ?domains:int -> ('a -> 'b) -> 'a array -> 'b array
     calling domain.  An exception in any task is re-raised after all
     domains have joined. *)
 
-val mapi : ?domains:int -> (int -> 'a -> 'b) -> 'a array -> 'b array
-(** Like {!map} with the element index. *)

@@ -146,18 +146,3 @@ let relative_deviation xs =
       /. float_of_int (List.length xs)
     in
     mad /. m
-
-let histogram ~bins ~lo ~hi xs =
-  if bins <= 0 then invalid_arg "Stats.histogram: bins must be positive";
-  let counts = Array.make bins 0 in
-  let width = (hi -. lo) /. float_of_int bins in
-  List.iter
-    (fun x ->
-      let idx =
-        if width <= 0. then 0
-        else int_of_float (floor ((x -. lo) /. width))
-      in
-      let idx = max 0 (min (bins - 1) idx) in
-      counts.(idx) <- counts.(idx) + 1)
-    xs;
-  counts

@@ -32,5 +32,3 @@ val relative_deviation : float list -> float
     "deviation from balance" measure plotted in Fig. 4(j). 0 when the mean
     is 0. *)
 
-val histogram : bins:int -> lo:float -> hi:float -> float list -> int array
-(** Fixed-width histogram; values outside [lo, hi] clamp to the end bins. *)

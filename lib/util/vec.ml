@@ -53,11 +53,6 @@ let fold_left f init t =
 let to_list t = List.init t.len (fun i -> t.data.(i))
 let to_array t = Array.sub t.data 0 t.len
 
-let of_list l =
-  let t = create () in
-  List.iter (push t) l;
-  t
-
 let clear t = t.len <- 0
 
 let truncate t n =

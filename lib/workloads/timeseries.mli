@@ -12,13 +12,6 @@
     quarters replicate freely. *)
 
 val schema : Cdbs_storage.Schema.t
-val row_counts : (string * int) list
-
-val journal : rng:Cdbs_util.Rng.t -> n:int -> Cdbs_core.Journal.t
-(** [n] journal entries: reads over all four quarters (the head quarter
-    carries ~30% of the cost) plus three disjoint-range update classes —
-    head inserts, third-quarter corrections, tail retention deletes —
-    together ≈20% of the cost. *)
 
 val workload :
   granularity:

@@ -20,10 +20,6 @@ val row_counts : eb:int -> (string * int) list
 (** Cardinalities for EB emulated browsers (EB = 300 gives the paper's
     ≈280 MB database; EB = 12000 gives ≈8 GB). *)
 
-val specs :
-  granularity:[ `Table | `Column ] -> eb:int -> Spec.class_spec list
-(** 8 classes at table granularity, 10 at column granularity. *)
-
 val workload :
   granularity:[ `Table | `Column ] -> eb:int -> Cdbs_core.Workload.t
 

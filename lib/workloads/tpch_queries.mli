@@ -10,9 +10,6 @@
 val all : (string * string) list
 (** [(query id, SQL text)] for Q1–Q22 minus Q17, Q20, Q21. *)
 
-val sql : string -> string option
-(** SQL of one query id. *)
-
 val journal :
   rng:Cdbs_util.Rng.t -> n:int -> sf:float -> Cdbs_core.Journal.t
 (** A journal of [n] entries drawn with per-query frequencies matching the

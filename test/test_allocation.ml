@@ -50,7 +50,10 @@ let test_update_weight_eq13 () =
   let alloc = Greedy.allocate w (Backend.homogeneous 1) in
   let q1 = Option.get (Workload.find w "q1") in
   (* One backend: u1 is pinned there, so updateWeight(B1, q1) = 0.2. *)
-  Alcotest.(check (float 1e-9)) "Eq. 13" 0.2 (Allocation.update_weight alloc 0 q1)
+  Alcotest.(check (float 1e-9)) "Eq. 13" 0.2
+    (List.fold_left
+       (fun acc u -> acc +. Allocation.get_assign alloc 0 u)
+       0. (Workload.updates_of w q1))
 
 let test_prune_drops_unused () =
   let w = simple_workload () in

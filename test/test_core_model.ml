@@ -66,14 +66,16 @@ let test_workload_normalize () =
     (Option.get (Workload.find n "q")).Query_class.weight
 
 let test_workload_validate () =
+  let module Diagnostic = Cdbs_analysis.Diagnostic in
+  let errors w = Diagnostic.errors (Cdbs_analysis.Check_workload.check w) in
   let ok =
     Workload.make
       ~reads:[ Query_class.read "q" [ fr "a" ] ~weight:1. ]
       ~updates:[]
   in
-  (match Workload.validate ok with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "valid workload rejected: %s" e);
+  (match errors ok with
+  | [] -> ()
+  | d :: _ -> Alcotest.failf "valid workload rejected: %a" Diagnostic.pp d);
   let dup =
     Workload.make
       ~reads:
@@ -83,17 +85,17 @@ let test_workload_validate () =
         ]
       ~updates:[]
   in
-  (match Workload.validate dup with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "duplicate ids accepted");
+  (match errors dup with
+  | _ :: _ -> ()
+  | [] -> Alcotest.fail "duplicate ids accepted");
   let bad_sum =
     Workload.make
       ~reads:[ Query_class.read "q" [ fr "a" ] ~weight:0.4 ]
       ~updates:[]
   in
-  match Workload.validate bad_sum with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "weights not summing to 1 accepted"
+  match errors bad_sum with
+  | _ :: _ -> ()
+  | [] -> Alcotest.fail "weights not summing to 1 accepted"
 
 (* ---------------- journal ---------------- *)
 
@@ -103,7 +105,9 @@ let test_journal_multiset () =
   Journal.record j ~sql:"SELECT a FROM t" ~cost:2.;
   Journal.record j ~sql:"SELECT b FROM t" ~cost:3.;
   Alcotest.(check int) "length" 3 (Journal.length j);
-  Alcotest.(check (float 1e-9)) "total cost" 6. (Journal.total_cost j);
+  Alcotest.(check (float 1e-9)) "total cost" 6. (List.fold_left
+       (fun acc (e : Journal.entry) -> acc +. e.Journal.cost)
+       0. (Journal.entries j));
   Alcotest.(check (list (pair string int)))
     "occurrences"
     [ ("SELECT a FROM t", 2); ("SELECT b FROM t", 1) ]
@@ -266,7 +270,7 @@ let prop_classification_normalized =
         Classification.classify ~schema ~size_of Classification.By_table
           (journal_of stmts)
       in
-      match Workload.validate w with Ok () -> true | Error _ -> false)
+      Cdbs_analysis.(Diagnostic.errors (Check_workload.check w)) = [])
 
 let suite =
   [

@@ -261,14 +261,14 @@ let test_trc012_ring_overflow () =
   let m = Mon.create () in
   Alcotest.(check bool) "attached" true (Mon.attach m sink);
   for i = 0 to 19 do
-    Trace.emit sink.Sink.trace ~at:(float_of_int i) "tick" []
+    Trace.push sink.Sink.trace (Trace.custom ~at:(float_of_int i) "tick" [])
   done;
   Alcotest.(check int) "monitor saw every event" 20 (Mon.events_seen m);
   has_warning "TRC012" (Mon.report m);
   clean "overflow is a warning, not a violation" m;
   Mon.detach m sink;
   (* Detached: overflow no longer reported, events no longer observed. *)
-  Trace.emit sink.Sink.trace ~at:20. "tick" [];
+  Trace.push sink.Sink.trace (Trace.custom ~at:20. "tick" []);
   Alcotest.(check int) "detached monitor sees nothing" 20 (Mon.events_seen m)
 
 (* ------------------------------------------------------------------ *)
@@ -286,7 +286,7 @@ let test_attach_idempotent () =
   let m = Mon.create () in
   Alcotest.(check bool) "first attach" true (Mon.attach m sink);
   Alcotest.(check bool) "second attach is a no-op" false (Mon.attach m sink);
-  Trace.emit sink.Sink.trace ~at:0. "tick" [];
+  Trace.push sink.Sink.trace (Trace.custom ~at:0. "tick" []);
   Alcotest.(check int) "observed once, not twice" 1 (Mon.events_seen m)
 
 let test_suppression_cap () =

@@ -16,6 +16,9 @@ module Trace = Cdbs_telemetry.Trace
 module Sink = Cdbs_telemetry.Sink
 module Rng = Cdbs_util.Rng
 
+let named tr n =
+  List.filter (fun e -> String.equal (Trace.name e) n) (Trace.events tr)
+
 let fr ?(size = 1.) name = Fragment.table name ~size
 
 let workload () =
@@ -228,8 +231,8 @@ let test_partition_fences_until_caught_up () =
   Alcotest.(check bool) "all requests completed" true
     (fo.Sim.availability = 1.);
   let tr = sink.Sink.trace in
-  let heals = Trace.find tr "backend.heal" in
-  let lifts = Trace.find tr "backend.fence_lift" in
+  let heals = named tr "backend.heal" in
+  let lifts = named tr "backend.fence_lift" in
   Alcotest.(check int) "one heal per isolated backend" 2 (List.length heals);
   Alcotest.(check int) "every heal lifts its fence" 2 (List.length lifts);
   (* Updates kept flowing on the majority, so the isolated side missed
@@ -257,9 +260,9 @@ let test_zone_outage_run () =
       Alcotest.(check bool) "domain-aware placement keeps serving" true
         (fo.Sim.availability = 1.);
       Alcotest.(check int) "zone bracket events" 1
-        (List.length (Trace.find sink.Sink.trace "zone.outage"));
+        (List.length (named sink.Sink.trace "zone.outage"));
       Alcotest.(check int) "zone heal bracket" 1
-        (List.length (Trace.find sink.Sink.trace "zone.heal")))
+        (List.length (named sink.Sink.trace "zone.heal")))
     [ 1; 2; 3; 4; 5 ]
 
 let test_zone_outage_requires_topology () =

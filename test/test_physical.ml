@@ -81,13 +81,14 @@ let test_deltas () =
   Allocation.add_fragments alloc 0 (List.nth new_sets 0);
   Allocation.add_fragments alloc 1 (List.nth new_sets 1);
   let plan = Physical.plan_scaled ~old_fragments:old_sets alloc in
-  let deltas =
-    Physical.deltas plan ~old_fragments:old_sets ~new_fragments:new_sets
-  in
-  Alcotest.(check int) "c is shipped to backend 0" 1
-    (Fragment.Set.cardinal (List.nth deltas 0));
-  Alcotest.(check int) "backend 1 receives nothing" 0
-    (Fragment.Set.cardinal (List.nth deltas 1))
+  Alcotest.(check (array int)) "each backend keeps its old node" [| 0; 1 |]
+    plan.Physical.mapping;
+  Alcotest.(check (float 1e-9)) "c is shipped to backend 0"
+    (Fragment.set_size
+       (Fragment.Set.diff (List.nth new_sets 0) (List.nth old_sets 0)))
+    plan.Physical.per_backend.(0);
+  Alcotest.(check (float 1e-9)) "backend 1 receives nothing" 0.
+    plan.Physical.per_backend.(1)
 
 let test_duration_monotone () =
   (* Shipping more takes longer; full replication on more nodes takes

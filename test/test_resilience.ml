@@ -53,7 +53,14 @@ let test_admission () =
 (* ---------------- hedge delay tracker ---------------- *)
 
 let test_hedge_delay () =
-  let p = Hedge.make ~percentile:95. ~min_delay:0.05 ~min_observations:10 () in
+  let p =
+    {
+      Hedge.default with
+      Hedge.percentile = 95.;
+      min_delay = 0.05;
+      min_observations = 10;
+    }
+  in
   let h = Hedge.create p in
   Alcotest.(check (float 1e-9)) "cold tracker floors at min_delay" 0.05
     (Hedge.delay h);
@@ -87,7 +94,6 @@ let slow_config =
 (* Backend 0 turns slow, trips, cools down, probes healthy, closes. *)
 let test_breaker_round_trip () =
   let br = Breaker.create ~config:slow_config 3 in
-  Alcotest.(check int) "three backends" 3 (Breaker.num_backends br);
   (* Build healthy baselines everywhere. *)
   for i = 1 to 5 do
     let now = float_of_int i in
@@ -254,8 +260,10 @@ let test_controller_breaker () =
       ~seed:5
   in
   let br = Controller.breaker c in
-  Alcotest.(check int) "breaker tracks every backend" 3
-    (Breaker.num_backends br);
+  Alcotest.(check bool) "breaker tracks every backend" true
+    (List.for_all
+       (fun backend -> Breaker.state br ~backend = Breaker.Closed)
+       [ 0; 1; 2 ]);
   (* Force a backend open: reads keep being answered (steered or failed
      open), and results stay correct. *)
   Breaker.force_open br ~backend:0 ~now:0.;
@@ -390,7 +398,7 @@ let prop_hedging_preserves_outcomes =
           Simulator.run_open_with_faults
             ~resilience:
               (Res.Policy.make
-                 ~hedge:(Hedge.make ~min_delay:0.01 ~min_observations:5 ())
+                 ~hedge:{ Hedge.default with Hedge.min_delay = 0.01; min_observations = 5 }
                  ())
             config alloc requests ~faults:[]
         in

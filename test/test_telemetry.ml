@@ -20,7 +20,7 @@ module Fd = Cdbs_experiments.Fig_day
 
 let test_heap_basics () =
   let h = Heap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Heap.is_empty h);
+  Alcotest.(check bool) "fresh heap empty" true (Heap.length h = 0);
   Alcotest.(check (option (pair (float 0.) string))) "pop on empty" None
     (Heap.pop_timed h);
   Heap.add h ~time:3. "c";
@@ -31,7 +31,7 @@ let test_heap_basics () =
   Alcotest.(check (option (pair (float 0.) string)))
     "pop_timed returns key" (Some (2., "b")) (Heap.pop_timed h);
   Alcotest.(check (option string)) "last" (Some "c") (Heap.pop h);
-  Alcotest.(check bool) "drained" true (Heap.is_empty h)
+  Alcotest.(check bool) "drained" true (Heap.length h = 0)
 
 let test_heap_tie_breaking () =
   let h = Heap.create ~capacity:1 () in
@@ -324,9 +324,9 @@ let contains ~needle haystack =
 let test_metrics_registry () =
   let m = Metrics.create () in
   let req = Metrics.counter m "requests" in
-  Metrics.incr req;
+  Metrics.add req 1;
   Metrics.add (Metrics.counter m "requests") 4;
-  Metrics.incr (Metrics.counter m "errors");
+  Metrics.add (Metrics.counter m "errors") 1;
   Alcotest.(check (option int)) "counter interned" (Some 5)
     (Metrics.find_counter m "requests");
   Alcotest.(check (option int)) "unknown counter absent" None
@@ -343,7 +343,7 @@ let test_metrics_registry () =
 let test_trace_ring () =
   let t = Trace.create ~capacity:3 () in
   for i = 1 to 5 do
-    Trace.emit t ~at:(float_of_int i) "tick" [ ("i", Trace.Int i) ]
+    Trace.push t (Trace.custom ~at:(float_of_int i) "tick" [ ("i", Trace.Int i) ])
   done;
   Alcotest.(check int) "ring keeps capacity" 3 (Trace.length t);
   Alcotest.(check int) "dropped counts evictions" 2 (Trace.dropped t);
@@ -410,7 +410,8 @@ let test_trace_typed_names () =
     (fun e ->
       let name = Trace.name e in
       Alcotest.(check bool) (name ^ " refused") true
-        (refused (fun () -> Trace.emit (Trace.create ()) ~at:0. name []));
+        (refused (fun () ->
+             Trace.push (Trace.create ()) (Trace.custom ~at:0. name [])));
       Alcotest.(check bool)
         (name ^ " refused with the sink off")
         true
@@ -419,7 +420,8 @@ let test_trace_typed_names () =
   Alcotest.(check int) "every wire name distinct" (List.length typed_samples)
     (List.length (List.sort_uniq compare (List.map Trace.name typed_samples)));
   let t = Trace.create () in
-  Trace.emit t ~at:0. "migration.start" [ ("copy_mb", Trace.Float 1.) ];
+  Trace.push t
+    (Trace.custom ~at:0. "migration.start" [ ("copy_mb", Trace.Float 1.) ]);
   Alcotest.(check int) "free-form names pass" 1 (Trace.length t)
 
 (* The ring against a list model: for every capacity and emit count it
@@ -434,7 +436,7 @@ let prop_trace_ring_model =
       let seen = ref [] in
       ignore (Trace.subscribe t (fun e -> seen := e :: !seen));
       for i = 0 to n - 1 do
-        Trace.emit t ~at:(float_of_int i) "tick" [ ("i", Trace.Int i) ]
+        Trace.push t (Trace.custom ~at:(float_of_int i) "tick" [ ("i", Trace.Int i) ])
       done;
       let len = min n cap in
       let seen = List.rev !seen in
