@@ -357,7 +357,9 @@ let allocate_cmd =
     Arg.(
       value & opt algorithm_conv `Memetic
       & info [ "a"; "algorithm" ] ~docv:"ALG"
-          ~doc:"Allocation algorithm: $(b,greedy), $(b,memetic) or $(b,optimal).")
+          ~doc:
+            "Allocation algorithm: $(b,greedy), $(b,memetic) or \
+             $(b,optimal).  Ignored when $(b,-k) is above 0.")
   in
   let run name granularity n loads algorithm seed k =
     let backends = make_backends n loads in
@@ -404,7 +406,11 @@ let allocate_cmd =
       ret
         (const run $ workload_arg $ granularity_arg $ backends_arg $ loads_arg
         $ algorithm_arg $ seed_arg
-        $ k_arg ~default:0 "k-safety degree (0 = none)."))
+        $ k_arg ~default:0
+            "k-safety degree (0 = none).  Above 0 the placement is \
+             $(b,Ksafety.allocate)'s: the greedy allocation plus zero-weight \
+             replicas until every class is on K+1 backends; $(b,-a) is \
+             ignored."))
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)

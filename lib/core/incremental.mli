@@ -9,8 +9,9 @@
     new classes are placed with the greedy key, and new backends are
     filled by a budget-bounded rebalance that moves the most
     load-per-byte first.  With [k] (and optionally a {!Topology}) the
-    touched classes are re-replicated and re-spread, so k-safety and
-    zone spread survive the delta.
+    touched classes are re-replicated and re-spread by
+    {!Ksafety.replicate}, the pass that builds k-safe placements, so
+    k-safety and zone spread survive the delta.
 
     {!repair} CONSUMES its input: the result reuses the input's shares,
     bitsets and membership vectors in place (widened over an
@@ -63,7 +64,9 @@ val repair :
     install; correctness moves — update closure, Eq. 9/11 restoration,
     k-safety — are never dropped.  With [k > 0] local pruning is
     disabled so standby replicas of untouched classes survive the
-    repair.
+    repair, and a retired backend touches every alive class it holds in
+    full: its standby replicas carry no share, so they are placed again
+    elsewhere.
 
     [balance] (default [false]) appends a global budget-bounded balance
     pass: read weight shifts from the most-loaded alive backend to the
