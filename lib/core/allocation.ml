@@ -94,7 +94,6 @@ let backends t = t.backends
 let workload t = t.workload
 let num_backends t = Array.length t.backends
 let classes t = t.classes
-let num_reads t = t.n_reads
 
 let position t id = Hashtbl.find_opt t.index id
 
@@ -165,31 +164,6 @@ let add_fragment_at t b i =
 let add_fragments t b frs =
   Fragment.Set.iter (fun f -> add_fragment_at t b (intern t.universe f)) frs
 
-let blit ~src ~dst =
-  if Array.length src.backends <> Array.length dst.backends
-     || Array.length src.classes <> Array.length dst.classes
-  then invalid_arg "Allocation.blit: shape mismatch";
-  Array.iteri
-    (fun b row -> Array.blit row 0 dst.assign.(b) 0 (Array.length row))
-    src.assign;
-  for b = 0 to Array.length src.held - 1 do
-    if src.universe == dst.universe then dst.held.(b) <- Bits.copy src.held.(b)
-    else begin
-      (* Separately created: carry the fragments over by kind. *)
-      Bits.reset dst.held.(b);
-      add_fragments dst b (fragments_of src b)
-    end
-  done
-
-let classes_overlap t k1 k2 =
-  let a = t.foot.(k1) and b = t.foot.(k2) in
-  let rec go i j =
-    i < Array.length a
-    && j < Array.length b
-    && (a.(i) = b.(j) || if a.(i) < b.(j) then go (i + 1) j else go i (j + 1))
-  in
-  go 0 0
-
 let assigned_load t b =
   let row = t.assign.(b) in
   let s = ref 0. in
@@ -245,62 +219,6 @@ let ensure_update_closure t =
       done
     done
   done
-
-let prune t =
-  let n = num_backends t and nc = Array.length t.classes in
-  (* Remember, per update class, one backend currently carrying it, to fall
-     back on when pruning would orphan the class (Eq. 11). *)
-  let home k =
-    let b = ref 0 in
-    while !b < n && not (t.assign.(!b).(k) > 0. && holds_at t !b k) do
-      incr b
-    done;
-    if !b < n then Some !b else None
-  in
-  let update_homes =
-    Array.init (nc - t.n_reads) (fun j -> home (t.n_reads + j))
-  in
-  (* Keep only fragments needed by assigned read classes. *)
-  for b = 0 to n - 1 do
-    let bits = t.held.(b) and row = t.assign.(b) in
-    Bits.reset bits;
-    for k = 0 to t.n_reads - 1 do
-      if row.(k) > 0. then add_class_at t b k
-    done;
-    (* Clear update pinnings; the closure below re-establishes them. *)
-    for k = t.n_reads to nc - 1 do
-      row.(k) <- 0.
-    done
-  done;
-  (* Re-home update classes that no longer overlap any backend. *)
-  Array.iteri
-    (fun j old_home ->
-      let k = t.n_reads + j in
-      let somewhere =
-        let rec any b = b < n && (overlaps_at t b k || any (b + 1)) in
-        any 0
-      in
-      if not somewhere then begin
-        let b =
-          match old_home with
-          | Some b -> b
-          | None ->
-              (* Least-loaded backend relative to its capacity. *)
-              let best = ref 0 and best_r = ref infinity in
-              Array.iteri
-                (fun b backend ->
-                  let r = assigned_load t b /. backend.Backend.load in
-                  if r < !best_r then begin
-                    best := b;
-                    best_r := r
-                  end)
-                t.backends;
-              !best
-        in
-        add_class_at t b k
-      end)
-    update_homes;
-  ensure_update_closure t
 
 let validate t =
   let errors = ref [] in

@@ -11,8 +11,9 @@
       any of its referenced data (ROWA, Eq. 10) and lives on at least one
       backend (Eq. 11).
 
-    The structure is mutable — the greedy and memetic algorithms edit it in
-    place — and cheap to {!copy} for population-based search. *)
+    The structure is mutable and cheap to {!copy}.  The paper's heuristics
+    search on {!Dense} and write their result into a fresh allocation
+    once ({!Greedy.write_back}). *)
 
 type t
 
@@ -21,10 +22,6 @@ val create : Workload.t -> Backend.t list -> t
     @raise Invalid_argument when two classes share an id. *)
 
 val copy : t -> t
-
-val blit : src:t -> dst:t -> unit
-(** Overwrite [dst]'s placement and assignments with [src]'s.  Both must
-    stem from the same workload/backends. *)
 
 val backends : t -> Backend.t array
 val workload : t -> Workload.t
@@ -64,21 +61,14 @@ val ensure_update_closure : t -> unit
     whose fragment set overlaps the class's data, adding the class's
     remaining fragments to those backends; iterates to a fixpoint. *)
 
-val prune : t -> unit
-(** Drop fragments (and update-class pinnings) from backends where no
-    assigned read class needs them, while keeping every update class on at
-    least one backend (Eq. 11); re-establishes the closure afterwards. *)
-
 val validate : t -> (unit, string list) result
 (** Check Eqs. 8–11 plus basic sanity (non-negative assignments). *)
 
 (** {1 Positional access}
 
-    Classes addressed by their position [k] in {!classes}: reads at
-    [0 .. num_reads - 1], then updates.  These skip the id lookup of the
+    Classes addressed by their position [k] in {!classes}: the workload's
+    reads first, then its updates.  These skip the id lookup of the
     class-valued functions above. *)
-
-val num_reads : t -> int
 
 val position : t -> string -> int option
 (** Position of the class with this id, if the workload has one. *)
@@ -94,16 +84,10 @@ val holds_at : t -> int -> int -> bool
 val overlaps_at : t -> int -> int -> bool
 (** Whether backend [b] stores any fragment class [k] references. *)
 
-val add_class_at : t -> int -> int -> unit
-(** [add_class_at t b k] stores class [k]'s fragments on backend [b]. *)
-
 val add_fragment_at : t -> int -> int -> unit
 (** [add_fragment_at t b i] stores fragment [i] on backend [b].  The
     workload's fragments are [0 .. n - 1] in [Fragment.compare] order, the
     numbering {!Dense.of_allocation} gives a fresh allocation. *)
-
-val classes_overlap : t -> int -> int -> bool
-(** {!Query_class.overlaps} by position. *)
 
 val pp_load_matrix : t Fmt.t
 (** The class-by-backend percentage matrix used throughout the paper's

@@ -390,8 +390,9 @@ let add_assign t b c amount =
 
 (* Local prune of one backend: keep only fragments some assigned read
    class here references, re-establish the update closure, and re-home
-   update classes the prune orphaned (the dense counterpart of the global
-   [Allocation.prune] when only [b] changed). *)
+   update classes the prune orphaned.  Pruning only the backend a move
+   changed is enough on a valid state without dead storage: no other
+   backend lost a class. *)
 let prune_backend t b =
   let inst = t.inst in
   Bits.reset t.scratch_bits;
@@ -423,7 +424,7 @@ let prune_backend t b =
   t.stored.(b) <- !st;
   ignore (settle t b);
   (* Re-home updates that now overlap no backend: [b] was their last
-     carrier, so (like the legacy prune) they return to it. *)
+     carrier, so they return to it (Eq. 11). *)
   List.iter
     (fun u ->
       if t.upd_pins.(u) = 0 && t.c_alive.(u) then ignore (install_class t b u))
@@ -678,7 +679,7 @@ let greedy inst =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Mutation (dense port of Memetic.mutate)                             *)
+(* Mutation (the memetic's, paper Algorithm 2)                        *)
 (* ------------------------------------------------------------------ *)
 
 let mutate rng t =

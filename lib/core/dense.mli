@@ -17,8 +17,10 @@
     every class's pairs with its parent until one side writes them.
 
     Conversions {!of_allocation}/{!to_allocation} bridge to the set-based
-    representation.  {!Greedy.allocate} runs {!greedy} through them, so
-    paper-sized and massive instances share one greedy kernel. *)
+    representation.  The paper's heuristics run here and write back once:
+    {!Greedy.allocate} runs {!greedy}, {!Ksafety} its k-safe pass and
+    {!Memetic} its evolution ({!mutate}, {!transfer}, {!cost}), so
+    paper-sized and massive instances share one kernel of each. *)
 
 (** {1 Compiled instance} *)
 
@@ -160,14 +162,24 @@ val scale : t -> float
 
 val total_stored : t -> float
 val cost : t -> float * float
+(** [(scale, total_stored)] from the cached per-backend sums, which the
+    moves update in place. *)
+
 val refresh : t -> unit
+(** Resum the cached load and stored bytes from the shares and bitsets. *)
 
 (** {1 Moves} *)
 
 val install_class : ?on_pin:(int -> unit) -> t -> int -> int -> float
 val add_assign : t -> int -> int -> float -> unit
 val prune_backend : t -> int -> unit
+
 val transfer : t -> int -> b1:int -> b2:int -> amount:float -> unit
+(** [transfer t c ~b1 ~b2 ~amount] moves [min amount (share t b1 c)] of
+    read class [c] from [b1] to the alive [b2], installing [c]'s data and
+    its update closure on [b2], then prunes [b1] alone: [b1] drops what no
+    class still assigned there references, and an update class left on no
+    backend stays on [b1] (Eq. 11).  The memetic's move. *)
 
 val install_fragments : t -> int -> int array -> float
 (** [install_fragments t b fs] stores fragments [fs] on backend [b] and
@@ -193,8 +205,9 @@ val greedy : instance -> t
     [w - old] to the backend's load. *)
 
 val mutate : Cdbs_util.Rng.t -> t -> t
-(** Dense port of the memetic mutation move (1–3 random read-class
-    transfers followed by a local prune). *)
+(** The memetic's mutation ({!Memetic}, {!Memetic_par}): a copy with 1–3
+    random {!transfer}s, each moving all or a random part of a random read
+    class's share from one backend serving it to a random other one. *)
 
 (** {1 Conversions} *)
 

@@ -28,10 +28,17 @@ val via_dense :
 (** [via_dense ~context place workload backends] compiles the workload
     over the backends with {!Dense.of_allocation}, runs [place] on the
     instance and copies the resulting placement back by position into a
-    fresh allocation, then runs {!Invariants.check_allocation} under
-    [context].  One compile and one write-back: {!Ksafety.allocate} runs
-    {!Dense.greedy} and its k-safety pass through it.
+    fresh allocation ({!write_back}).  One compile and one write-back:
+    {!Ksafety.allocate} runs {!Dense.greedy} and its k-safety pass through
+    it, {!Memetic.allocate} {!Dense.greedy} and the evolution.
     @raise Invalid_argument on an empty backend list. *)
+
+val write_back : context:string -> Allocation.t -> Dense.t -> Allocation.t
+(** [write_back ~context alloc t] copies [t]'s fragments and shares by
+    position into [alloc], an empty allocation over the workload and
+    backends [t]'s instance was compiled from, holding no other fragment,
+    then runs {!Invariants.check_allocation} on it under [context] and
+    returns it. *)
 
 val sort_key : Workload.t -> Query_class.t -> rest_weight:float -> float
 (** The ordering key: [(restWeight(C) + weight(updates(C))) * size(C ∪

@@ -9,9 +9,10 @@
     1 domain or 8 — parallelism buys wall-clock, never a different
     answer.
 
-    Unlike the list-path {!Memetic}, there is no O(n²·reads²) local
-    search: at dense scale the mutation volume (plus migration pressure)
-    does that job. *)
+    Each generation is {!Memetic.generation}, the (λ+µ) step {!Memetic}
+    runs, without its local searches: their O(n²·reads²) passes do not
+    scale, and at dense scale the mutation volume (plus migration
+    pressure) does their job. *)
 
 type params = {
   population : int;
@@ -23,8 +24,6 @@ type params = {
 
 val default_params : params
 (** 8 individuals × 24 generations over 4 islands, migrating every 6. *)
-
-val better : float * float -> float * float -> bool
 
 val improve :
   ?params:params -> ?domains:int -> seed:int -> Dense.t -> Dense.t

@@ -23,9 +23,6 @@ val bool : t -> bool
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
-val pick_list : t -> 'a list -> 'a
-(** Uniform element of a non-empty list. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

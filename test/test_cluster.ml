@@ -493,7 +493,10 @@ let prop_best_read_target_matches_reference =
                          ~exclude sched alloc c ~now)))
           (-1 :: List.init nodes Fun.id)
       in
-      List.for_all agree (List.init (Allocation.num_reads alloc) Fun.id))
+      (* Reads come first in [classes]. *)
+      List.for_all agree
+        (List.init (List.length (Allocation.workload alloc).Workload.reads)
+           Fun.id))
 
 let suite =
   [
