@@ -1,7 +1,5 @@
 type policy = { budget : float }
 
-let default = { budget = 5. }
-
 let make ~budget =
   if budget <= 0. then invalid_arg "Deadline.make: budget <= 0";
   { budget }

@@ -10,8 +10,5 @@
 
 type policy = { budget : float  (** seconds of end-to-end budget *) }
 
-val default : policy
-(** 5 s — generous next to the simulator's sub-second service times. *)
-
 val make : budget:float -> policy
 (** @raise Invalid_argument when [budget <= 0]. *)

@@ -1,8 +1,7 @@
 (** The resilience policy bundle handed to the simulator/controller.
 
     Each defense is independently optional so experiments can isolate its
-    contribution; [off] disables everything (legacy behaviour) and
-    [default] enables all four with library defaults. *)
+    contribution; [off] disables everything (legacy behaviour). *)
 
 type t = {
   admission : Admission.policy option;
@@ -12,7 +11,6 @@ type t = {
 }
 
 val off : t
-val default : t
 
 val make :
   ?admission:Admission.policy ->

@@ -23,9 +23,6 @@ let table_names t =
   Hashtbl.fold (fun name _ acc -> name :: acc) t.tables []
   |> List.sort String.compare
 
-let byte_size t =
-  Hashtbl.fold (fun _ tbl acc -> acc + Table.byte_size tbl) t.tables 0
-
 let insert t name row =
   match table t name with
   | None -> Error ("insert: no table " ^ name)

@@ -10,7 +10,6 @@ val create_partial : Schema.t -> tables:string list -> t
 
 val table : t -> string -> Table.t option
 val table_names : t -> string list
-val byte_size : t -> int
 
 val insert : t -> string -> Value.t array -> (unit, string) result
 

@@ -137,8 +137,6 @@ let merge_into t ~from =
   if from.min_seen < t.min_seen then t.min_seen <- from.min_seen;
   if from.max_seen > t.max_seen then t.max_seen <- from.max_seen
 
-let copy t = { t with counts = Array.copy t.counts }
-
 let reset t =
   Array.fill t.counts 0 (Array.length t.counts) 0;
   t.underflow <- 0;

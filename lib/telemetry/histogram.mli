@@ -70,9 +70,6 @@ val merge_into : t -> from:t -> unit
     bucket counts add, so merging is associative and commutative.
     @raise Invalid_argument when the parameters differ. *)
 
-val copy : t -> t
-(** Independent snapshot (same parameters, same counts). *)
-
 val reset : t -> unit
 (** Forget every observation (parameters kept). *)
 

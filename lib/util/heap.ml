@@ -19,7 +19,6 @@ let create ?(capacity = 256) () =
     next_seq = 0;
   }
 
-let length t = t.len
 (* Strict "entry i orders before entry j". *)
 let before t i j =
   let c = Float.compare t.times.(i) t.times.(j) in

@@ -20,8 +20,6 @@ val create : ?capacity:int -> unit -> 'a t
 (** Empty heap.  [capacity] pre-sizes the backing arrays (default 256).
     @raise Invalid_argument when [capacity <= 0]. *)
 
-val length : 'a t -> int
-
 val add : 'a t -> time:float -> ?rank:int -> 'a -> unit
 (** Push an entry.  [rank] breaks ties among equal times (default 0);
     insertion order breaks ties among equal [(time, rank)]. *)

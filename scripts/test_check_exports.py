@@ -28,7 +28,9 @@ val perimeter : float -> float
 val circle : float -> float
 val square : float -> float
 val tri : unit -> float
+val length : int list -> int
 """,
+    # `Array.length` in its own module is no use of `Shapes.length`.
     "lib/demo/shapes.ml": """\
 let helper x = x + 1
 let area r = (3.14 *. r *. r) +. float_of_int (helper 0)
@@ -40,6 +42,7 @@ let perimeter r = 6.28 *. r
 let circle = area
 let square s = s *. s
 let tri () = 0.5
+let length l = Array.length (Array.of_list l)
 """,
     "lib/demo/grid.mli": """\
 val perimeter : int -> int
@@ -68,6 +71,7 @@ let t = Shapes.(tri () +. 1.)
 """,
     "test/test_shapes.ml": """\
 let () = assert (Shapes.probe () = 1 && Shapes.seam () + Shapes.bare () = 5)
+let () = assert (Shapes.length [ 1 ] = 1)
 (* Shapes.unused {|Shapes.helper|} *)
 """,
     "scripts/exports_allow.txt": """\
@@ -84,6 +88,7 @@ EXPECTED = [
     "unreferenced export Shapes.perimeter",
     "internal-only export Shapes.helper",
     "test-only export Shapes.probe",
+    "test-only export Shapes.length",
     "stale entry Shapes.gone: no such export",
     "stale entry Shapes.area: not a test-only export",
     "entry Shapes.bare gives no reason",

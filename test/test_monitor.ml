@@ -504,9 +504,13 @@ let test_res_invalid_params () =
   has_error "RES009" (Check_policy.check p)
 
 let test_res_shipped_policies_clean () =
-  no_errors "Policy.default" (Check_policy.check Res.Policy.default);
-  Alcotest.(check int) "default policy lints warning-free" 0
-    (List.length (Diagnostic.warnings (Check_policy.check Res.Policy.default)));
+  let defaults =
+    Res.Policy.make ~admission:Res.Admission.default
+      ~breaker:Res.Breaker.default_config ~hedge:Res.Hedge.default ()
+  in
+  no_errors "library defaults" (Check_policy.check defaults);
+  Alcotest.(check int) "library defaults lint warning-free" 0
+    (List.length (Diagnostic.warnings (Check_policy.check defaults)));
   let defended = Cdbs_experiments.Fig_overload.defenses ~deadline_s:1. in
   no_errors "Fig_overload.defenses" (Check_policy.check defended);
   Alcotest.(check int) "defended bundle lints warning-free" 0

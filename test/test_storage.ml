@@ -359,8 +359,8 @@ let prop_datagen_rows_valid =
         (Cdbs_util.Rng.create rows)
         db
         ~rows_per_table:[ ("emp", rows); ("dept", rows) ];
-      Table.row_count (Option.get (Database.table db "emp")) = rows
-      && Database.byte_size db > 0)
+      let emp = Option.get (Database.table db "emp") in
+      Table.row_count emp = rows && Table.byte_size emp > 0)
 
 let suite =
   [

@@ -20,18 +20,16 @@ module Fd = Cdbs_experiments.Fig_day
 
 let test_heap_basics () =
   let h = Heap.create () in
-  Alcotest.(check bool) "fresh heap empty" true (Heap.length h = 0);
   Alcotest.(check (option (pair (float 0.) string))) "pop on empty" None
     (Heap.pop_timed h);
   Heap.add h ~time:3. "c";
   Heap.add h ~time:1. "a";
   Heap.add h ~time:2. "b";
-  Alcotest.(check int) "length" 3 (Heap.length h);
   Alcotest.(check (option string)) "pop min" (Some "a") (Heap.pop h);
   Alcotest.(check (option (pair (float 0.) string)))
     "pop_timed returns key" (Some (2., "b")) (Heap.pop_timed h);
   Alcotest.(check (option string)) "last" (Some "c") (Heap.pop h);
-  Alcotest.(check bool) "drained" true (Heap.length h = 0)
+  Alcotest.(check (option string)) "drained" None (Heap.pop h)
 
 let test_heap_tie_breaking () =
   let h = Heap.create ~capacity:1 () in
@@ -58,7 +56,9 @@ let test_heap_drain_until () =
       if v = 1. then Heap.add h ~time:2.5 2.5);
   Alcotest.(check (list (float 0.))) "in-order within bound"
     [ 1.; 2.; 2.5; 3. ] (List.rev !seen);
-  Alcotest.(check int) "rest stays" 2 (Heap.length h)
+  Alcotest.(check (list (option (float 0.)))) "rest stays"
+    [ Some 4.; Some 9.; None ]
+    (List.init 3 (fun _ -> Heap.pop h))
 
 (* ---------------- heap: property ---------------- *)
 
@@ -243,7 +243,6 @@ type hist_op =
   | Record_n of float * int
   | Reset
   | Merge of float list
-  | Copy
   | Query of float
 
 let hist_ops =
@@ -264,7 +263,6 @@ let hist_ops =
           (3, map2 (fun v n -> Record_n (v, n)) value (int_range 0 4));
           (1, return Reset);
           (2, map (fun vs -> Merge vs) (list_size (int_range 0 20) value));
-          (1, return Copy);
           (8, map (fun q -> Query q) (float_range 0. 1.));
         ])
   in
@@ -273,7 +271,6 @@ let hist_ops =
     | Record_n (v, n) -> Printf.sprintf "record_n %h %d" v n
     | Reset -> "reset"
     | Merge vs -> Printf.sprintf "merge %d" (List.length vs)
-    | Copy -> "copy"
     | Query q -> Printf.sprintf "query %h" q
   in
   QCheck.make
@@ -304,9 +301,6 @@ let prop_histogram_cursor_matches_walk =
               let from = create () in
               List.iter (Histogram.record from) vs;
               Histogram.merge_into !h ~from;
-              true
-          | Copy ->
-              h := Histogram.copy !h;
               true
           | Query q -> agrees q)
         ops
