@@ -29,9 +29,7 @@ let solver_comparison ?(backend_counts = [ 2; 3; 4 ]) () =
     (fun n ->
       let backends = Backend.homogeneous n in
       let greedy = Greedy.allocate workload backends in
-      let memetic =
-        Memetic.improve ~rng:(Rng.create 23) (Allocation.copy greedy)
-      in
+      let memetic = Memetic.improve ~rng:(Rng.create 23) greedy in
       let entries =
         [
           ("greedy", Allocation.scale greedy, Allocation.total_stored greedy);
@@ -66,10 +64,7 @@ let local_search_contribution () =
       let params =
         { Memetic.default_params with Memetic.local_search_mode = mode }
       in
-      let improved =
-        Memetic.improve ~params ~rng:(Rng.create 31)
-          (Allocation.copy greedy)
-      in
+      let improved = Memetic.improve ~params ~rng:(Rng.create 31) greedy in
       (name, Allocation.scale improved, Allocation.total_stored improved))
     [
       ("no local search", Memetic.No_local_search);
