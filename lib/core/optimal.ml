@@ -98,6 +98,20 @@ let build_rows l ~fragments ~reads ~updates ~loads ~overlap_pairs =
              Simplex.Ge 0.))
       overlap_pairs
   done;
+  (* Eq. 10: a stored fragment of an update class pins it, so update
+     classes chained through shared fragments pin each other too. *)
+  for i = 0 to l.nb - 1 do
+    Array.iteri
+      (fun m (c : Query_class.t) ->
+        Fragment.Set.iter
+          (fun f ->
+            add
+              (Simplex.row
+                 [ (hu_var l i m, 1.); (a_var l i (frag_index f), -1.) ]
+                 Simplex.Ge 0.))
+          c.Query_class.fragments)
+      updates
+  done;
   (* Eq. 43: per-backend capacity scaled by the scale factor. *)
   for i = 0 to l.nb - 1 do
     let coeffs =

@@ -15,7 +15,9 @@
 
 type report = {
   allocation : Allocation.t;
-  scale : float;  (** optimal (or best-found) scale *)
+  scale : float;
+      (** optimal (or best-found) scale; the allocation's own is within
+          1e-6 of it, the slack the space-minimizing phase is given *)
   space : float;  (** total allocated fragment size after phase 2 *)
   proved_optimal : bool;  (** both phases closed their search trees *)
 }
