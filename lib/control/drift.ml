@@ -24,8 +24,6 @@ let create cfg =
   validate_config cfg;
   { cfg; armed = true; cooldown_until = neg_infinity }
 
-let config t = t.cfg
-
 (* Weighted relative error over the class mix.  Both vectors are
    re-normalized over their union, so callers can pass raw weights. *)
 let floor_share = 0.01

@@ -53,4 +53,3 @@ val action_done : t -> now:float -> unit
 (** Record that the loop acted (commit, rollback, or rejected plan) at
     [now]: triggers are suppressed until [now + cooldown_s]. *)
 
-val config : t -> config

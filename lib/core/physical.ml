@@ -37,14 +37,6 @@ let plan_of_sets ~old_sets ~new_sets =
     per_backend;
   }
 
-let plan ~old_alloc new_alloc =
-  if Allocation.num_backends old_alloc <> Allocation.num_backends new_alloc
-  then invalid_arg "Physical.plan: backend counts differ (use plan_scaled)";
-  let sets alloc =
-    Array.init (Allocation.num_backends alloc) (Allocation.fragments_of alloc)
-  in
-  plan_of_sets ~old_sets:(sets old_alloc) ~new_sets:(sets new_alloc)
-
 let plan_scaled ~old_fragments new_alloc =
   let new_sets =
     Array.init

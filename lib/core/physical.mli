@@ -20,15 +20,12 @@ val transfer_cost : old_fragments:Fragment.Set.t -> Fragment.Set.t -> float
 (** Eq. 27: total size of the fragments a new backend needs that the old
     backend does not already hold. *)
 
-val plan : old_alloc:Allocation.t -> Allocation.t -> plan
-(** Cost-minimal deployment of the new allocation onto the old one.  Both
-    must have the same number of backends; use {!plan_scaled} otherwise. *)
-
 val plan_scaled : old_fragments:Fragment.Set.t list -> Allocation.t -> plan
-(** Deployment when the node count changes: [old_fragments] lists what each
-    currently running backend stores (possibly fewer or more entries than
-    the new allocation has backends).  Extra old backends are
-    decommissioned; extra new backends start empty. *)
+(** Cost-minimal deployment of the new allocation onto the running
+    backends: [old_fragments] lists what each of them stores, as many
+    entries as the allocation has backends, or fewer or more when the node
+    count changes.  Extra old backends are decommissioned; extra new
+    backends start empty. *)
 
 val duration :
   ?prepare_rate:float ->

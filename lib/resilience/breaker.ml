@@ -67,7 +67,6 @@ let create ?(config = default_config) ?on_transition n =
 let notify t ~backend st =
   match t.hook with None -> () | Some f -> f ~backend st
 
-let config t = t.config
 let get t b = t.backends.(b)
 
 let reset_stats be =

@@ -54,7 +54,6 @@ val create :
     — the observation hook telemetry hangs breaker-transition trace
     events on.  It must not call back into the breaker. *)
 
-val config : t -> config
 
 val state : t -> backend:int -> state
 (** Raw state, without the time-based Open -> Half_open transition. *)

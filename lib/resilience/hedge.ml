@@ -30,8 +30,6 @@ let create policy =
     merged = Histogram.create ();
   }
 
-let policy t = t.policy
-
 let observe t latency =
   Histogram.record t.cur latency;
   Histogram.record t.merged latency;

@@ -27,7 +27,6 @@ type t
 (** A latency tracker (mutable rotating histogram windows). *)
 
 val create : policy -> t
-val policy : t -> policy
 
 val observe : t -> float -> unit
 (** Record a completed read latency. *)
