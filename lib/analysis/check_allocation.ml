@@ -272,7 +272,7 @@ let check_dense ?(k = 0) ?topology (t : Dense.t) =
   Capped.result out
 
 let check ?k ?topology alloc =
-  check_dense ?k ?topology (Dense.of_allocation alloc)
+  check_dense ?k ?topology (Allocation.state alloc)
 
 let check_exn ?k ?topology ~context alloc =
   match Diagnostic.errors (check ?k ?topology alloc) with

@@ -1,9 +1,8 @@
 (** Allocation invariants — an independent re-statement of the paper's
     structural constraints, checked against any allocation regardless of
     which algorithm or representation produced it.  Each rule is written
-    once, as indexed scans over the {!Cdbs_core.Dense} views; {!check}
-    compiles a set-based {!Cdbs_core.Allocation.t} with
-    {!Cdbs_core.Dense.of_allocation} and runs the same scans.
+    once, as indexed scans over a {!Cdbs_core.Dense} state; {!check} runs
+    them on the state an {!Cdbs_core.Allocation.t} is a view over.
 
     Codes:
     - [ALC001] (error)   negative assignment
@@ -55,7 +54,7 @@ val check_dense : ?k:int -> ?topology:Topology.t -> Dense.t -> Diagnostic.t list
     backends and tombstoned classes are skipped. *)
 
 val check : ?k:int -> ?topology:Topology.t -> Allocation.t -> Diagnostic.t list
-(** [check_dense] on {!Cdbs_core.Dense.of_allocation}. *)
+(** [check_dense] on {!Cdbs_core.Allocation.state}: nothing is compiled. *)
 
 val check_exn :
   ?k:int -> ?topology:Topology.t -> context:string -> Allocation.t -> unit

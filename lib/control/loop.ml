@@ -148,16 +148,15 @@ let plan t ~at ~merged =
   let deltas = reweights ~current ~merged in
   if deltas = [] then None
   else begin
+    (* The repair consumes its input, so each runs on a copy. *)
+    let state = Core.Allocation.state t.alloc in
     let incumbent, _ =
       Core.Incremental.repair ~k:t.cfg.k ?topology:t.topology
-        (Core.Dense.of_allocation t.alloc)
-        deltas
+        (Core.Dense.copy state) deltas
     in
     let candidate, stats =
       Core.Incremental.repair ~k:t.cfg.k ?topology:t.topology
-        ~budget:t.cfg.budget ~balance:true
-        (Core.Dense.of_allocation t.alloc)
-        deltas
+        ~budget:t.cfg.budget ~balance:true (Core.Dense.copy state) deltas
     in
     let cost_before = Core.Dense.scale incumbent in
     let cost_after = Core.Dense.scale candidate in
@@ -181,7 +180,9 @@ let plan t ~at ~merged =
            moved_fragments = stats.Core.Incremental.moved_fragments;
          });
     if accepted then
-      Some (Core.Dense.to_allocation candidate, stats.Core.Incremental.moved_mb)
+      Some
+        ( Core.Allocation.with_state t.alloc candidate,
+          stats.Core.Incremental.moved_mb )
     else None
   end
 

@@ -328,6 +328,26 @@ let refresh t =
     t.stored.(b) <- !st
   done
 
+(* Every cache rebuilt from the shares and bitsets: the sums as [refresh]
+   makes them, and per backend its reads ([active]) and updates
+   ([pinned]) with a positive share, ascending.  [prune_backend] walks
+   [pinned] in that order, so a state that starts from here prunes the
+   same way however its shares were written. *)
+let rebuild t =
+  refresh t;
+  Array.iter Vec.clear t.active;
+  Array.iter Vec.clear t.pinned;
+  Array.fill t.upd_pins 0 (Array.length t.upd_pins) 0;
+  for c = 0 to t.inst.n_classes - 1 do
+    iter_shares t c (fun b w ->
+        if w > 0. then
+          if is_update t.inst c then begin
+            Vec.push t.pinned.(b) c;
+            t.upd_pins.(c) <- t.upd_pins.(c) + 1
+          end
+          else Vec.push t.active.(b) c)
+  done
+
 (* ------------------------------------------------------------------ *)
 (* Primitive moves (shared by greedy / memetic / incremental)          *)
 (* ------------------------------------------------------------------ *)
@@ -710,115 +730,6 @@ let mutate rng t =
     done;
     child
   end
-
-(* ------------------------------------------------------------------ *)
-(* Conversions                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let of_allocation (alloc : Allocation.t) =
-  let n = Allocation.num_backends alloc in
-  let held = Array.init n (Allocation.fragments_of alloc) in
-  (* Fragments a backend holds but no class references get indices too,
-     so a checker sees storage nothing accounts for. *)
-  let frags =
-    Array.of_list
-      (Fragment.Set.elements
-         (Array.fold_left Fragment.Set.union
-            (Workload.fragments (Allocation.workload alloc))
-            held))
-  in
-  let index = Hashtbl.create (max 16 (Array.length frags)) in
-  Array.iteri (fun i (f : Fragment.t) -> Hashtbl.replace index f.kind i) frags;
-  let find (f : Fragment.t) = Hashtbl.find index f.kind in
-  let frag_size = Array.map (fun f -> f.Fragment.size) frags in
-  let classes = Allocation.classes alloc in
-  let spec_of (c : Query_class.t) =
-    {
-      cs_id = c.Query_class.id;
-      cs_update = Query_class.is_update c;
-      cs_weight = c.Query_class.weight;
-      cs_frags =
-        Array.of_list
-          (List.map find (Fragment.Set.elements c.Query_class.fragments));
-    }
-  in
-  let inst =
-    make_instance ~frags ~backends:(Allocation.backends alloc) ~frag_size
-      (Array.map spec_of classes)
-  in
-  let t = create inst in
-  for b = 0 to n - 1 do
-    Fragment.Set.iter (fun f -> Bits.set t.held.(b) (find f)) held.(b);
-    for c = 0 to Array.length classes - 1 do
-      (* Every share, negative ones included, for the checker to see. *)
-      let w = Allocation.assign_at alloc b c in
-      if w <> 0. then set_share t b c w;
-      if w > 0. then
-        if is_update inst c then begin
-          Vec.push t.pinned.(b) c;
-          t.upd_pins.(c) <- t.upd_pins.(c) + 1
-        end
-        else Vec.push t.active.(b) c
-    done
-  done;
-  refresh t;
-  t
-
-let to_allocation t =
-  let inst = t.inst in
-  let frags =
-    match inst.frags with
-    | Some a -> a
-    | None ->
-        invalid_arg
-          "Dense.to_allocation: instance was built without Fragment.t values"
-  in
-  let class_of c =
-    let fp = ref [] in
-    iter_footprint inst c (fun f -> fp := frags.(f) :: !fp);
-    let mk = if is_update inst c then Query_class.update else Query_class.read in
-    mk inst.class_id.(c) !fp ~weight:inst.class_weight.(c)
-  in
-  let alive_classes idx =
-    Array.to_list idx |> List.filter (fun c -> t.c_alive.(c))
-  in
-  let workload =
-    Workload.make
-      ~reads:(List.map class_of (alive_classes inst.read_idx))
-      ~updates:(List.map class_of (alive_classes inst.upd_idx))
-  in
-  let live =
-    Array.to_list (Array.init (num_backends t) Fun.id)
-    |> List.filter (fun b -> t.b_alive.(b))
-  in
-  let backend_list =
-    List.mapi
-      (fun i b ->
-        {
-          Backend.id = i;
-          name = inst.backends.(b).Backend.name;
-          load = inst.loads.(b);
-        })
-      live
-  in
-  let alloc = Allocation.create workload backend_list in
-  let position = Array.make (num_backends t) (-1) in
-  List.iteri
-    (fun i b ->
-      position.(b) <- i;
-      let set = ref Fragment.Set.empty in
-      Bits.iter (fun f -> set := Fragment.Set.add frags.(f) !set) t.held.(b);
-      Allocation.add_fragments alloc i !set)
-    live;
-  for c = 0 to inst.n_classes - 1 do
-    if t.c_alive.(c) then
-      iter_shares t c (fun b w ->
-          if position.(b) >= 0 then
-            Allocation.set_assign alloc position.(b)
-              (Option.get (Workload.find workload inst.class_id.(c)))
-              w)
-  done;
-  alloc
 
 (* ------------------------------------------------------------------ *)
 (* Synthetic massive instances                                         *)

@@ -1,26 +1,23 @@
-(** Flat-array allocation core for massive instances.
+(** Flat-array allocation core, from the paper's examples to massive
+    instances.
 
-    The set-based {!Allocation} also keeps each backend's fragments as a
-    bitset over an interned fragment universe and addresses classes by
-    position, but it carries the workload's [Query_class.t] and
-    [Fragment.t] records, interns fragments added from outside the
-    workload, and recomputes per-backend sums from its assignment matrix.
-    This module compiles a workload into an immutable {!instance} (CSR
-    class→footprint and fragment→update-class tables over integer
-    fragment ids, with materialized fragments optional) and represents an
-    allocation as per-backend bitsets plus, per class, the sorted
-    (backend, share) pairs of its non-zero shares, with cached
-    per-backend load and active/pinned class lists, so the greedy and
-    memetic hot paths at 10⁵–10⁷ fragments run as indexed loops with
-    reusable scratch buffers.  A state's size grows with its classes and
-    non-zero shares, not with backends × classes, and {!copy} shares
-    every class's pairs with its parent until one side writes them.
+    A workload compiles into an immutable {!instance}: CSR class→footprint
+    and fragment→update-class tables over integer fragment ids, with the
+    [Fragment.t] values optionally materialized.  An allocation state is
+    per-backend bitsets plus, per class, the sorted (backend, share) pairs
+    of its non-zero shares, with cached per-backend load and active/pinned
+    class lists, so the greedy and memetic hot paths at 10⁵–10⁷ fragments
+    run as indexed loops with reusable scratch buffers.  A state's size
+    grows with its classes and non-zero shares, not with backends ×
+    classes, and {!copy} shares every class's pairs with its parent until
+    one side writes them.
 
-    Conversions {!of_allocation}/{!to_allocation} bridge to the set-based
-    representation.  The paper's heuristics run here and write back once:
-    {!Greedy.allocate} runs {!greedy}, {!Ksafety} its k-safe pass and
-    {!Memetic} its evolution ({!mutate}, {!transfer}, {!cost}), so
-    paper-sized and massive instances share one kernel of each. *)
+    This is the one representation of a placement: an {!Allocation} is a
+    view over a state on the instance it compiled.  The paper's
+    heuristics run here — {!Greedy.allocate} runs {!greedy}, {!Ksafety}
+    its k-safe pass and {!Memetic} its evolution ({!mutate}, {!transfer},
+    {!cost}) — so paper-sized and massive instances share one kernel of
+    each. *)
 
 (** {1 Compiled instance} *)
 
@@ -36,7 +33,8 @@ type instance = {
   loads : float array;  (** relative capacity share per backend *)
   frag_size : float array;
   frags : Fragment.t array option;
-      (** materialized fragments, needed only for {!to_allocation} *)
+      (** materialized fragments: an {!Allocation}'s instance has them, a
+          {!synthetic} one only on request *)
   n_frags : int;
   n_classes : int;
   kind : Bytes.t;  (** per class: ['\000'] read, ['\001'] update *)
@@ -71,6 +69,18 @@ val update_csr :
 (** [update_csr n_frags ~class_off ~class_frag upd_idx]: [frag_upd_off] and
     [frag_upd] over the footprints of the update classes [upd_idx]. *)
 
+val make_instance :
+  ?frags:Fragment.t array ->
+  backends:Backend.t array ->
+  frag_size:float array ->
+  class_spec array ->
+  instance
+(** Compile classes over fragments [0 .. length frag_size - 1]; the class
+    at index [c] is [specs.(c)], the read and update indices keep that
+    order.  [frags], when given, names the same fragments.
+    @raise Invalid_argument on a negative weight, a fragment index out of
+    range, or [frags] of another length. *)
+
 val is_update : instance -> int -> bool
 val iter_footprint : instance -> int -> (int -> unit) -> unit
 
@@ -86,8 +96,8 @@ val synthetic :
 (** Random massive instance: contiguous range footprints (reads span up
     to 8 fragments, updates up to 4), weights normalized to sum 1 with
     roughly 4:1 read:update mass.  With [materialize] the [Fragment.t]
-    array is built too (needed for {!to_allocation} / migration plans);
-    off by default to keep 10⁶-fragment instances cheap. *)
+    array is built too, so checkers can name fragments; off by default
+    to keep 10⁶-fragment instances cheap. *)
 
 (** {1 Allocation state} *)
 
@@ -166,7 +176,16 @@ val cost : t -> float * float
     moves update in place. *)
 
 val refresh : t -> unit
-(** Resum the cached load and stored bytes from the shares and bitsets. *)
+(** Resum the cached load and stored bytes from the shares and bitsets:
+    each backend's load in ascending class order, its stored bytes in
+    ascending fragment index. *)
+
+val rebuild : t -> unit
+(** Rebuild every cache from the shares and bitsets: {!refresh}, then per
+    backend the classes with a positive share, reads in [active] and
+    updates in [pinned], each ascending, and [upd_pins].  A state read
+    through {!Allocation.state} starts here, so what a prune or a check
+    does with it does not depend on how its shares were written. *)
 
 (** {1 Moves} *)
 
@@ -208,15 +227,3 @@ val mutate : Cdbs_util.Rng.t -> t -> t
 (** The memetic's mutation ({!Memetic}, {!Memetic_par}): a copy with 1–3
     random {!transfer}s, each moving all or a random part of a random read
     class's share from one backend serving it to a random other one. *)
-
-(** {1 Conversions} *)
-
-val of_allocation : Allocation.t -> t
-(** Compile an allocation.  Every fragment a class references or a
-    backend holds gets an index, in [Fragment.compare] order, and every
-    non-zero share is copied, negative ones included, so a checker sees
-    all of it. *)
-
-val to_allocation : t -> Allocation.t
-(** @raise Invalid_argument when the instance was built without
-    materialized fragments. *)

@@ -13,8 +13,8 @@ val allocate : Workload.t -> Backend.t list -> Allocation.t
 (** Compute a greedy allocation.  The workload should be normalized
     (weights summing to 1); backends must be non-empty.
 
-    [via_dense Dense.greedy]: the caller's workload and backends carry
-    the placement {!Dense.greedy} computes.
+    [via_dense Dense.greedy]: the allocation is a view over the state
+    {!Dense.greedy} builds on the compiled workload.
 
     Deviation from the paper's pseudo-code, for correctness: when placing a
     class's fragments makes a backend overlap update classes beyond
@@ -26,19 +26,13 @@ val via_dense :
   context:string -> (Dense.instance -> Dense.t) -> Workload.t ->
   Backend.t list -> Allocation.t
 (** [via_dense ~context place workload backends] compiles the workload
-    over the backends with {!Dense.of_allocation}, runs [place] on the
-    instance and copies the resulting placement back by position into a
-    fresh allocation ({!write_back}).  One compile and one write-back:
-    {!Ksafety.allocate} runs {!Dense.greedy} and its k-safety pass through
-    it, {!Memetic.allocate} {!Dense.greedy} and the evolution.
+    over the backends ({!Allocation.create}), runs [place] on the
+    instance and returns the view over the state it built
+    ({!Allocation.with_state}), after {!Invariants.check_allocation} under
+    [context].  One compile and no copy: {!Ksafety.allocate} runs
+    {!Dense.greedy} and its k-safety pass through it, {!Memetic.allocate}
+    {!Dense.greedy} and the evolution.
     @raise Invalid_argument on an empty backend list. *)
-
-val write_back : context:string -> Allocation.t -> Dense.t -> Allocation.t
-(** [write_back ~context alloc t] copies [t]'s fragments and shares by
-    position into [alloc], an empty allocation over the workload and
-    backends [t]'s instance was compiled from, holding no other fragment,
-    then runs {!Invariants.check_allocation} on it under [context] and
-    returns it. *)
 
 val sort_key : Workload.t -> Query_class.t -> rest_weight:float -> float
 (** The ordering key: [(restWeight(C) + weight(updates(C))) * size(C ∪

@@ -213,16 +213,16 @@ let repair ?topology ~k ~failed alloc =
   let survivors = n - List.length (List.filter (fun b -> b < n) failed) in
   if k + 1 > survivors then
     invalid_arg "Ksafety.repair: k+1 exceeds the surviving backends";
-  let t = Dense.of_allocation alloc in
-  List.iter
-    (fun b -> if b >= 0 && b < n then t.Dense.b_alive.(b) <- false)
-    failed;
+  let t = Allocation.state alloc in
+  let dead = List.filter (fun b -> b >= 0 && b < n) failed in
+  List.iter (fun b -> t.Dense.b_alive.(b) <- false) dead;
   let before = Array.make n None in
   replicate ?topology ~k
     ~on_write:(fun b -> before.(b) <- Some (Bits.copy t.Dense.held.(b)))
     t;
-  (* Copy back what the pass wrote: the backends it reached gained
-     fragments and update pins, nothing else changed. *)
+  List.iter (fun b -> t.Dense.b_alive.(b) <- true) dead;
+  (* The backends the pass reached gained fragments and update pins,
+     nothing else changed. *)
   let frags = Option.get t.Dense.inst.Dense.frags in
   Array.mapi
     (fun b snapshot ->
@@ -235,9 +235,5 @@ let repair ?topology ~k ~failed alloc =
               if not (Bits.get h f) then
                 gained := Fragment.Set.add frags.(f) !gained)
             t.Dense.held.(b);
-          Allocation.add_fragments alloc b !gained;
-          for c = 0 to t.Dense.inst.Dense.n_classes - 1 do
-            Allocation.set_assign_at alloc b c (Dense.share t b c)
-          done;
           !gained)
     before

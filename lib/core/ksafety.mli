@@ -20,10 +20,10 @@ val allocate :
 (** Greedy allocation with the k-safety extension (Algorithm 4): the
     workload is compiled once, {!Dense.greedy} places it and {!replicate}
     adds zero-weight replicas until every class is held by k+1 backends
-    (and, with [topology], spans [min (k+1, zones)] fault domains), then
-    the placement is written back once ({!Greedy.via_dense}).  The spread
-    pass may push a class above k+1 copies when the first k+1 landed in
-    fewer zones.
+    (and, with [topology], spans [min (k+1, zones)] fault domains); the
+    allocation is the view over that state ({!Greedy.via_dense}).  The
+    spread pass may push a class above k+1 copies when the first k+1
+    landed in fewer zones.
 
     @raise Invalid_argument when [k + 1] exceeds the backend count, or when
     [topology] does not cover exactly the given backends. *)
@@ -90,8 +90,9 @@ val repair :
   Fragment.Set.t array
 (** Restore [effective_k ~failed] to at least [k] by re-replicating every
     under-replicated class onto surviving backends: {!replicate} on the
-    compiled allocation with the [failed] backends dead, written back in
-    place.  Returns the fragments each backend gained — the copy
+    allocation's own state ({!Allocation.state}) with the [failed]
+    backends dead while it runs.  Returns the fragments each backend
+    gained — the copy
     obligations a controller must ship to materialize the repair (the
     failed backends gain nothing).
 

@@ -186,26 +186,16 @@ let evolve params rng t =
   done;
   best (Array.append [| t |] !population)
 
-(* [alloc] compiled.  Its fragments must be its workload's, so that the
-   result numbers them as a fresh allocation does and copies back. *)
-let compile ~context alloc =
-  let t = Dense.of_allocation alloc in
-  if
-    t.Dense.inst.Dense.n_frags
-    <> Fragment.Set.cardinal (Workload.fragments (Allocation.workload alloc))
-  then
-    invalid_arg (context ^ ": a backend holds a fragment outside the workload");
-  t
-
-let write_back ~context alloc t =
-  Greedy.write_back ~context
-    (Allocation.create (Allocation.workload alloc)
-       (Array.to_list (Allocation.backends alloc)))
-    t
+(* The view over [t], a state the search built from a copy of [alloc]'s:
+   a fresh allocation. *)
+let fresh ~context alloc t =
+  let result = Allocation.with_state alloc t in
+  Invariants.check_allocation ~context result;
+  result
 
 let improve ?(params = default_params) ~rng alloc =
-  let context = "Memetic.improve" in
-  write_back ~context alloc (evolve params rng (compile ~context alloc))
+  fresh ~context:"Memetic.improve" alloc
+    (evolve params rng (Dense.copy (Allocation.state alloc)))
 
 let allocate ?(params = default_params) ~rng workload backend_list =
   Greedy.via_dense ~context:"Memetic.allocate"
@@ -213,6 +203,5 @@ let allocate ?(params = default_params) ~rng workload backend_list =
     workload backend_list
 
 let local_search alloc =
-  let context = "Memetic.local_search" in
-  let t, improved = search (compile ~context alloc) in
-  (write_back ~context alloc t, improved)
+  let t, improved = search (Dense.copy (Allocation.state alloc)) in
+  (fresh ~context:"Memetic.local_search" alloc t, improved)

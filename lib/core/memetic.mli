@@ -16,19 +16,18 @@
     scale (throughput) first, total stored bytes (replication) second.
 
     The search runs on {!Dense}: {!allocate} compiles the workload once
-    and writes back once ({!Greedy.via_dense}); {!improve} and
-    {!local_search} compile their input ({!Dense.of_allocation}) and write
-    back through {!Greedy.write_back}.  The mutation is {!Dense.mutate},
-    a move {!Dense.transfer}, the cost {!Dense.cost}.  {!Memetic_par} runs
+    ({!Greedy.via_dense}); {!improve} and {!local_search} search a copy of
+    their input's state ({!Allocation.state}) and return the view over the
+    result ({!Allocation.with_state}).  The mutation is {!Dense.mutate}, a
+    move {!Dense.transfer}, the cost {!Dense.cost}.  {!Memetic_par} runs
     the same (λ+µ) step on islands.
 
     {b Precondition} of {!improve} and {!local_search}: the input passes
     {!Allocation.validate} and holds no dead storage (the checker's
-    ALC011) and no fragment outside its workload, as greedy's output
-    does.  A {!Dense.transfer} prunes only the backends it
-    touches; on such an input that agrees with pruning every backend.  An
-    outside fragment raises; breaking the other two conditions can change
-    the placement, never misplace its bits. *)
+    ALC011), as greedy's output does.  A {!Dense.transfer} prunes only the
+    backends it touches; on such an input that agrees with pruning every
+    backend.  Breaking either condition can change the placement, never
+    misplace its bits. *)
 
 type local_search_mode =
   | No_local_search  (** plain evolutionary programming *)
@@ -70,9 +69,7 @@ val improve :
   Allocation.t
 (** Improve an initial (typically greedy) allocation that meets the
     precondition above.  The result is a fresh allocation, always valid and
-    never worse than the input under {!compare_cost}.
-    @raise Invalid_argument when the input holds a fragment outside its
-    workload. *)
+    never worse than the input under {!compare_cost}. *)
 
 val allocate :
   ?params:params ->
@@ -81,7 +78,7 @@ val allocate :
   Backend.t list ->
   Allocation.t
 (** Greedy seed followed by the evolution — the paper's full heuristic
-    pipeline, with one compile and one write-back.
+    pipeline, with one compile.
     @raise Invalid_argument on an empty backend list. *)
 
 val search : Dense.t -> Dense.t * bool
@@ -93,6 +90,4 @@ val search : Dense.t -> Dense.t * bool
 
 val local_search : Allocation.t -> Allocation.t * bool
 (** {!search} over an input that meets the precondition above: the
-    improved allocation (fresh) and whether anything improved.
-    @raise Invalid_argument when the input holds a fragment outside its
-    workload. *)
+    improved allocation (fresh) and whether anything improved. *)

@@ -152,11 +152,16 @@ let reassign alloc =
       distribute alloc c holders)
     classes
 
-let merge = function
+let merge overall = function
   | [] -> invalid_arg "Segmented.merge: empty list"
   | first :: rest ->
-      let merged = Allocation.copy first in
+      let merged =
+        Allocation.create overall (Array.to_list (Allocation.backends first))
+      in
       let n = Allocation.num_backends merged in
+      for b = 0 to n - 1 do
+        Allocation.add_fragments merged b (Allocation.fragments_of first b)
+      done;
       List.iter
         (fun alloc ->
           if Allocation.num_backends alloc <> n then
@@ -184,18 +189,6 @@ let allocate_segmented ~classify ~allocate ~window ~threshold journal =
   let allocations =
     List.map (fun s -> allocate (classify s.journal)) segments
   in
-  (* The merged allocation serves the overall workload. *)
   match allocations with
   | [ single ] -> (single, segments)
-  | several ->
-      let overall = classify journal in
-      let backends = Array.to_list (Allocation.backends (List.hd several)) in
-      let merged_placement = merge several in
-      (* Rebuild over the overall workload, importing the union placement. *)
-      let final = Allocation.create overall backends in
-      for b = 0 to Allocation.num_backends final - 1 do
-        Allocation.add_fragments final b
-          (Allocation.fragments_of merged_placement b)
-      done;
-      reassign final;
-      (final, segments)
+  | several -> (merge (classify journal) several, segments)

@@ -22,13 +22,16 @@ val segment_journal :
     per-statement cost shares, 0..1).  Always returns at least one segment
     covering the whole journal. *)
 
-val merge : Allocation.t list -> Allocation.t
-(** Merge per-segment allocations over the same backends: segment i+1's
-    backends are matched to the merged allocation's backends by minimal
-    additional data (Eq. 27); fragment sets are united; each class's
-    assignment becomes its maximum share over the segments (standby
-    capacity for the segment where it peaks).  @raise Invalid_argument on
-    an empty list or mismatched backend counts. *)
+val merge : Workload.t -> Allocation.t list -> Allocation.t
+(** [merge overall allocs] merges per-segment allocations over the same
+    backends into one over [overall], the workload whose fragments the
+    segments' placements store: segment i+1's backends are matched to the
+    merged allocation's backends by minimal additional data (Eq. 27) and
+    fragment sets are united; then each read class is spread over the
+    backends holding its data, water-filling toward equal utilization,
+    and each update class pinned wherever its data lives.
+    @raise Invalid_argument on an empty list, mismatched backend counts,
+    or a segment storing a fragment outside [overall]. *)
 
 val allocate_segmented :
   classify:(Journal.t -> Workload.t) ->
@@ -38,4 +41,4 @@ val allocate_segmented :
   Journal.t ->
   Allocation.t * segment list
 (** End-to-end pipeline: segment, classify and allocate each segment, then
-    {!merge}. *)
+    {!merge} over the whole journal's classification. *)

@@ -30,13 +30,3 @@ let iter f t =
     let v = Char.code (Bytes.unsafe_get t j) in
     if v <> 0 then iter_byte f (j lsl 3) v
   done
-
-let mem t i = i lsr 3 < Bytes.length t && get t i
-
-let grow t n =
-  if (n + 7) / 8 <= Bytes.length t then t
-  else begin
-    let g = create n in
-    blit ~src:t ~dst:g;
-    g
-  end

@@ -18,10 +18,3 @@ val blit : src:t -> dst:t -> unit
 
 val iter : (int -> unit) -> t -> unit
 (** Set bits in ascending index order. *)
-
-val mem : t -> int -> bool
-(** {!get} that answers [false] beyond the set's capacity. *)
-
-val grow : t -> int -> t
-(** [grow t n]: [t] itself when it has room for [n] bits, else a longer
-    copy with the new bits cleared. *)

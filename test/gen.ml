@@ -63,3 +63,61 @@ let load_deviation alloc =
   Cdbs_util.Stats.relative_deviation
     (List.init (Array.length backends) (fun b ->
          Allocation.assigned_load alloc b /. backends.(b).Backend.load))
+
+(* [plant alloc b frs]: [alloc] with backend [b] also storing [frs], which
+   may lie outside the workload — the one way a test stores data no class
+   references, since [Allocation.add_fragments] rejects it.  The result
+   is a view over a new state whose instance numbers the workload's and
+   the stored fragments together in Fragment.compare order, as a checker
+   numbers them. *)
+let plant alloc b frs =
+  let inside = Workload.fragments (Allocation.workload alloc) in
+  let held =
+    Array.init (Allocation.num_backends alloc) (Allocation.fragments_of alloc)
+  in
+  held.(b) <- Fragment.Set.union held.(b) frs;
+  let outside =
+    Fragment.Set.diff (Array.fold_left Fragment.Set.union frs held) inside
+  in
+  let frags =
+    Array.of_list (Fragment.Set.elements (Fragment.Set.union inside outside))
+  in
+  let pos = Hashtbl.create (Array.length frags) in
+  Array.iteri (fun i (f : Fragment.t) -> Hashtbl.replace pos f.kind i) frags;
+  let index (f : Fragment.t) = Hashtbl.find pos f.kind in
+  let spec (c : Query_class.t) =
+    {
+      Dense.cs_id = c.id;
+      cs_update = Query_class.is_update c;
+      cs_weight = c.weight;
+      cs_frags =
+        Array.of_list (List.map index (Fragment.Set.elements c.fragments));
+    }
+  in
+  let inst =
+    Dense.make_instance ~frags ~backends:(Allocation.backends alloc)
+      ~frag_size:(Array.map (fun (f : Fragment.t) -> f.size) frags)
+      (Array.map spec (Allocation.classes alloc))
+  in
+  let s = Dense.create inst and old = Allocation.state alloc in
+  Array.iteri
+    (fun b -> Fragment.Set.iter (fun f -> Dense.Bits.set s.held.(b) (index f)))
+    held;
+  for k = 0 to inst.Dense.n_classes - 1 do
+    Dense.iter_shares old k (fun b w -> Dense.set_share s b k w)
+  done;
+  Allocation.with_state alloc s
+
+(* The workload a materialized instance was compiled from: its classes in
+   index order, each over the instance's fragments. *)
+let workload_of_instance (inst : Dense.instance) =
+  let frags = Option.get inst.frags in
+  let class_of c =
+    let fp = ref [] in
+    Dense.iter_footprint inst c (fun f -> fp := frags.(f) :: !fp);
+    (if Dense.is_update inst c then Query_class.update else Query_class.read)
+      inst.class_id.(c) !fp ~weight:inst.class_weight.(c)
+  in
+  Workload.make
+    ~reads:(List.map class_of (Array.to_list inst.read_idx))
+    ~updates:(List.map class_of (Array.to_list inst.upd_idx))

@@ -179,33 +179,31 @@ let test_check_exn_raises () =
       Alcotest.(check bool) "message names the code" true
         (contains_sub msg "ALC002")
 
-(* Dense.of_allocation must carry everything the checker has to see. *)
-let test_of_allocation_unreferenced_fragment () =
-  let alloc = fresh_alloc () in
+(* The checker sees everything an allocation's state holds: storage no
+   class references, and negative shares. *)
+let test_check_unreferenced_fragment () =
   let orphan = fr "orphan" ~size:3. in
-  Allocation.add_fragments alloc 0 (Fragment.Set.singleton orphan);
-  let t = Dense.of_allocation alloc in
-  Alcotest.(check bool) "held after the round trip" true
-    (Fragment.Set.mem orphan
-       (Allocation.fragments_of (Dense.to_allocation t) 0));
+  let alloc = Gen.plant (fresh_alloc ()) 0 (Fragment.Set.singleton orphan) in
+  Alcotest.(check bool) "held" true
+    (Fragment.Set.mem orphan (Allocation.fragments_of alloc 0));
   Alcotest.(check bool) "ALC011 names it" true
     (List.exists
        (fun (d : Diagnostic.t) ->
          d.code = "ALC011"
          && List.assoc_opt "fragment" d.data = Some (Diagnostic.Str "orphan"))
-       (Check_allocation.check_dense t))
+       (Check_allocation.check alloc))
 
-let test_of_allocation_negative_share () =
+let test_check_negative_share () =
   let alloc = fresh_alloc () in
   let c = class_of alloc "C1" in
   Allocation.set_assign alloc (backend_serving alloc c) c (-0.1);
-  has "ALC001" (Check_allocation.check_dense (Dense.of_allocation alloc))
+  has "ALC001" (Check_allocation.check alloc)
 
 (* A topology that does not cover the allocation's backends, too small or
    too large, is reported rather than indexed. *)
 let test_topology_size_mismatch () =
   let t =
-    Dense.of_allocation
+    Allocation.state
       (Ksafety.allocate ~k:1
          (Cdbs_workloads.Trace.workload_at ~hour:14.)
          (Backend.homogeneous 4))
@@ -222,7 +220,7 @@ let test_too_few_backends () =
   let alloc =
     Ksafety.allocate ~k:1 (paper_workload ()) (Backend.homogeneous 2)
   in
-  has "ALC009" (Check_allocation.check_dense ~k:2 (Dense.of_allocation alloc))
+  has "ALC009" (Check_allocation.check_dense ~k:2 (Allocation.state alloc))
 
 (* ------------------------------------------------------------------ *)
 (* Unit: workload lints                                                *)
@@ -525,10 +523,10 @@ let suite =
         test_schedule_stream_overlap;
       Alcotest.test_case "JSON rendering" `Quick test_json_rendering;
       Alcotest.test_case "sort and summary" `Quick test_sort_and_summary;
-      Alcotest.test_case "of_allocation keeps unreferenced storage" `Quick
-        test_of_allocation_unreferenced_fragment;
-      Alcotest.test_case "of_allocation keeps negative shares" `Quick
-        test_of_allocation_negative_share;
+      Alcotest.test_case "check sees unreferenced storage" `Quick
+        test_check_unreferenced_fragment;
+      Alcotest.test_case "check sees negative shares" `Quick
+        test_check_negative_share;
       Alcotest.test_case "topology of the wrong size -> ALC014" `Quick
         test_topology_size_mismatch;
       Alcotest.test_case "fewer live backends than k+1 -> ALC009" `Quick

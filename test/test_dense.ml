@@ -1,74 +1,40 @@
-(* Dense allocator core: equivalence with the legacy list path, pool
+(* Dense allocator core: greedy against the exact optimum, pool
    determinism, incremental repair safety, island-parallel determinism. *)
 
 open Cdbs_core
 module Rng = Cdbs_util.Rng
 
-let frag_set_to_list s = List.map Fragment.name (Fragment.Set.elements s)
-
-(* Compare two allocations structurally: same backends, same per-backend
-   fragment sets, same assignment matrix (up to float noise from the two
-   code paths accumulating sums in different orders). *)
-let same_allocation a b =
-  let n = Allocation.num_backends a in
-  n = Allocation.num_backends b
-  && Array.length (Allocation.classes a) = Array.length (Allocation.classes b)
-  && begin
-       let ok = ref true in
-       for bk = 0 to n - 1 do
-         if
-           not
-             (Fragment.Set.equal
-                (Allocation.fragments_of a bk)
-                (Allocation.fragments_of b bk))
-         then ok := false
-       done;
-       Array.iter
-         (fun c ->
-           for bk = 0 to n - 1 do
-             if
-               abs_float
-                 (Allocation.get_assign a bk c -. Allocation.get_assign b bk c)
-               > 1e-9
-             then ok := false
-           done)
-         (Allocation.classes a);
-       !ok
-     end
-
-(* (a) Greedy.allocate is Dense.greedy copied back by position: the same
-   fragment sets and bit-equal shares ([%h] is exact) as
-   Dense.to_allocation's. *)
-let prop_dense_greedy_matches_legacy =
-  QCheck.Test.make ~count:300 ~name:"dense greedy matches legacy greedy"
-    Gen.scenario_arbitrary (fun (w, backends) ->
-      let legacy = Greedy.allocate w backends in
-      let inst = Dense.(of_allocation (Allocation.create w backends)).Dense.inst in
-      let converted = Dense.to_allocation (Dense.greedy inst) in
-      let render a =
-        String.concat "\n"
-          (List.init (Allocation.num_backends a) (fun b ->
-               String.concat " "
-                 (frag_set_to_list (Allocation.fragments_of a b)
-                 @ Array.to_list
-                     (Array.mapi
-                        (fun k (c : Query_class.t) ->
-                          Printf.sprintf "%s=%h" c.Query_class.id
-                            (Allocation.assign_at a b k))
-                        (Allocation.classes a)))))
-      in
-      let g = render legacy and d = render converted in
-      g = d || QCheck.Test.fail_reportf "greedy:@.%s@.dense:@.%s" g d)
-
-(* Round-trip: legacy -> dense -> legacy preserves structure and cost. *)
-let prop_roundtrip =
-  QCheck.Test.make ~count:200 ~name:"of_allocation/to_allocation round-trip"
-    Gen.scenario_arbitrary (fun (w, backends) ->
-      let legacy = Greedy.allocate w backends in
-      let dense = Dense.of_allocation legacy in
-      let back = Dense.to_allocation dense in
-      same_allocation legacy back
-      && abs_float (Allocation.scale legacy -. Dense.scale dense) <= 1e-9)
+(* (a) Greedy against the exact optimum.  On 1-2 homogeneous backends the
+   Appendix B MIP, on the coarsened workload, proves its scale optimal,
+   and greedy's scale is never below it.  Optimal builds its allocation
+   through the view's setters, so that allocation must validate and read
+   back the scale the MIP reports, within the 1e-6 its second phase may
+   give up for less storage. *)
+let prop_greedy_vs_optimum =
+  QCheck.Test.make ~count:50 ~name:"greedy is never better than the MIP"
+    (QCheck.pair Gen.workload_arbitrary (QCheck.int_range 1 2))
+    (fun (w, n) ->
+      let backends = Backend.homogeneous n in
+      match
+        Optimal.allocate ~node_limit:20_000 (Optimal.coarsen w) backends
+      with
+      | Error e -> QCheck.Test.fail_reportf "MIP: %s" e
+      | Ok r ->
+          let mip = r.Optimal.allocation in
+          let greedy = Allocation.scale (Greedy.allocate w backends) in
+          if not r.Optimal.proved_optimal then
+            QCheck.Test.fail_report "MIP not proved optimal"
+          else if Allocation.validate mip <> Ok () then
+            QCheck.Test.fail_report "MIP allocation invalid"
+          else if
+            abs_float (Allocation.scale mip -. r.Optimal.scale) > 1e-6 +. 1e-9
+          then
+            QCheck.Test.fail_reportf "MIP reports scale %h, reads back %h"
+              r.Optimal.scale (Allocation.scale mip)
+          else
+            greedy >= r.Optimal.scale -. 1e-9
+            || QCheck.Test.fail_reportf "greedy %h below the optimum %h"
+                 greedy r.Optimal.scale)
 
 (* (b) Incremental.repair stays checker-clean and within the move budget
    across random deltas, including backend adds and retirements. *)
@@ -77,7 +43,7 @@ let prop_repair_clean =
     (QCheck.pair Gen.scenario_arbitrary QCheck.small_nat)
     (fun ((w, backends), salt) ->
       let rng = Rng.create (1000 + salt) in
-      let t = Dense.of_allocation (Greedy.allocate w backends) in
+      let t = Allocation.state (Greedy.allocate w backends) in
       let deltas = Incremental.random_delta ~rng ~frac:0.3 t in
       let alive = List.length backends in
       let deltas =
@@ -91,22 +57,14 @@ let prop_repair_clean =
       in
       let budget = t.Dense.inst.Dense.n_frags in
       let st, stats = Incremental.repair ~budget t deltas in
-      let dense_diags =
+      match
         Cdbs_analysis.Check_allocation.check_dense st
         |> Cdbs_analysis.Diagnostic.errors
-      in
-      let legacy_diags =
-        Cdbs_analysis.Check_allocation.check (Dense.to_allocation st)
-        |> Cdbs_analysis.Diagnostic.errors
-      in
-      if dense_diags <> [] || legacy_diags <> [] then
-        QCheck.Test.fail_reportf "diagnostics: dense %d legacy %d — first: %s"
-          (List.length dense_diags)
-          (List.length legacy_diags)
-          (match dense_diags @ legacy_diags with
-          | d :: _ -> Fmt.str "%a" Cdbs_analysis.Diagnostic.pp d
-          | [] -> "-")
-      else stats.Incremental.rebalance_fragments <= budget)
+      with
+      | d :: _ as diags ->
+          QCheck.Test.fail_reportf "%d diagnostics, first: %a"
+            (List.length diags) Cdbs_analysis.Diagnostic.pp d
+      | [] -> stats.Incremental.rebalance_fragments <= budget)
 
 (* (b') with k-safety: a k-safe input stays k-safe through the delta. *)
 let prop_repair_preserves_ksafety =
@@ -115,7 +73,7 @@ let prop_repair_preserves_ksafety =
     (fun ((w, backends), salt) ->
       QCheck.assume (List.length backends >= 2);
       let rng = Rng.create (2000 + salt) in
-      let t = Dense.of_allocation (Ksafety.allocate ~k:1 w backends) in
+      let t = Allocation.state (Ksafety.allocate ~k:1 w backends) in
       let deltas = Incremental.random_delta ~rng ~frac:0.2 t in
       let st, _ = Incremental.repair ~k:1 t deltas in
       Cdbs_analysis.Check_allocation.check_dense ~k:1 st
@@ -136,7 +94,7 @@ let prop_retire_backend_keeps_ksafety =
       let topology =
         if zones = 0 then None else Some (Topology.uniform ~zones n)
       in
-      let t = Dense.of_allocation (Ksafety.allocate ?topology ~k w backends) in
+      let t = Allocation.state (Ksafety.allocate ?topology ~k w backends) in
       let st, _ =
         Incremental.repair ~k ?topology t
           [ Incremental.Retire_backend { backend = salt mod n } ]
@@ -156,7 +114,7 @@ let prop_memetic_par_deterministic =
   QCheck.Test.make ~count:30
     ~name:"parallel memetic deterministic across domains"
     Gen.scenario_arbitrary (fun (w, backends) ->
-      let t = Dense.of_allocation (Greedy.allocate w backends) in
+      let t = Allocation.state (Greedy.allocate w backends) in
       let params =
         {
           Memetic_par.population = 4;
@@ -217,7 +175,7 @@ let prop_memetic_states_clean =
                  "step %d: cost (%h, %h), afresh (%h, %h)" step s z s' z'
       in
       let inst =
-        (Dense.of_allocation (Allocation.create w backends)).Dense.inst
+        (Allocation.state (Allocation.create w backends)).Dense.inst
       in
       let t = ref (Dense.greedy inst) in
       check 0 !t
@@ -386,9 +344,10 @@ let test_repair_chained () =
   Alcotest.(check int) "clean after 5 chained repairs" 0 (clean_errs !st);
   Alcotest.(check bool) "classes accumulated" true
     (!st.Dense.inst.Dense.n_classes >= inst.Dense.n_classes + 5);
-  (* Class ids stay unique across the chain: the set-based allocation
-     rejects a duplicate. *)
-  ignore (Dense.to_allocation !st)
+  let inst = !st.Dense.inst in
+  let ids = Array.to_list (Array.sub inst.Dense.class_id 0 inst.Dense.n_classes) in
+  Alcotest.(check int) "class ids stay unique" (List.length ids)
+    (List.length (List.sort_uniq String.compare ids))
 
 (* A delta that appends more classes than the state's slack widens its
    class-indexed arrays: the old read classes keep their shares, the new
@@ -465,7 +424,7 @@ let test_repair_balance_pass () =
   let alloc =
     Ksafety.allocate ~k:1 w (Backend.homogeneous 4)
   in
-  let base = Dense.of_allocation alloc in
+  let base = Allocation.state alloc in
   let b_idx =
     match
       List.mapi (fun i c -> (i, c.Query_class.id)) w.Workload.reads
@@ -519,7 +478,9 @@ let test_repair_copy_isolation () =
      identical repair saw w0 = w1 and silently skipped the rescale. *)
   let module Wtrace = Cdbs_workloads.Trace in
   let w = Wtrace.workload_of_mix ~mix:(Wtrace.class_mix ~hour:12.) in
-  let base = Dense.of_allocation (Ksafety.allocate ~k:1 w (Backend.homogeneous 4)) in
+  let base =
+    Allocation.state (Ksafety.allocate ~k:1 w (Backend.homogeneous 4))
+  in
   let w0 = base.Dense.inst.Dense.class_weight.(0) in
   let deltas = [ Incremental.Reweight { cls = 0; weight = w0 *. 4. } ] in
   let total st c =
@@ -611,10 +572,12 @@ let test_synthetic_greedy_clean () =
       ~updates:30 ~backends:8 ()
   in
   let dense = Dense.greedy inst in
-  let alloc = Dense.to_allocation dense in
-  (match Allocation.validate alloc with
-  | Ok () -> ()
-  | Error es -> Alcotest.failf "invalid: %s" (String.concat "; " es));
+  (match
+     Cdbs_analysis.Check_allocation.check_dense dense
+     |> Cdbs_analysis.Diagnostic.errors
+   with
+  | [] -> ()
+  | d :: _ -> Alcotest.failf "invalid: %a" Cdbs_analysis.Diagnostic.pp d);
   Alcotest.(check bool) "scale >= 1" true (Dense.scale dense >= 1.)
 
 (* Dense.transfer moves a read class's data with it: the source keeps what
@@ -636,9 +599,14 @@ let test_transfer_drops_unused () =
     (fun c -> Allocation.set_assign alloc 0 c c.Query_class.weight)
     w.Workload.reads;
   let held t b =
-    frag_set_to_list (Allocation.fragments_of (Dense.to_allocation t) b)
+    let names = ref [] in
+    let frags = Option.get t.Dense.inst.Dense.frags in
+    Dense.Bits.iter
+      (fun f -> names := Fragment.name frags.(f) :: !names)
+      t.Dense.held.(b);
+    List.rev !names
   in
-  let t = Dense.of_allocation alloc in
+  let t = Allocation.state alloc in
   let q2 = 1 in
   let part = Dense.copy t in
   Dense.transfer part q2 ~b1:0 ~b2:1 ~amount:0.1;
@@ -665,7 +633,7 @@ let test_transfer_keeps_update_home () =
   Array.iter
     (fun c -> Allocation.set_assign alloc 0 c c.Query_class.weight)
     (Allocation.classes alloc);
-  let t = Dense.of_allocation alloc in
+  let t = Allocation.state alloc in
   let q = 0 and u = 1 in
   Dense.transfer t q ~b1:0 ~b2:2 ~amount:infinity;
   Alcotest.(check (list (float 0.))) "u still on B1 alone" [ 0.1; 0.; 0. ]
@@ -676,8 +644,7 @@ let test_transfer_keeps_update_home () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_dense_greedy_matches_legacy;
-    QCheck_alcotest.to_alcotest prop_roundtrip;
+    QCheck_alcotest.to_alcotest prop_greedy_vs_optimum;
     QCheck_alcotest.to_alcotest prop_repair_clean;
     QCheck_alcotest.to_alcotest prop_repair_preserves_ksafety;
     QCheck_alcotest.to_alcotest prop_retire_backend_keeps_ksafety;

@@ -75,8 +75,8 @@ let test_planner_smallest_first () =
   (* Fresh node receives a, b and c: cutovers must come cheapest-first. *)
   let old_fragments = [ set [ fa; fb; fc ]; Fragment.Set.empty ] in
   let alloc = Allocation.create (workload ()) (Backend.homogeneous 2) in
-  Allocation.add_fragments alloc 0 (set [ fa; fb; fc ]);
-  Allocation.add_fragments alloc 1 (set [ fa; fb; fc ]);
+  let all = set [ fa; fb; fc ] in
+  let alloc = Gen.plant (Gen.plant alloc 0 all) 1 all in
   let plan = Planner.make ~old_fragments alloc in
   let sizes = List.map (fun (m : Planner.move) -> m.Planner.size) plan.moves in
   Alcotest.(check (list (float 1e-9))) "ascending sizes" [ 1.; 2.; 3. ] sizes
@@ -113,8 +113,8 @@ let test_planner_ksafety () =
 let test_schedule_throttle () =
   let old_fragments = [ set [ fa; fb; fc ]; Fragment.Set.empty ] in
   let alloc = Allocation.create (workload ()) (Backend.homogeneous 2) in
-  Allocation.add_fragments alloc 0 (set [ fa; fb; fc ]);
-  Allocation.add_fragments alloc 1 (set [ fa; fb; fc ]);
+  let all = set [ fa; fb; fc ] in
+  let alloc = Gen.plant (Gen.plant alloc 0 all) 1 all in
   let plan = Planner.make ~old_fragments alloc in
   let s = Schedule.make ~start:10. ~bandwidth:0.5 plan in
   (* All three copies share the node0 -> node1 stream: strictly serial, so

@@ -82,7 +82,7 @@ let test_merge_balances () =
   in
   let a1 = Greedy.allocate w (Backend.homogeneous 2) in
   let a2 = Greedy.allocate w (Backend.homogeneous 2) in
-  let merged = Segmented.merge [ a1; a2 ] in
+  let merged = Segmented.merge w [ a1; a2 ] in
   Alcotest.(check bool) "valid" true (Allocation.validate merged = Ok ());
   Alcotest.(check bool) "balanced" true (Gen.load_deviation merged < 0.05)
 
@@ -151,10 +151,9 @@ let test_local_search_drops_replicated_update () =
     (Allocation.scale searched < before);
   Alcotest.(check bool) "valid" true (Allocation.validate searched = Ok ())
 
-let test_improve_rejects_outside_fragment () =
-  (* A fragment outside the workload would be numbered among the
-     workload's own, and the write-back would land bits on the wrong
-     fragments. *)
+let test_add_fragments_rejects_outside_fragment () =
+  (* The compiled workload numbers only the fragments its classes
+     reference; a test plants anything else through Gen.plant. *)
   let w =
     Workload.normalize
       (Workload.make
@@ -166,15 +165,10 @@ let test_improve_rejects_outside_fragment () =
          ~updates:[])
   in
   let alloc = Greedy.allocate w (Backend.homogeneous 2) in
-  Allocation.add_fragments alloc 1 (Fragment.Set.singleton (fr "z"));
-  Alcotest.check_raises "improve"
-    (Invalid_argument
-       "Memetic.improve: a backend holds a fragment outside the workload")
-    (fun () -> ignore (Memetic.improve ~rng:(Cdbs_util.Rng.create 5) alloc));
-  Alcotest.check_raises "local_search"
-    (Invalid_argument
-       "Memetic.local_search: a backend holds a fragment outside the workload")
-    (fun () -> ignore (Memetic.local_search alloc))
+  Alcotest.check_raises "add_fragments"
+    (Invalid_argument "Allocation.add_fragments: z is outside the workload")
+    (fun () ->
+      Allocation.add_fragments alloc 1 (Fragment.Set.singleton (fr "z")))
 
 let test_optimal_coarsen_preserves_problem () =
   let w =
@@ -218,8 +212,8 @@ let suite =
       test_local_search_improves_bad_allocation;
     Alcotest.test_case "local search drops replicated updates" `Quick
       test_local_search_drops_replicated_update;
-    Alcotest.test_case "improve rejects an outside fragment" `Quick
-      test_improve_rejects_outside_fragment;
+    Alcotest.test_case "add_fragments rejects an outside fragment" `Quick
+      test_add_fragments_rejects_outside_fragment;
     Alcotest.test_case "coarsen preserves the MIP" `Quick
       test_optimal_coarsen_preserves_problem;
   ]
