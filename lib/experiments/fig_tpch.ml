@@ -190,9 +190,8 @@ let print_all () =
       ("table-based", List.map (fun (_, _, t, _, _) -> t) deg);
       ("column-based", List.map (fun (_, _, _, c, _) -> c) deg);
       ( "optimal column-based",
-        List.map
-          (fun (_, _, _, c, o) -> Option.value ~default:c o)
-          deg );
+        List.map (fun (_, _, _, _, o) -> Option.value ~default:Float.nan o) deg
+      );
     ];
   Common.header "Fig 4(d): allocation duration (minutes)";
   let dur = fig4d () in
