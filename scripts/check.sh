@@ -16,12 +16,15 @@ dune runtest
 # The benchmark's own helpers (percentiles, quartiles, verdicts, spans).
 python3 perfbench/test_run.py
 
-# Export guard: every exported value has a caller outside its own module
-# and the tests, or an entry in scripts/exports_allow.txt with the reason
-# it stays.  The self-test first shows each of the guard's rules firing on
-# a fixture tree.
-python3 scripts/test_check_exports.py
-python3 scripts/check_exports.py
+# Dead-code guard over the typed trees (the .cmt/.cmti files that
+# `dune build @check` writes): every exported value has a user outside its
+# own module and the tests, every field of an exported record type is
+# read, and every optional argument of an exported value is supplied by
+# some call outside test/, or scripts/exports_allow.txt gives the reason
+# it stays.  test/deadcode.t, part of `dune runtest`, shows each rule
+# firing on a fixture tree.
+dune build @check
+./_build/default/scripts/deadcode.exe _build/default scripts/exports_allow.txt
 
 # Benchmark correctness smoke: run.py exits 0 even when a workload's
 # checks fail (monitor-clean, no shed update, SQL against the reference,
