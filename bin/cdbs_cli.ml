@@ -557,6 +557,7 @@ let migrate_cmd =
   in
   let run nodes from_hour to_hour bandwidth rate duration at show_plan seed =
     let module Fm = Cdbs_experiments.Fig_migration in
+    let module C = Cdbs_experiments.Common in
     if show_plan then begin
       let plan = Fm.plan ~nodes ~from_hour ~to_hour () in
       Fmt.pr "%a@." Cdbs_migration.Planner.pp plan;
@@ -569,9 +570,9 @@ let migrate_cmd =
     in
     Fmt.pr "%10s%10s%12s%8s  %s@." "from(s)" "to(s)" "resp(ms)" "req" "phase";
     List.iter
-      (fun (p : Fm.point) ->
-        Fmt.pr "%10.0f%10.0f%12.2f%8d  %s@." p.Fm.t0 p.Fm.t1 p.Fm.avg_ms
-          p.Fm.n p.Fm.phase)
+      (fun p ->
+        Fmt.pr "%10.0f%10.0f%12.2f%8d  %s@." p.C.t0 p.C.t1 p.C.avg_ms p.C.n
+          p.C.phase)
       r.Fm.timeline;
     Fmt.pr
       "copy phase %.0fs - %.0fs; response before %.2f ms, during %.2f ms, \

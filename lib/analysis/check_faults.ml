@@ -3,8 +3,8 @@ module Chaos = Cdbs_faults.Chaos
 
 let extreme_slowdown = 10.
 
-let check_schedule ?k ?zone_of ~num_backends (schedule : Fault.schedule) =
-  match Fault.validate ?zone_of ~num_backends schedule with
+let check_schedule ?k ~num_backends (schedule : Fault.schedule) =
+  match Fault.validate ~num_backends schedule with
   | Error e ->
       [
         Diagnostic.error ~code:"FLT001" ~subject:"schedule"
@@ -14,28 +14,15 @@ let check_schedule ?k ?zone_of ~num_backends (schedule : Fault.schedule) =
       let diags = ref [] in
       let add d = diags := d :: !diags in
       let bsub b = Printf.sprintf "backend B%d" (b + 1) in
-      (* The correlated kinds expand into crash/recover-shaped windows so
-         the down-set walk below covers them: a partitioned backend is as
+      (* A partition expands into crash/recover-shaped windows so the
+         down-set walk below covers it: a partitioned backend is as
          unreachable as a crashed one.  Validation already guaranteed the
          windows don't overlap other events, so the expansion preserves
-         per-backend alternation. *)
-      let members_of { Fault.at = _; event } =
-        match event with
-        | Fault.Partition { backends = bs; _ } -> bs
-        | Fault.ZoneOutage { zone; duration = _ } -> (
-            match zone_of with
-            | None -> []
-            | Some zs ->
-                let acc = ref [] in
-                Array.iteri (fun b z -> if z = zone then acc := b :: !acc) zs;
-                List.rev !acc)
-        | _ -> []
-      in
+         per-backend alternation; it also rejected every zone outage,
+         which needs a topology. *)
       let expand ({ Fault.at; event } as te) =
         match event with
-        | Fault.Partition { duration; _ } | Fault.ZoneOutage { duration; _ }
-          ->
-            let bs = members_of te in
+        | Fault.Partition { duration; backends = bs } ->
             if List.length bs >= num_backends then
               add
                 (Diagnostic.warning ~code:"FLT009" ~subject:"schedule"

@@ -29,18 +29,12 @@
     guarantees; omit it to skip the guarantee cross-checks. *)
 
 val check_schedule :
-  ?k:int ->
-  ?zone_of:int array ->
-  num_backends:int ->
-  Cdbs_faults.Fault.schedule ->
-  Diagnostic.t list
+  ?k:int -> num_backends:int -> Cdbs_faults.Fault.schedule -> Diagnostic.t list
 (** Lint a concrete timeline.  Runs {!Cdbs_faults.Fault.validate} first
     ([FLT001]); the remaining lints run only on valid schedules.
-    [Partition] and [ZoneOutage] windows count toward the concurrent-down
-    peak ([FLT004]) — a partitioned backend is as unreachable as a crashed
-    one.  [zone_of] (e.g. a copy of {!Cdbs_core.Topology}'s assignment) is
-    required for schedules containing zone outages; without it they fail
-    validation. *)
+    [Partition] windows count toward the concurrent-down peak ([FLT004]) —
+    a partitioned backend is as unreachable as a crashed one.  A zone
+    outage needs a topology, so a schedule holding one fails validation. *)
 
 val check_params : ?k:int -> Cdbs_faults.Chaos.params -> Diagnostic.t list
 (** Lint a chaos-generator configuration ([FLT003]/[FLT004]/[FLT005]/

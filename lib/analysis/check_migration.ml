@@ -165,7 +165,7 @@ let check_bookkeeping (plan : Planner.plan) =
 
 (* Replay the step sequence (expand move-by-move, contract at the barrier)
    and track every class's live replica count. *)
-let check_replica_floors ~k ~workload (plan : Planner.plan) =
+let check_replica_floors ~workload (plan : Planner.plan) =
   let n = plan.Planner.num_physical in
   let in_range i = i >= 0 && i < n in
   let classes = Workload.all_classes workload in
@@ -207,7 +207,7 @@ let check_replica_floors ~k ~workload (plan : Planner.plan) =
          let subject = "class " ^ c.Query_class.id in
          let init = List.nth initial i in
          let final = replicas plan.Planner.target_sets c in
-         let floor = min (k + 1) (min init final) in
+         let floor = min 1 (min init final) in
          let m = mins.(i) in
          (if m < floor then
             [
@@ -233,12 +233,12 @@ let check_replica_floors ~k ~workload (plan : Planner.plan) =
          else [])
        classes)
 
-let check_plan ?(k = 0) ~workload plan =
+let check_plan ~workload plan =
   check_moves plan
   @ check_drops plan
   @ check_placement_equation plan
   @ check_bookkeeping plan
-  @ check_replica_floors ~k ~workload plan
+  @ check_replica_floors ~workload plan
 
 (* ------------------------------------------------------------------ *)
 (* Schedule                                                            *)
@@ -387,8 +387,8 @@ let raise_errors ~context = function
            ^ String.concat "; "
                (List.map (fun d -> Fmt.str "%a" Diagnostic.pp d) errs)))
 
-let check_plan_exn ?k ~context ~workload plan =
-  raise_errors ~context (Diagnostic.errors (check_plan ?k ~workload plan))
+let check_plan_exn ~context ~workload plan =
+  raise_errors ~context (Diagnostic.errors (check_plan ~workload plan))
 
 let check_schedule_exn ~context sched =
   raise_errors ~context (Diagnostic.errors (check_schedule sched))

@@ -17,7 +17,7 @@
     - [MIG007] (error)   bookkeeping drift: [copy_mb] differs from the sum
                          of move sizes
     - [MIG008] (error)   a class sinks below its replica floor
-                         [min (k+1) (initial) (final)] at some step boundary
+                         [min 1 (initial) (final)] at some step boundary
     - [MIG009] (error)   a class served before and after the migration
                          loses its last live replica mid-move
     - [MIG010] (warning) duplicate move (same fragment copied twice to the
@@ -40,21 +40,18 @@
 open Cdbs_core
 
 val check_plan :
-  ?k:int -> workload:Workload.t -> Cdbs_migration.Planner.plan ->
-  Diagnostic.t list
+  workload:Workload.t -> Cdbs_migration.Planner.plan -> Diagnostic.t list
 (** Verify plan structure and replay the step sequence (every copy, then
-    the drop barrier) tracking each class's live replica count.  [k]
-    defaults to 0. *)
+    the drop barrier) tracking each class's live replica count. *)
 
 val check_schedule : Cdbs_migration.Schedule.t -> Diagnostic.t list
 (** Verify the timed realization: throttle respected, streams serialized,
     drops after the last copy, moves consistent with the plan. *)
 
 val check_plan_exn :
-  ?k:int -> context:string -> workload:Workload.t ->
-  Cdbs_migration.Planner.plan -> unit
-(** Raise {!Cdbs_core.Invariants.Violation} listing all error-severity plan
-    findings. *)
+  context:string -> workload:Workload.t -> Cdbs_migration.Planner.plan -> unit
+(** Raise {!Cdbs_core.Invariants.Violation} listing all error-severity
+    findings of {!check_plan}. *)
 
 val check_schedule_exn : context:string -> Cdbs_migration.Schedule.t -> unit
 (** Raise {!Cdbs_core.Invariants.Violation} listing all error-severity

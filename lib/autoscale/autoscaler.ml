@@ -6,9 +6,6 @@ module Greedy = Cdbs_core.Greedy
 module Backend = Cdbs_core.Backend
 module Allocation = Cdbs_core.Allocation
 module Physical = Cdbs_core.Physical
-module Fragment = Cdbs_core.Fragment
-module Planner = Cdbs_migration.Planner
-module Schedule = Cdbs_migration.Schedule
 
 type window_report = {
   hour : float;
@@ -17,7 +14,6 @@ type window_report = {
   avg_response_scaled : float;
   avg_response_static : float;
   transfer_mb : float;
-  migrating : bool;
 }
 
 type summary = {
@@ -35,12 +31,9 @@ let allocation_for ~hour nodes =
 let fragment_sets alloc =
   List.init (Allocation.num_backends alloc) (Allocation.fragments_of alloc)
 
-let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
-    ?(predictive = false) ?(capacity_per_node = 60.) ?(days = 1)
-    ?(live = false) ?(bandwidth_mb_s = 20.) ~rng () =
-  let policy =
-    match policy with Some p -> p | None -> Policy.create ()
-  in
+let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?(predictive = false)
+    ?(days = 1) ~rng () =
+  let policy = Policy.create () in
   let static_nodes = 6 in
   (* The static comparison system is the classic fully replicated cluster
      at maximum size: robust to any mix shift, expensive in storage. *)
@@ -51,9 +44,6 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
   (* Midnight still sees ~100 scaled queries/s; start with two backends. *)
   let nodes = ref 2 in
   let alloc = ref (allocation_for ~hour:0. !nodes) in
-  (* In live mode a scale decision is deployed by a throttled background
-     rebalance that executes during the following window. *)
-  let pending_migration = ref None in
   let reallocations = ref 0 in
   let total_transfer = ref 0. in
   let windows = ref [] in
@@ -91,19 +81,7 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
       let config = Simulator.homogeneous_config count in
       Simulator.run_open config alloc_now requests
     in
-    let scaled_outcome, migrating =
-      match !pending_migration with
-      | Some schedule ->
-          pending_migration := None;
-          let m = schedule.Schedule.plan.Planner.num_physical in
-          let config = Simulator.homogeneous_config m in
-          let mo =
-            Simulator.run_open_with_migration config ~target:!alloc ~schedule
-              requests
-          in
-          (mo.Simulator.run, true)
-      | None -> (run !alloc !nodes, false)
-    in
+    let scaled_outcome = run !alloc !nodes in
     let static_outcome = run static_alloc static_nodes in
     let utilization =
       Cdbs_util.Stats.mean (Array.to_list scaled_outcome.Simulator.utilization)
@@ -119,9 +97,10 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
     (* Predictive target for the upcoming window, once the profile knows
        it; the reactive decision still wins when it asks for more. *)
     let nodes_for rate =
-      (* 25% headroom over the predicted rate keeps queueing in check. *)
+      (* 25% headroom over the predicted rate keeps queueing in check; a
+         backend takes 60 queries/s at the target utilization. *)
       let qps = rate /. 600. in
-      max 1 (min 6 (int_of_float (ceil (qps *. 1.25 /. capacity_per_node))))
+      max 1 (min 6 (int_of_float (ceil (qps *. 1.25 /. 60.))))
     in
     (* Provision for the worst of the next three windows: a single-window
        horizon thrashes on every ceil boundary of the rising ramp. *)
@@ -151,19 +130,11 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
     (match target with
     | Some target when target <> !nodes ->
         let next = allocation_for ~hour target in
-        let old_fragments = fragment_sets !alloc in
-        if live then begin
-          let plan = Planner.make ~old_fragments next in
-          let schedule = Schedule.make ~bandwidth:bandwidth_mb_s plan in
-          pending_migration := Some schedule;
-          transfer := plan.Planner.copy_mb;
-          total_transfer := !total_transfer +. plan.Planner.copy_mb
-        end
-        else begin
-          let plan = Physical.plan_scaled ~old_fragments next in
-          transfer := plan.Physical.transfer;
-          total_transfer := !total_transfer +. plan.Physical.transfer
-        end;
+        let plan =
+          Physical.plan_scaled ~old_fragments:(fragment_sets !alloc) next
+        in
+        transfer := plan.Physical.transfer;
+        total_transfer := !total_transfer +. plan.Physical.transfer;
         incr reallocations;
         nodes := target;
         alloc := next
@@ -183,7 +154,6 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
         avg_response_scaled = scaled_outcome.Simulator.avg_response;
         avg_response_static = static_outcome.Simulator.avg_response;
         transfer_mb = !transfer;
-        migrating;
       }
       :: !windows
   done;
@@ -201,7 +171,7 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?policy
   done;
   List.rev !summaries
 
-let simulate_day ?window_minutes ?scale ?policy ~rng () =
-  match simulate_days ?window_minutes ?scale ?policy ~days:1 ~rng () with
+let simulate_day ?window_minutes ?scale ~rng () =
+  match simulate_days ?window_minutes ?scale ~days:1 ~rng () with
   | [ summary ] -> summary
   | _ -> assert false

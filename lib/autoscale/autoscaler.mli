@@ -14,8 +14,6 @@ type window_report = {
   avg_response_scaled : float;  (** seconds, autonomic cluster *)
   avg_response_static : float;  (** seconds, static max-size cluster *)
   transfer_mb : float;  (** data shipped by a reallocation in this window *)
-  migrating : bool;
-      (** a live rebalance executed in the background during this window *)
 }
 
 type summary = {
@@ -29,35 +27,24 @@ type summary = {
 val simulate_day :
   ?window_minutes:float ->
   ?scale:float ->
-  ?policy:Policy.t ->
   rng:Cdbs_util.Rng.t ->
   unit ->
   summary
 (** Defaults: 10-minute windows, trace scaled by 40 (the paper's factor,
-    max load ≈ 250–300 queries/s), default {!Policy.create}. *)
+    max load ≈ 250–300 queries/s).  Scaling follows {!Policy.create}. *)
 
 val simulate_days :
   ?window_minutes:float ->
   ?scale:float ->
-  ?policy:Policy.t ->
   ?predictive:bool ->
-  ?capacity_per_node:float ->
   ?days:int ->
-  ?live:bool ->
-  ?bandwidth_mb_s:float ->
   rng:Cdbs_util.Rng.t ->
   unit ->
   summary list
 (** Multi-day run, one summary per day.  With [predictive] (default false)
     a {!Forecast} learns the daily rate profile; once a window-of-day has
     been observed, the cluster is sized for the {e predicted} rate of the
-    upcoming window ([capacity_per_node] queries/s per backend at the
-    target utilization, default 60), with the reactive policy still acting
-    as a safety net.  Day 2 onward thus avoids the ramp-chasing spikes of
-    purely reactive scaling (paper Sec. 5, periodic workloads).
-
-    With [live] (default false) scale decisions are deployed by the live
-    migration subsystem: instead of an instantaneous swap, the copy work
-    runs as a [bandwidth_mb_s]-throttled (default 20 MB/s) background
-    rebalance during the following window, whose response-time degradation
-    shows up in that window's report ([migrating] is set). *)
+    upcoming window (60 queries/s per backend at the target utilization),
+    with the reactive policy still acting as a safety net.  Day 2 onward
+    thus avoids the ramp-chasing spikes of purely reactive scaling (paper
+    Sec. 5, periodic workloads). *)

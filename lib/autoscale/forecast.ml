@@ -1,12 +1,11 @@
-type t = {
-  alpha : float;
-  values : float option array;
-}
+type t = { values : float option array }
 
-let create ?(alpha = 0.5) ~windows_per_day () =
+(* The EWMA smoothing factor. *)
+let alpha = 0.5
+
+let create ~windows_per_day () =
   if windows_per_day <= 0 then invalid_arg "Forecast.create";
-  if alpha <= 0. || alpha > 1. then invalid_arg "Forecast.create: alpha";
-  { alpha; values = Array.make windows_per_day None }
+  { values = Array.make windows_per_day None }
 
 let slot t window = ((window mod Array.length t.values) + Array.length t.values)
                     mod Array.length t.values
@@ -16,7 +15,7 @@ let observe t ~window ~rate =
   t.values.(i) <-
     (match t.values.(i) with
     | None -> Some rate
-    | Some prev -> Some ((t.alpha *. rate) +. ((1. -. t.alpha) *. prev)))
+    | Some prev -> Some ((alpha *. rate) +. ((1. -. alpha) *. prev)))
 
 let predict t ~window = t.values.(slot t window)
 

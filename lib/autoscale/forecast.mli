@@ -8,8 +8,9 @@
 
 type t
 
-val create : ?alpha:float -> windows_per_day:int -> unit -> t
-(** [alpha] is the EWMA smoothing factor (default 0.5). *)
+val create : windows_per_day:int -> unit -> t
+(** An empty profile; observations of a window are smoothed with an
+    EWMA factor of 0.5. *)
 
 val observe : t -> window:int -> rate:float -> unit
 (** Record the observed request rate of a window (index modulo the

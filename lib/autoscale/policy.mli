@@ -11,18 +11,11 @@ type decision =
   | Stay
   | Scale_to of int  (** new backend count *)
 
-val create :
-  ?min_nodes:int ->
-  ?max_nodes:int ->
-  ?up_threshold:float ->
-  ?down_threshold:float ->
-  ?cooldown_windows:int ->
-  unit ->
-  t
-(** Defaults: 1–6 nodes, scale up (by 2 when badly overloaded) when the
-    windowed average response time exceeds [up_threshold] (0.018 s), scale
-    down when it stays below [down_threshold] (0.0118 s) {e and} utilization
-    is low, with a cooldown of 1 window between scaling actions. *)
+val create : unit -> t
+(** 1–6 nodes: scale up (by 2 when badly overloaded) when the windowed
+    average response time exceeds 0.018 s, scale down when it stays below
+    0.0118 s {e and} utilization is low, with a cooldown of 1 window
+    between scaling actions. *)
 
 val decide :
   t -> current:int -> avg_response:float -> utilization:float -> decision

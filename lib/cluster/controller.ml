@@ -327,7 +327,7 @@ let classified_workload t =
   Classification.classify ~schema:t.schema ~size_of Classification.By_table
     t.journal
 
-let compute_target t ~iterations =
+let compute_target t =
   if Journal.length t.journal = 0 then Error "empty query history"
   else begin
     let size_of =
@@ -335,9 +335,7 @@ let compute_target t ~iterations =
     in
     let workload = classified_workload t in
     let backends = Backend.homogeneous (Array.length t.backends) in
-    let params =
-      { Memetic.default_params with Memetic.iterations }
-    in
+    let params = { Memetic.default_params with Memetic.iterations = 40 } in
     let alloc = Memetic.allocate ~params ~rng:t.rng workload backends in
     let current_sets =
       Array.to_list
@@ -366,10 +364,10 @@ let assert_plan ~context alloc plan =
     Cdbs_analysis.Check_migration.check_plan_exn ~context
       ~workload:(Allocation.workload alloc) plan
 
-let reallocate t ?(iterations = 40) () =
+let reallocate t () =
   if t.migration <> None then Error "a live migration is in progress"
   else
-  match compute_target t ~iterations with
+  match compute_target t with
   | Error e -> Error e
   | Ok (alloc, current_sets) ->
     assert_target ~context:"Controller.reallocate" alloc;
@@ -401,13 +399,12 @@ let reallocate t ?(iterations = 40) () =
 (* Live migration entry points                                         *)
 (* ------------------------------------------------------------------ *)
 
-let begin_reallocate_live t ?(iterations = 40) ?(bandwidth_mb_per_request = 5.)
-    () =
+let begin_reallocate_live t ?(bandwidth_mb_per_request = 5.) () =
   if t.migration <> None then Error "a live migration is already in progress"
   else if bandwidth_mb_per_request <= 0. then
     Error "bandwidth must be positive"
   else
-    match compute_target t ~iterations with
+    match compute_target t with
     | Error e -> Error e
     | Ok (alloc, current_sets) ->
         assert_target ~context:"Controller.begin_reallocate_live" alloc;
@@ -449,21 +446,15 @@ let migration_progress t =
 
 let is_migrating t = t.migration <> None
 
-let drive_migration t ?budget_mb () =
+let drive_migration t () =
   match t.migration with
   | None -> ()
   | Some mig ->
-      let budget =
-        match budget_mb with
-        | Some b -> b
-        | None ->
-            (* Run the rebalance to completion. *)
-            mig.mig_plan.Planner.copy_mb +. 1.
-      in
-      advance_migration t ~budget
+      (* Run the rebalance to completion. *)
+      advance_migration t ~budget:(mig.mig_plan.Planner.copy_mb +. 1.)
 
-let reallocate_live t ?iterations ?bandwidth_mb_per_request () =
-  match begin_reallocate_live t ?iterations ?bandwidth_mb_per_request () with
+let reallocate_live t () =
+  match begin_reallocate_live t () with
   | Error e -> Error e
   | Ok plan ->
       while t.migration <> None do

@@ -50,12 +50,13 @@ val breaker : t -> Cdbs_resilience.Breaker.t
 val backend_tables : t -> string list list
 (** Per backend, the tables it currently stores. *)
 
-val reallocate : t -> ?iterations:int -> unit -> (float, string) result
+val reallocate : t -> unit -> (float, string) result
 (** Allocation mode: classify the history at table granularity, run greedy
-    plus memetic improvement, deploy via Hungarian matching and bulk table
-    copies.  Returns the total megabytes shipped.  Fails when the history
-    is empty or a live migration is in progress.  This is the
-    stop-the-world path; see {!reallocate_live} for the online one. *)
+    plus 40 iterations of memetic improvement, deploy via Hungarian
+    matching and bulk table copies.  Returns the total megabytes shipped.
+    Fails when the history is empty or a live migration is in progress.
+    This is the stop-the-world path; see {!reallocate_live} for the online
+    one. *)
 
 (** {1 Live migration}
 
@@ -79,7 +80,6 @@ type migration_progress = {
 
 val begin_reallocate_live :
   t ->
-  ?iterations:int ->
   ?bandwidth_mb_per_request:float ->
   unit ->
   (Cdbs_migration.Planner.plan, string) result
@@ -93,17 +93,11 @@ val is_migrating : t -> bool
 val migration_progress : t -> migration_progress option
 (** [None] when no migration is active. *)
 
-val drive_migration : t -> ?budget_mb:float -> unit -> unit
-(** Pump the background copier without submitting a request — e.g. to let
-    an idle system finish its rebalance.  Without [budget_mb] the whole
-    remaining migration completes. *)
+val drive_migration : t -> unit -> unit
+(** Complete the remaining migration without submitting a request — e.g.
+    to let an idle system finish its rebalance. *)
 
-val reallocate_live :
-  t ->
-  ?iterations:int ->
-  ?bandwidth_mb_per_request:float ->
-  unit ->
-  (float, string) result
+val reallocate_live : t -> unit -> (float, string) result
 (** {!begin_reallocate_live} driven straight to completion; returns the
     megabytes shipped.  Equivalent to the offline {!reallocate} in outcome
     but exercises the snapshot / delta-replay / cutover pipeline. *)

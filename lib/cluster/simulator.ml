@@ -17,10 +17,9 @@ type config = {
   protocol : Protocol.t;
 }
 
-let homogeneous_config ?(cost = Cost_model.default)
-    ?(protocol = Protocol.default) n =
+let homogeneous_config ?(cost = Cost_model.default) n =
   if n <= 0 then invalid_arg "Simulator.homogeneous_config";
-  { cost; speeds = Array.make n 1.; protocol }
+  { cost; speeds = Array.make n 1.; protocol = Protocol.default }
 
 type outcome = {
   completed : int;
@@ -175,12 +174,15 @@ let rank_of = function
   | Ev_mig Drop_all -> 3
   | Ev_dyn _ -> 4
 
+(* Foreground service on a node copying (as source or destination) takes
+   this much longer. *)
+let copy_slowdown = 0.25
+
 (* A live migration as an event source.  [floors] pairs each query class
    with its expand-then-contract replica floor and the fewest live
    replicas seen so far. *)
 type live_migration = {
   schedule : Schedule.t;
-  copy_slowdown : float;
   floors : (Query_class.t * int * int ref) list;
   mutable replayed : float;
 }
@@ -379,7 +381,7 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
     let slow =
       match migration with
       | Some m when Schedule.copying m.schedule ~backend:b ~at:now ->
-          slow *. (1. +. m.copy_slowdown)
+          slow *. (1. +. copy_slowdown)
       | _ -> slow
     in
     let service =
@@ -1137,14 +1139,14 @@ let run_open config alloc requests =
      requests ~faults:[])
     .run
 
-let run_open_with_faults ?(policy = Retry.default) ?rng ?resilience ?telemetry
-    ?monitor ?topology config alloc requests ~faults =
-  engine ~context:"Simulator.run_open_with_faults" ~policy ?rng ?resilience
+let run_open_with_faults ?rng ?resilience ?telemetry ?monitor ?topology config
+    alloc requests ~faults =
+  engine ~context:"Simulator.run_open_with_faults" ~policy:Retry.default ?rng
+    ?resilience
     ?telemetry ?monitor ?topology ~keep_responses:true
     config (Scheduler.create alloc) requests ~faults
 
-let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
-    ~target ~schedule requests =
+let run_open_with_migration ?monitor config ~target ~schedule requests =
   let plan = schedule.Schedule.plan in
   let sched = Scheduler.create_dynamic target ~live:plan.Planner.old_sets in
   (* Expand-then-contract promises each class never drops below the
@@ -1163,9 +1165,9 @@ let run_open_with_migration ?(copy_slowdown = 0.25) ?telemetry ?monitor config
         (c, min live (target_replicas c), ref live))
       (Array.to_list (Allocation.classes target))
   in
-  let m = { schedule; copy_slowdown; floors; replayed = 0. } in
+  let m = { schedule; floors; replayed = 0. } in
   let fo =
-    engine ~context:"Simulator.run_open_with_migration" ?telemetry ?monitor
+    engine ~context:"Simulator.run_open_with_migration" ?monitor
       ~migration:m ~keep_responses:true config sched requests ~faults:[]
   in
   {

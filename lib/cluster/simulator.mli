@@ -39,8 +39,8 @@ type config = {
       (** how updates propagate to replicas (default {!Protocol.Rowa}) *)
 }
 
-val homogeneous_config :
-  ?cost:Cost_model.params -> ?protocol:Protocol.t -> int -> config
+val homogeneous_config : ?cost:Cost_model.params -> int -> config
+(** [n] identical backends under {!Protocol.default}. *)
 
 type outcome = {
   completed : int;  (** requests fully processed *)
@@ -119,7 +119,6 @@ type fault_outcome = {
 }
 
 val run_open_with_faults :
-  ?policy:Cdbs_faults.Retry.policy ->
   ?rng:Cdbs_util.Rng.t ->
   ?resilience:Cdbs_resilience.Policy.t ->
   ?telemetry:Cdbs_telemetry.Sink.t ->
@@ -137,14 +136,15 @@ val run_open_with_faults :
 
     [Crash b] takes the backend out of service immediately: its in-flight
     and queued work is cancelled; cancelled reads are retried on surviving
-    replicas under [policy] (bounded attempts, exponential backoff, a
-    deadline measured from the original arrival); cancelled replica writes
-    are owed at rejoin.  While down, the update volume touching its
-    replicas accrues in a {!Cdbs_migration.Delta} journal (ROWA keeps
-    committing on the survivors).  [Recover b] brings it back {e stale}:
-    it takes updates but serves no reads until the missed volume has been
-    replayed through the journal cost model.  [Slowdown] inflates the
-    backend's service times by [factor] for [duration].
+    replicas under {!Cdbs_faults.Retry.default} (bounded attempts,
+    exponential backoff, a deadline measured from the original arrival);
+    cancelled replica writes are owed at rejoin.  While down, the update
+    volume touching its replicas accrues in a {!Cdbs_migration.Delta}
+    journal (ROWA keeps committing on the survivors).  [Recover b] brings
+    it back {e stale}: it takes updates but serves no reads until the
+    missed volume has been replayed through the journal cost model.
+    [Slowdown] inflates the backend's service times by [factor] for
+    [duration].
 
     [Partition] isolates its backends while their processes keep running:
     routing treats them as down, but in-flight reads {e time out} instead
@@ -236,8 +236,6 @@ type migration_outcome = {
 }
 
 val run_open_with_migration :
-  ?copy_slowdown:float ->
-  ?telemetry:Cdbs_telemetry.Sink.t ->
   ?monitor:Cdbs_analysis.Monitor.t ->
   config ->
   target:Cdbs_core.Allocation.t ->
@@ -251,13 +249,13 @@ val run_open_with_migration :
     the no-longer-needed copies at the final drop barrier.  Each node's
     resident volume, which the cost model's cache factor reads, follows
     its live set.  Foreground service on a node actively copying (as
-    source or destination) is inflated by [copy_slowdown] (default 0.25).
+    source or destination) is inflated by a quarter.
     [config.speeds] must cover the plan's [num_physical] nodes.  Requests
     must reference classes of the [target] allocation's workload.  A read
     arriving at the instant of a cutover or of the drop barrier is routed
     on the placement that step produces.
 
-    [telemetry]/[monitor] mirror {!run_open_with_faults}: the run opens
+    [monitor] mirrors {!run_open_with_faults}: the run opens
     with ["run.start"], announces each class's expand-then-contract
     replica floor as ["migration.floor"], emits ["migration.live"] after
     every migration event so the monitor can audit that live replicas

@@ -7,8 +7,6 @@ type t = {
   decay : float;
   win : (string, cls_stat) Hashtbl.t;
   agg : (string, cls_stat) Hashtbl.t;
-  mutable windows : int;
-  mutable harvested : int;
   mutable attachments : (Trace.t * Trace.subscription) list;
 }
 
@@ -19,8 +17,6 @@ let create ?(half_life_windows = 3.) () =
     decay = 0.5 ** (1. /. half_life_windows);
     win = Hashtbl.create 16;
     agg = Hashtbl.create 16;
-    windows = 0;
-    harvested = 0;
     attachments = [];
   }
 
@@ -39,8 +35,7 @@ let observe t (e : Trace.event) =
     when Float.is_finite start && Float.is_finite fin && fin >= start ->
       let s = stat_of t.win cls in
       s.count <- s.count +. 1.;
-      s.service_s <- s.service_s +. (fin -. start);
-      t.harvested <- t.harvested + 1
+      s.service_s <- s.service_s +. (fin -. start)
   | _ -> ()
 
 let attach t (sink : Sink.t) =
@@ -76,11 +71,7 @@ let end_window t =
         a.service_s <- a.service_s *. t.decay
       end)
     t.agg;
-  Hashtbl.reset t.win;
-  t.windows <- t.windows + 1
-
-let windows t = t.windows
-let harvested t = t.harvested
+  Hashtbl.reset t.win
 
 let samples t =
   Hashtbl.fold (fun _ s acc -> acc +. s.count) t.agg 0.
@@ -97,11 +88,14 @@ let measured_mix t =
     Hashtbl.fold (fun id s acc -> (id, s.service_s /. total) :: acc) t.agg []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let merge_into ?(prior_strength = 50.) t (w : Cdbs_core.Workload.t) =
+(* Samples worth as much as the static weights. *)
+let prior_strength = 50.
+
+let merge_into t (w : Cdbs_core.Workload.t) =
   let total = samples t in
   if total <= 0. then w
   else begin
-    let lambda = total /. (total +. max 0. prior_strength) in
+    let lambda = total /. (total +. prior_strength) in
     let read_mass =
       List.fold_left
         (fun acc c -> acc +. c.Cdbs_core.Query_class.weight)

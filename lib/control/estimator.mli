@@ -31,12 +31,6 @@ val end_window : t -> unit
     the window's raw counts in.  Classes that stopped arriving decay
     toward zero rather than holding a stale share. *)
 
-val windows : t -> int
-(** Windows closed so far. *)
-
-val harvested : t -> int
-(** Serve events harvested over the estimator's lifetime. *)
-
 val samples : t -> float
 (** Decayed total sample mass in the aggregates (0 before any window
     with traffic has been closed). *)
@@ -47,13 +41,12 @@ val measured_mix : t -> (string * float) list
     been harvested.  Service mass (not raw counts) is what workload
     weights model — a cheap class served very often is not drift. *)
 
-val merge_into :
-  ?prior_strength:float -> t -> Cdbs_core.Workload.t -> Cdbs_core.Workload.t
+val merge_into : t -> Cdbs_core.Workload.t -> Cdbs_core.Workload.t
 (** Blend the measured read mix into [w]'s static weights: each read
     class's share of the total read mass becomes
     [lambda * measured + (1 - lambda) * assumed] with
-    [lambda = samples / (samples + prior_strength)] (default prior 50 —
-    a thin measurement barely moves the static weights, a day of traffic
-    dominates them).  Total read mass and all update weights are
-    preserved, so a normalized workload stays normalized.  Returns [w]
-    unchanged when no samples cover its classes. *)
+    [lambda = samples / (samples + 50)] (a thin measurement barely moves
+    the static weights, a day of traffic dominates them).  Total read mass
+    and all update weights are preserved, so a normalized workload stays
+    normalized.  Returns [w] unchanged when no samples cover its
+    classes. *)

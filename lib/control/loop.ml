@@ -50,7 +50,6 @@ type phase =
 
 type t = {
   cfg : config;
-  topology : Core.Topology.t option;
   sink : Tel.Sink.t;
   est : Estimator.t;
   det : Drift.t;
@@ -75,7 +74,7 @@ let validate_config c =
       && c.budget >= 0 && c.canary_windows >= 1 && c.k >= 0)
   then invalid_arg "Loop: invalid config"
 
-let create ?(config = default) ?topology ~sink ~allocation () =
+let create ?(config = default) ~sink ~allocation () =
   validate_config config;
   let est = Estimator.create ~half_life_windows:config.half_life_windows () in
   ignore (Estimator.attach est sink);
@@ -90,7 +89,6 @@ let create ?(config = default) ?topology ~sink ~allocation () =
        });
   {
     cfg = config;
-    topology;
     sink;
     est;
     det = Drift.create config.detector;
@@ -151,19 +149,17 @@ let plan t ~at ~merged =
     (* The repair consumes its input, so each runs on a copy. *)
     let state = Core.Allocation.state t.alloc in
     let incumbent, _ =
-      Core.Incremental.repair ~k:t.cfg.k ?topology:t.topology
-        (Core.Dense.copy state) deltas
+      Core.Incremental.repair ~k:t.cfg.k (Core.Dense.copy state) deltas
     in
     let candidate, stats =
-      Core.Incremental.repair ~k:t.cfg.k ?topology:t.topology
-        ~budget:t.cfg.budget ~balance:true (Core.Dense.copy state) deltas
+      Core.Incremental.repair ~k:t.cfg.k ~budget:t.cfg.budget ~balance:true
+        (Core.Dense.copy state) deltas
     in
     let cost_before = Core.Dense.scale incumbent in
     let cost_after = Core.Dense.scale candidate in
     let clean =
       Cdbs_analysis.Diagnostic.errors
-        (Cdbs_analysis.Check_allocation.check_dense ~k:t.cfg.k
-           ?topology:t.topology candidate)
+        (Cdbs_analysis.Check_allocation.check_dense ~k:t.cfg.k candidate)
       = []
     in
     let wins = cost_after <= cost_before *. (1. -. t.cfg.margin) in

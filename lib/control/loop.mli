@@ -70,7 +70,6 @@ type t
 
 val create :
   ?config:config ->
-  ?topology:Cdbs_core.Topology.t ->
   sink:Cdbs_telemetry.Sink.t ->
   allocation:Cdbs_core.Allocation.t ->
   unit ->

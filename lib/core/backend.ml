@@ -1,5 +1,4 @@
 type t = {
-  id : int;
   name : string;
   load : float;
 }
@@ -7,7 +6,7 @@ type t = {
 let homogeneous n =
   if n <= 0 then invalid_arg "Backend.homogeneous: need at least one backend";
   List.init n (fun i ->
-      { id = i; name = Printf.sprintf "B%d" (i + 1); load = 1. /. float_of_int n })
+      { name = Printf.sprintf "B%d" (i + 1); load = 1. /. float_of_int n })
 
 let heterogeneous perfs =
   if perfs = [] then invalid_arg "Backend.heterogeneous: empty list";
@@ -16,5 +15,5 @@ let heterogeneous perfs =
   let total = List.fold_left ( +. ) 0. perfs in
   List.mapi
     (fun i p ->
-      { id = i; name = Printf.sprintf "B%d" (i + 1); load = p /. total })
+      { name = Printf.sprintf "B%d" (i + 1); load = p /. total })
     perfs

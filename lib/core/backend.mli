@@ -6,7 +6,6 @@
     of s nodes every load is 1/s. *)
 
 type t = {
-  id : int;
   name : string;
   load : float;
 }

@@ -394,9 +394,9 @@ let settle ?on_pin t b =
   !added
 
 (* Install class [c]'s footprint (and its update closure) on [b]. *)
-let install_class ?on_pin t b c =
+let install_class t b c =
   iter_footprint t.inst c (fun f -> install_fragment t b f);
-  settle ?on_pin t b
+  settle t b
 
 let install_fragments t b fs =
   Array.iter (install_fragment t b) fs;

@@ -189,7 +189,7 @@ val rebuild : t -> unit
 
 (** {1 Moves} *)
 
-val install_class : ?on_pin:(int -> unit) -> t -> int -> int -> float
+val install_class : t -> int -> int -> float
 val add_assign : t -> int -> int -> float -> unit
 val prune_backend : t -> int -> unit
 

@@ -9,7 +9,6 @@ type t = {
 }
 
 let table name ~size = { kind = Table name; size }
-let column table column ~size = { kind = Column { table; column }; size }
 
 let range table column ~lo ~hi ~size =
   { kind = Range { table; column; lo; hi }; size }

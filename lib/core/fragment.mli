@@ -17,7 +17,6 @@ type t = {
 }
 
 val table : string -> size:float -> t
-val column : string -> string -> size:float -> t
 val range : string -> string -> lo:float -> hi:float -> size:float -> t
 
 val name : t -> string

@@ -131,7 +131,7 @@ let extend_instance (inst : Dense.instance) ~reweights ~added ~added_backends
   Array.blit inst.backends 0 backends 0 n;
   Array.iteri
     (fun j (name, _) ->
-      backends.(n + j) <- { Backend.id = n + j; name; load = 0. })
+      backends.(n + j) <- { Backend.name; load = 0. })
     added_backends;
   (* Renormalize capacity shares over alive backends (retired ones keep
      their stale share; it is never read). *)

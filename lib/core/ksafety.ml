@@ -27,17 +27,17 @@ let is_k_safe ~k alloc =
 let survives alloc ~failed =
   List.for_all (fun c -> class_holders ~failed alloc c <> []) (classes alloc)
 
-let class_zone_spread ?failed ~topology alloc c =
-  Topology.zones_spanned topology (class_holders ?failed alloc c)
+let class_zone_spread ~topology alloc c =
+  Topology.zones_spanned topology (class_holders alloc c)
 
-let spread_ok ?(failed = []) ~topology ~k alloc =
-  (* The spread a placement can achieve: a zone with no surviving backend
-     cannot host a replica. *)
+let spread_ok ~topology ~k alloc =
+  (* The spread a placement can achieve: a zone with no backend cannot
+     host a replica. *)
   let required =
-    min (k + 1) (Topology.zones_spanned topology (survivors ~failed alloc))
+    min (k + 1) (Topology.zones_spanned topology (survivors ~failed:[] alloc))
   in
   List.for_all
-    (fun c -> class_zone_spread ~failed ~topology alloc c >= required)
+    (fun c -> class_zone_spread ~topology alloc c >= required)
     (classes alloc)
 
 (* ------------------------------------------------------------------ *)

@@ -57,17 +57,15 @@ val class_holders : ?failed:int list -> Allocation.t -> Query_class.t -> int lis
     excluding [failed]. *)
 
 val class_zone_spread :
-  ?failed:int list -> topology:Topology.t -> Allocation.t ->
-  Query_class.t -> int
-(** Number of distinct fault domains the class's surviving replicas span. *)
+  topology:Topology.t -> Allocation.t -> Query_class.t -> int
+(** Number of distinct fault domains the class's replicas span. *)
 
-val spread_ok :
-  ?failed:int list -> topology:Topology.t -> k:int -> Allocation.t -> bool
-(** Whether every class's surviving replicas span at least
-    [min (k+1, zones with a surviving backend)] fault domains — the
-    domain-spread analogue of {!is_k_safe}.  This is the predicate a
-    controller checks before declaring a repair unnecessary: replica
-    {e count} can be fine while every copy sits in one zone. *)
+val spread_ok : topology:Topology.t -> k:int -> Allocation.t -> bool
+(** Whether every class's replicas span at least [min (k+1, zones with a
+    backend)] fault domains — the domain-spread analogue of
+    {!is_k_safe}.  This is the predicate a controller checks before
+    declaring a repair unnecessary: replica {e count} can be fine while
+    every copy sits in one zone. *)
 
 val is_k_safe : k:int -> Allocation.t -> bool
 (** Whether every query class of the workload is served by at least k+1
@@ -99,8 +97,8 @@ val repair :
     With [topology], the repair also restores {e spread}: classes whose
     surviving replicas span fewer than [min (k+1, zones with a surviving
     backend)] domains gain replicas in uncovered zones, so the
-    post-repair allocation satisfies {!spread_ok} [~failed].  The input
-    is expected to satisfy the update closure (Eq. 10), as every
+    post-repair allocation's surviving replicas span that many domains.
+    The input is expected to satisfy the update closure (Eq. 10), as every
     allocator's output does.
 
     @raise Invalid_argument when [k + 1] exceeds the number of surviving

@@ -208,8 +208,7 @@ let extract_allocation l ~fragments ~reads ~updates workload backend_list x =
   Allocation.ensure_update_closure alloc;
   alloc
 
-let allocate ?(node_limit = 50_000) ?(seed_with_greedy = true) workload
-    backend_list =
+let allocate ?(node_limit = 50_000) workload backend_list =
   let reads = Array.of_list workload.Workload.reads in
   let updates = Array.of_list workload.Workload.updates in
   let fragments =
@@ -241,11 +240,9 @@ let allocate ?(node_limit = 50_000) ?(seed_with_greedy = true) workload
      declaring it integral is free: the relaxation already returns integral
      values, so no branching happens on A. *)
   let incumbent =
-    if seed_with_greedy then
-      Some
-        (incumbent_vector l ~fragments ~reads ~updates
-           (Greedy.allocate workload backend_list))
-    else None
+    Some
+      (incumbent_vector l ~fragments ~reads ~updates
+         (Greedy.allocate workload backend_list))
   in
   (* Phase 1: minimize scale. *)
   let obj1 = Array.make l.total 0. in

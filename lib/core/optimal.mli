@@ -23,14 +23,10 @@ type report = {
 }
 
 val allocate :
-  ?node_limit:int ->
-  ?seed_with_greedy:bool ->
-  Workload.t ->
-  Backend.t list ->
-  (report, string) result
-(** Solve both phases.  [seed_with_greedy] (default true) warm-starts the
-    incumbent with {!Greedy.allocate}.  [node_limit] (default 50_000)
-    bounds each phase's branch-and-bound tree. *)
+  ?node_limit:int -> Workload.t -> Backend.t list -> (report, string) result
+(** Solve both phases, the incumbent warm-started with {!Greedy.allocate}.
+    [node_limit] (default 50_000) bounds each phase's branch-and-bound
+    tree. *)
 
 val coarsen : Workload.t -> Workload.t
 (** Merge fragments that occur in exactly the same set of query classes

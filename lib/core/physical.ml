@@ -45,8 +45,12 @@ let plan_scaled ~old_fragments new_alloc =
   in
   plan_of_sets ~old_sets:(Array.of_list old_fragments) ~new_sets
 
-let duration ?(prepare_rate = 100.) ?(transfer_rate = 35.) ?(load_rate = 25.)
-    p ~fragmentation =
+(* Stage rates in MB/s. *)
+let prepare_rate = 100.
+let transfer_rate = 35.
+let load_rate = 25.
+
+let duration p ~fragmentation =
   (* The controller ships from a single source, so the network stage is
      serial in the total volume; bulk loading runs in parallel on the
      backends and costs as much as the slowest one. *)

@@ -27,15 +27,10 @@ val plan_scaled : old_fragments:Fragment.Set.t list -> Allocation.t -> plan
     count changes.  Extra old backends are decommissioned; extra new
     backends start empty. *)
 
-val duration :
-  ?prepare_rate:float ->
-  ?transfer_rate:float ->
-  ?load_rate:float ->
-  plan ->
-  fragmentation:float ->
-  float
+val duration : plan -> fragmentation:float -> float
 (** Estimated wall-clock seconds for the reallocation — the model behind
-    Fig. 4(d): fragment preparation over the [fragmentation] volume, serial
-    network shipping of the plan's total transfer from the single source,
-    and parallel bulk loading bounded by the slowest backend.  Rates are in
-    MB/s; full replication ships whole tables and has [fragmentation] 0. *)
+    Fig. 4(d): fragment preparation over the [fragmentation] volume at
+    100 MB/s, serial network shipping of the plan's total transfer from
+    the single source at 35 MB/s, and parallel bulk loading at 25 MB/s
+    bounded by the slowest backend.  Full replication ships whole tables
+    and has [fragmentation] 0. *)

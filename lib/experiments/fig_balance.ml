@@ -30,8 +30,10 @@ let busy_deviation alloc requests ~cost =
   Cdbs_util.Stats.relative_deviation
     (Array.to_list outcome.Simulator.busy)
 
-let fig4j ?(backend_counts = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]) ?(runs = 5) ()
-    =
+let runs = 5
+let nodes = 10
+
+let fig4j () =
   let app_cost =
     {
       Cdbs_cluster.Cost_model.default with
@@ -59,9 +61,9 @@ let fig4j ?(backend_counts = [ 1; 2; 3; 4; 5; 6; 7; 8; 9; 10 ]) ?(runs = 5) ()
               ~cost:app_cost)
       in
       (n, h, a))
-    backend_counts
+    (List.init nodes (fun i -> i + 1))
 
-let histogram ~runs ~nodes alloc_of =
+let histogram alloc_of =
   let acc = Array.make nodes 0. in
   for seed = 1 to runs do
     let alloc = alloc_of ~rng:(Rng.create (seed * 97)) nodes in
@@ -70,25 +72,25 @@ let histogram ~runs ~nodes alloc_of =
   done;
   Array.map (fun v -> v /. float_of_int runs) acc
 
-let fig4k ?(nodes = 10) ?(runs = 5) () =
+let fig4k () =
   let tpch =
-    histogram ~runs ~nodes (fun ~rng n ->
+    histogram (fun ~rng n ->
         Common.allocate ~rng Common.Table_based
           ~table_workload:(Tpch.workload ~granularity:`Table ~sf)
           ~column_workload:(Tpch.workload ~granularity:`Column ~sf)
           (Backend.homogeneous n))
   in
   let app =
-    histogram ~runs ~nodes (fun ~rng n ->
+    histogram (fun ~rng n ->
         tpcapp_alloc ~rng ~granularity:`Table n)
   in
   List.init nodes (fun idx -> (idx + 1, tpch.(idx), app.(idx)))
 
 (* Column-based replication histogram (fragments are columns). *)
-let fig4l ?(nodes = 10) ?(runs = 5) () =
-  let tpch = histogram ~runs ~nodes tpch_alloc in
+let fig4l () =
+  let tpch = histogram tpch_alloc in
   let app =
-    histogram ~runs ~nodes (fun ~rng n ->
+    histogram (fun ~rng n ->
         tpcapp_alloc ~rng ~granularity:`Column n)
   in
   List.init nodes (fun idx -> (idx + 1, tpch.(idx), app.(idx)))

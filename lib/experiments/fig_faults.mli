@@ -10,28 +10,9 @@
       recovers and catches up through the delta journal, while the
       allocation-level repair loop restores effective k on the survivors. *)
 
-type row = {
-  k : int;  (** k-safety degree the allocation was built for *)
-  crashes : int;  (** backends crashed mid-run, never recovered *)
-  availability : float;  (** completed / offered *)
-  aborted : int;
-  retried : int;  (** distinct reads that needed at least one retry *)
-  retries : int;  (** total retry attempts *)
-  avg_ms : float;
-  p99_ms : float;
-}
-
-type point = Common.point = {
-  t0 : float;  (** bucket start, seconds *)
-  t1 : float;
-  avg_ms : float;
-  n : int;
-  phase : string;  (** ["before"], ["down"], ["catchup"] or ["after"] *)
-}
-
 type report = {
-  grid : row list;  (** empty in {!scenario}'s report *)
-  timeline : point list;
+  timeline : Common.point list;
+      (** phases ["before"], ["down"], ["catchup"] and ["after"] *)
   crashed_backend : int;
       (** the victim: the backend whose loss drops effective k furthest *)
   crash_at : float;
@@ -49,19 +30,11 @@ type report = {
   time_to_repair : float;  (** [repair_mb / repair_bandwidth] *)
 }
 
-val scenario :
-  ?nodes:int ->
-  ?rate_per_s:float ->
-  ?duration:float ->
-  ?buckets:int ->
-  ?seed:int ->
-  ?repair_bandwidth:float ->
-  ?monitor:Cdbs_analysis.Monitor.t ->
-  unit ->
-  report
-(** The k=1 lifecycle: the most critical backend crashes at [duration/3],
-    recovers at [2*duration/3] and catches up; {!Cdbs_core.Ksafety.repair} then restores
-    effective k on the survivors (verified diagnostic-clean when debug
-    checks are active). *)
+val scenario : ?monitor:Cdbs_analysis.Monitor.t -> unit -> report
+(** The k=1 lifecycle on 4 backends, 30 requests/s for 300 s (seed 11):
+    the most critical backend crashes at 100 s, recovers at 200 s and
+    catches up; {!Cdbs_core.Ksafety.repair} then restores effective k on
+    the survivors (verified diagnostic-clean when debug checks are
+    active), shipping at 2 MB/s. *)
 
 val print_all : unit -> unit

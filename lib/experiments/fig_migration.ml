@@ -7,16 +7,8 @@ module Schedule = Cdbs_migration.Schedule
 module Simulator = Cdbs_cluster.Simulator
 module Rng = Cdbs_util.Rng
 
-type point = Common.point = {
-  t0 : float;
-  t1 : float;
-  avg_ms : float;
-  n : int;
-  phase : string;
-}
-
 type report = {
-  timeline : point list;
+  timeline : Common.point list;
   copy_start : float;
   copy_done : float;
   copied_mb : float;
@@ -67,8 +59,8 @@ let plan ?(nodes = 4) ?(from_hour = 4.) ?(to_hour = 14.) () =
     (Planner.make ~old_fragments target)
 
 let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
-    ?(duration = 600.) ?(migrate_at = 150.) ?(buckets = 20) ?(seed = 11)
-    ?(from_hour = 4.) ?(to_hour = 14.) () =
+    ?(duration = 600.) ?(migrate_at = 150.) ?(seed = 11) ?(from_hour = 4.)
+    ?(to_hour = 14.) () =
   let old_alloc, target = allocations ~nodes ~from_hour ~to_hour in
   let old_fragments =
     List.init nodes (Allocation.fragments_of old_alloc)
@@ -95,7 +87,7 @@ let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
     else "after"
   in
   let timeline =
-    Common.timeline ~duration ~buckets ~phase_of mo.Simulator.responses
+    Common.timeline ~duration ~buckets:20 ~phase_of mo.Simulator.responses
   in
   let in_phase p =
     List.filter_map
@@ -127,7 +119,8 @@ let print_all () =
   Fmt.pr "%10s%10s%12s%8s  %s@." "from(s)" "to(s)" "resp(ms)" "req" "phase";
   List.iter
     (fun p ->
-      Fmt.pr "%10.0f%10.0f%12.2f%8d  %s@." p.t0 p.t1 p.avg_ms p.n p.phase)
+      Fmt.pr "%10.0f%10.0f%12.2f%8d  %s@." p.Common.t0 p.t1 p.avg_ms p.n
+        p.phase)
     r.timeline;
   Fmt.pr
     "copy phase %.0fs - %.0fs; response before %.2f ms, during copy %.2f ms, \

@@ -8,16 +8,9 @@
     fully served — zero routing errors) during the copy, and the improved
     target allocation after. *)
 
-type point = Common.point = {
-  t0 : float;  (** bucket start, seconds *)
-  t1 : float;  (** bucket end *)
-  avg_ms : float;  (** mean response of requests arriving in the bucket *)
-  n : int;  (** requests in the bucket *)
-  phase : string;  (** ["before"], ["copy"] or ["after"] *)
-}
-
 type report = {
-  timeline : point list;
+  timeline : Common.point list;
+      (** 20 buckets, phases ["before"], ["copy"] and ["after"] *)
   copy_start : float;
   copy_done : float;
   copied_mb : float;  (** shipped by the live plan *)
@@ -45,14 +38,13 @@ val scenario :
   ?rate_per_s:float ->
   ?duration:float ->
   ?migrate_at:float ->
-  ?buckets:int ->
   ?seed:int ->
   ?from_hour:float ->
   ?to_hour:float ->
   unit ->
   report
 (** Defaults: 4 nodes, 2 MB/s throttle, 40 requests/s over 600 s,
-    migration starting at t = 150 s, 20 timeline buckets, night (4 h) to
-    midday (14 h) allocations. *)
+    migration starting at t = 150 s, night (4 h) to midday (14 h)
+    allocations. *)
 
 val print_all : unit -> unit

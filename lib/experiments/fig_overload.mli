@@ -43,14 +43,6 @@ type comparison = {
   defended : run_stats;
 }
 
-type report = {
-  sweep : comparison list;
-  nodes : int;
-  slow_backend : int;
-  slow_factor : float;
-  deadline_s : float;
-}
-
 val requests :
   seed:int -> rate_per_s:float -> duration:float -> Cdbs_cluster.Request.t list
 (** The seeded open-arrival workload both arms replay (midday e-learning

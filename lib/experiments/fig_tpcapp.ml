@@ -33,8 +33,8 @@ let throughput_of ~rng ~requests strategy n =
   let reqs = Tpcapp.requests ~rng ~granularity ~eb ~n:requests in
   (Common.simulate ~cost alloc reqs).Simulator.throughput
 
-let fig4f_4g ?(backend_counts = default_counts) ?(requests = 8000) ?(runs = 3)
-    () =
+let fig4f_4g () =
+  let requests = 8000 and runs = 3 in
   List.map
     (fun strategy ->
       (* Baseline: a single node processing the same request stream. *)
@@ -52,12 +52,12 @@ let fig4f_4g ?(backend_counts = default_counts) ?(requests = 8000) ?(runs = 3)
                     ~requests strategy n)
             in
             (n, tp, tp /. base))
-          backend_counts ))
+          default_counts ))
     [ Common.Full_replication; Common.Table_based; Common.Column_based ]
 
 (* Column-based throughput deviation: (backends, avg, min, max). *)
-let fig4h ?(backend_counts = default_counts) ?(requests = 8000) ?(runs = 10) ()
-    =
+let fig4h () =
+  let requests = 8000 and runs = 10 in
   List.map
     (fun n ->
       let samples =
@@ -70,12 +70,12 @@ let fig4h ?(backend_counts = default_counts) ?(requests = 8000) ?(runs = 10) ()
         Cdbs_util.Stats.mean samples,
         Cdbs_util.Stats.minimum samples,
         Cdbs_util.Stats.maximum samples ))
-    backend_counts
+    default_counts
 
 (* Large-scale (EB = 12000) relative throughput for 1/5/10 backends per
    strategy. *)
-let fig4i ?(backend_counts = [ 1; 5; 10 ]) ?(requests = 4000) () =
-  let eb = 12_000 in
+let fig4i () =
+  let eb = 12_000 and requests = 4000 in
   let table_workload = Tpcapp.workload_large_scale ~granularity:`Table ~eb in
   let column_workload = Tpcapp.workload_large_scale ~granularity:`Column ~eb in
   let run strategy n =
@@ -91,7 +91,7 @@ let fig4i ?(backend_counts = [ 1; 5; 10 ]) ?(requests = 4000) () =
     (fun strategy ->
       let base = run strategy 1 in
       ( Common.strategy_name strategy,
-        List.map (fun n -> run strategy n /. base) backend_counts ))
+        List.map (fun n -> run strategy n /. base) [ 1; 5; 10 ] ))
     [ Common.Full_replication; Common.Table_based; Common.Column_based ]
 
 let theoretical () =

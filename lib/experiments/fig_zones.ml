@@ -76,7 +76,7 @@ let min_spread ~topology alloc =
     max_int
     (Workload.all_classes (Allocation.workload alloc))
 
-let run_side ?monitor ~label ~topology ~k ~config ~reqs ~outage_at
+let run_side ~label ~topology ~k ~config ~reqs ~outage_at
     ~outage_duration alloc =
   let victim = pick_victim ~topology alloc in
   let members = Topology.backends_in topology victim in
@@ -84,7 +84,7 @@ let run_side ?monitor ~label ~topology ~k ~config ~reqs ~outage_at
     [ Fault.zone_outage ~at:outage_at ~zone:victim ~duration:outage_duration ]
   in
   let fo =
-    Simulator.run_open_with_faults ?monitor ~topology config alloc reqs ~faults
+    Simulator.run_open_with_faults ~topology config alloc reqs ~faults
   in
   {
     label;
@@ -102,8 +102,8 @@ let run_side ?monitor ~label ~topology ~k ~config ~reqs ~outage_at
 
 (* Same workload, same seed, same adversarial full-zone outage; the only
    difference is whether the allocator saw the topology. *)
-let compare_placements ?(nodes = 6) ?(zones = 2) ?(k = 1) ?(rate_per_s = 20.)
-    ?(duration = 300.) ?(seed = 11) ?monitor () =
+let compare_placements () =
+  let nodes = 6 and zones = 2 and k = 1 and duration = 300. in
   let workload = Trace.workload_at ~hour:14. in
   let topology = rack_topology ~zones nodes in
   let backends = Backend.homogeneous nodes in
@@ -116,9 +116,9 @@ let compare_placements ?(nodes = 6) ?(zones = 2) ?(k = 1) ?(rate_per_s = 20.)
       (Ksafety.allocate ~k workload backends)
   in
   let config = Simulator.homogeneous_config nodes in
-  let reqs = Fig_overload.requests ~seed ~rate_per_s ~duration in
+  let reqs = Fig_overload.requests ~seed:11 ~rate_per_s:20. ~duration in
   let outage_at = duration /. 4. and outage_duration = duration /. 2. in
-  let run = run_side ?monitor ~k ~config ~reqs ~outage_at ~outage_duration in
+  let run = run_side ~k ~config ~reqs ~outage_at ~outage_duration in
   let aware = run ~label:"domain-aware" ~topology aware_alloc in
   let naive = run ~label:"naive" ~topology naive_alloc in
   {

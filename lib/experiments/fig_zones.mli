@@ -40,18 +40,9 @@ type report = {
           headline predicate *)
 }
 
-val compare_placements :
-  ?nodes:int ->
-  ?zones:int ->
-  ?k:int ->
-  ?rate_per_s:float ->
-  ?duration:float ->
-  ?seed:int ->
-  ?monitor:Cdbs_analysis.Monitor.t ->
-  unit ->
-  report
-(** Defaults: 6 backends in 3 contiguous racks, k=1, 20 requests/s over
-    300 s, the zone down from t=75 s to t=225 s.  Both runs share the seed
-    and the request list; [monitor] observes both. *)
+val compare_placements : unit -> report
+(** 6 backends in 2 contiguous racks, k=1, 20 requests/s over 300 s, the
+    zone down from t=75 s to t=225 s.  Both runs share the seed and the
+    request list. *)
 
 val print_all : unit -> unit

@@ -42,11 +42,6 @@ let workload_shift ~at ~mix =
   check_mix ~what:"Fault.workload_shift" mix;
   { at; event = Workload_shift { mix } }
 
-let backends = function
-  | Crash b | Recover b | Slowdown { backend = b; _ } -> [ b ]
-  | Partition { backends = bs; _ } -> bs
-  | ZoneOutage _ | Workload_shift _ -> []
-
 let sort schedule =
   List.stable_sort (fun a b -> Float.compare a.at b.at) schedule
 

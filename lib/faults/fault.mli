@@ -71,12 +71,6 @@ val workload_shift : at:float -> mix:(string * float) list -> timed
 (** @raise Invalid_argument on an empty mix, a non-finite or negative
     weight, or weights summing to zero. *)
 
-val backends : event -> int list
-(** The backends an event acts on directly.  [ZoneOutage] returns [[]]:
-    its membership depends on the topology, which the event does not
-    carry (resolve via {!Cdbs_core.Topology.backends_in}).
-    [Workload_shift] targets no backend. *)
-
 val sort : schedule -> schedule
 (** Stable sort by timestamp ([Float.compare], not polymorphic compare). *)
 

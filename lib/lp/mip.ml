@@ -7,7 +7,6 @@ type solution = {
   value : float;
   assignment : float array;
   proved_optimal : bool;
-  nodes_explored : int;
 }
 
 type outcome = Solved of solution | No_solution
@@ -90,5 +89,4 @@ let solve ?(node_limit = 200_000) ?incumbent (p : problem) : outcome =
           value = !best_value;
           assignment;
           proved_optimal = not !exhausted;
-          nodes_explored = !nodes;
         }

@@ -20,7 +20,6 @@ type solution = {
   value : float;  (** objective value of the incumbent *)
   assignment : float array;  (** incumbent point (integral on integer vars) *)
   proved_optimal : bool;  (** false when the node budget was exhausted *)
-  nodes_explored : int;
 }
 
 type outcome = Solved of solution | No_solution

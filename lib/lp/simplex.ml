@@ -253,7 +253,8 @@ let solve (p : problem) : outcome =
 
 let solve p = try solve p with Exit -> Infeasible
 
-let feasible ?(eps = 1e-6) (p : problem) (x : float array) =
+let feasible (p : problem) (x : float array) =
+  let eps = 1e-6 in
   Array.length x = p.num_vars
   && Array.for_all (fun v -> v >= -.eps) x
   && List.for_all

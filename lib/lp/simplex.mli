@@ -42,7 +42,7 @@ val solve : problem -> outcome
 val row : (int * float) list -> relation -> float -> row
 (** [row coeffs rel rhs] builds a constraint row; convenience constructor. *)
 
-val feasible : ?eps:float -> problem -> float array -> bool
+val feasible : problem -> float array -> bool
 (** [feasible p x] checks whether point [x] satisfies every row of [p]
-    (and non-negativity) within tolerance [eps] (default [1e-6]).  Used by
+    (and non-negativity) within tolerance [1e-6].  Used by
     tests to validate solver output independently of the tableau. *)

@@ -13,8 +13,6 @@ type drop = {
 }
 
 type plan = {
-  physical : Physical.plan;
-  dest_of_new : int array;
   num_physical : int;
   old_sets : Fragment.Set.t array;
   target_sets : Fragment.Set.t array;
@@ -91,8 +89,6 @@ let make ~old_fragments target =
     Array.fold_left (fun acc s -> acc +. Fragment.set_size s) 0. target_sets
   in
   {
-    physical;
-    dest_of_new;
     num_physical;
     old_sets;
     target_sets;

@@ -30,12 +30,6 @@ type drop = {
 }
 
 type plan = {
-  physical : Cdbs_core.Physical.plan;
-      (** the underlying minimum-transfer matching (Eq. 27) *)
-  dest_of_new : int array;
-      (** logical backend [v] of the target allocation lives on physical
-          node [dest_of_new.(v)]; fresh nodes get indices past the old
-          cluster size *)
   num_physical : int;
       (** physical nodes alive at any point of the migration:
           [max old-count new-count] *)
@@ -47,7 +41,9 @@ type plan = {
           (empty for decommissioned nodes) *)
   moves : move list;  (** copy steps, smallest-transfer-first *)
   drops : drop list;  (** applied only after every copy has cut over *)
-  copy_mb : float;  (** total megabytes shipped — equals [physical.transfer] *)
+  copy_mb : float;
+      (** total megabytes shipped — the transfer of the minimum-transfer
+          matching ({!Cdbs_core.Physical.plan_scaled}, Eq. 27) *)
   full_rebuild_mb : float;
       (** bytes a stop-the-world rebuild would ship (the entire target
           placement, Eq. 28 numerator) *)

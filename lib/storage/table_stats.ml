@@ -4,7 +4,6 @@ type column_stats = {
   distinct : int;
   min_value : Value.t option;
   max_value : Value.t option;
-  nulls : int;
 }
 
 type t = {
@@ -27,17 +26,13 @@ let collect tbl =
     columns = Hashtbl.create 4;
   }
 
-let rows t = t.rows
-let bytes t = t.bytes
-
 let scan_column tbl i =
   let seen = Hashtbl.create 64 in
-  let min_value = ref None and max_value = ref None and nulls = ref 0 in
+  let min_value = ref None and max_value = ref None in
   Table.iter
     (fun row ->
       let v = row.(i) in
-      if v = Value.Null then incr nulls
-      else begin
+      if v <> Value.Null then begin
         Hashtbl.replace seen (Value.key v) ();
         (match !min_value with
         | None -> min_value := Some v
@@ -51,7 +46,6 @@ let scan_column tbl i =
     distinct = Hashtbl.length seen;
     min_value = !min_value;
     max_value = !max_value;
-    nulls = !nulls;
   }
 
 let column t name =

@@ -11,7 +11,6 @@ type column_stats = {
   distinct : int;  (** number of distinct values *)
   min_value : Value.t option;  (** smallest non-null value *)
   max_value : Value.t option;
-  nulls : int;
 }
 
 type t
@@ -26,9 +25,6 @@ val collect : Table.t -> t
     statistics are computed from the table the first time {!column} or an
     estimate needs them.  Drop the statistics when the table takes a write:
     computing a column afterwards raises [Invalid_argument]. *)
-
-val rows : t -> int
-val bytes : t -> int
 
 val column : t -> string -> column_stats option
 (** The named column's statistics, computed on first use; [None] when the

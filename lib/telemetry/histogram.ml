@@ -1,6 +1,9 @@
+(* The smallest distinguishable positive value and the buckets per factor
+   of ten. *)
+let min_value = 1e-6
+let per_decade = 90
+
 type t = {
-  min_value : float;
-  per_decade : int;
   mutable counts : int array;  (* grown on demand as the range widens *)
   mutable underflow : int;
   mutable infinite : int;  (* +infinity: above every finite bucket *)
@@ -16,12 +19,8 @@ type t = {
          from bucket 0 *)
 }
 
-let create ?(min_value = 1e-6) ?(per_decade = 90) () =
-  if min_value <= 0. then invalid_arg "Histogram.create: min_value <= 0";
-  if per_decade < 1 then invalid_arg "Histogram.create: per_decade < 1";
+let create () =
   {
-    min_value;
-    per_decade;
     counts = Array.make 64 0;
     underflow = 0;
     infinite = 0;
@@ -33,25 +32,19 @@ let create ?(min_value = 1e-6) ?(per_decade = 90) () =
     below = 0;
   }
 
-let min_value t = t.min_value
-let per_decade t = t.per_decade
 let count t = t.total
-let underflow t = t.underflow
-let sum t = t.sum
 let mean t = if t.total = 0 then 0. else t.sum /. float_of_int t.total
 let min_recorded t = if t.total = 0 then 0. else t.min_seen
 let max_recorded t = if t.total = 0 then 0. else t.max_seen
 
-let index_of t v =
+let index_of v =
   (* v >= min_value here *)
-  int_of_float
-    (floor (log10 (v /. t.min_value) *. float_of_int t.per_decade))
+  int_of_float (floor (log10 (v /. min_value) *. float_of_int per_decade))
 
 (* Geometric midpoint of bucket [i]: sqrt(lower * upper), i.e. the bucket
    boundary formula evaluated at i + 1/2. *)
-let bucket_mid t i =
-  t.min_value
-  *. (10. ** ((float_of_int i +. 0.5) /. float_of_int t.per_decade))
+let bucket_mid i =
+  min_value *. (10. ** ((float_of_int i +. 0.5) /. float_of_int per_decade))
 
 let ensure_capacity t i =
   let cap = Array.length t.counts in
@@ -69,13 +62,13 @@ let record_n t v ~n =
   if n < 0 then invalid_arg "Histogram.record_n: n < 0";
   if Float.is_nan v then invalid_arg "Histogram.record_n: NaN";
   if n > 0 then begin
-    if v < t.min_value then begin
+    if v < min_value then begin
       t.underflow <- t.underflow + n;
       t.below <- t.below + n
     end
     else if v = infinity then t.infinite <- t.infinite + n
     else begin
-      let i = index_of t v in
+      let i = index_of v in
       ensure_capacity t i;
       t.counts.(i) <- t.counts.(i) + n;
       if i < t.cursor then t.below <- t.below + n
@@ -98,7 +91,7 @@ let quantile t q =
       max 1 (min t.total (int_of_float (ceil (q *. float_of_int t.total))))
     in
     let estimate =
-      if rank <= t.underflow then t.min_value
+      if rank <= t.underflow then min_value
       else if rank > t.total - t.infinite then t.max_seen
       else begin
         (* The answer is the bucket [i] with [below i < rank <= below i +
@@ -112,7 +105,7 @@ let quantile t q =
           t.below <- t.below + counts.(t.cursor);
           t.cursor <- t.cursor + 1
         done;
-        bucket_mid t t.cursor
+        bucket_mid t.cursor
       end
     in
     (* The exact min/max are tracked; never report outside them. *)
@@ -122,8 +115,6 @@ let quantile t q =
 let percentile t p = quantile t (p /. 100.)
 
 let merge_into t ~from =
-  if t.min_value <> from.min_value || t.per_decade <> from.per_decade then
-    invalid_arg "Histogram.merge_into: parameter mismatch";
   ensure_capacity t (Array.length from.counts - 1);
   Array.iteri
     (fun i c -> if c > 0 then t.counts.(i) <- t.counts.(i) + c)

@@ -1,29 +1,23 @@
 (** Log-bucketed (HDR-style) latency histogram.
 
-    Values are binned into geometrically spaced buckets — [per_decade]
-    buckets per factor of ten, so every recorded value is represented
-    with bounded {e relative} error: a quantile estimate lands in the
-    same bucket as the exact sort-based quantile and therefore deviates
-    from it by at most one bucket width (a factor of
-    [10^(1/per_decade)], ≈2.6 % at the default 90 buckets per decade).
+    Values are binned into geometrically spaced buckets — 90 buckets per
+    factor of ten, so every recorded value is represented with bounded
+    {e relative} error: a quantile estimate lands in the same bucket as
+    the exact sort-based quantile and therefore deviates from it by at
+    most one bucket width (a factor of [10^(1/90)], ≈2.6 %).
 
     Recording is O(1) (one [log10] and an array increment), memory is
     proportional to the dynamic range actually observed, and histograms
-    with equal parameters merge by plain bucket-count addition — the
-    merge is exact, lossless and associative, which is what makes
-    per-window or per-shard snapshots aggregatable. *)
+    merge by plain bucket-count addition — the merge is exact, lossless
+    and associative, which is what makes per-window or per-shard
+    snapshots aggregatable. *)
 
 type t
 
-val create : ?min_value:float -> ?per_decade:int -> unit -> t
-(** [min_value] is the smallest distinguishable positive value (default
-    [1e-6]; anything smaller, zero included, lands in the underflow
-    bucket and reports as [min_value]).  [per_decade] sets the precision
-    (default 90).
-    @raise Invalid_argument when [min_value <= 0] or [per_decade < 1]. *)
-
-val min_value : t -> float
-val per_decade : t -> int
+val create : unit -> t
+(** An empty histogram.  Its smallest distinguishable positive value is
+    [1e-6]: anything smaller, zero included, lands in the underflow
+    bucket and reports as [1e-6]. *)
 
 val record : t -> float -> unit
 (** Record one observation.  Negative values, [neg_infinity] included,
@@ -36,12 +30,6 @@ val record_n : t -> float -> n:int -> unit
 
 val count : t -> int
 (** Total observations recorded. *)
-
-val underflow : t -> int
-(** Observations below [min_value]. *)
-
-val sum : t -> float
-(** Exact running sum of recorded values (not bucketed). *)
 
 val mean : t -> float
 (** Exact mean; 0 when empty. *)
@@ -67,15 +55,14 @@ val percentile : t -> float -> float
 
 val merge_into : t -> from:t -> unit
 (** Add every observation of [from] into the first histogram.  Exact:
-    bucket counts add, so merging is associative and commutative.
-    @raise Invalid_argument when the parameters differ. *)
+    bucket counts add, so merging is associative and commutative. *)
 
 val reset : t -> unit
-(** Forget every observation (parameters kept). *)
+(** Forget every observation. *)
 
 val buckets : t -> (int * int) list
 (** Non-empty buckets as [(index, count)], ascending; underflow is index
     [-1].  Bucket [i] covers values in
-    [[min_value * 10^(i/per_decade), min_value * 10^((i+1)/per_decade))].
+    [[1e-6 * 10^(i/90), 1e-6 * 10^((i+1)/90))].
     [infinity] observations are in {!count} but in no bucket. *)
 

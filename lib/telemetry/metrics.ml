@@ -21,11 +21,11 @@ let counter t name =
 
 let add c n = c.c_value <- c.c_value + n
 
-let histogram t ?min_value ?per_decade name =
+let histogram t name =
   match Hashtbl.find_opt t.histos_tbl name with
   | Some h -> h
   | None ->
-      let h = Histogram.create ?min_value ?per_decade () in
+      let h = Histogram.create () in
       Hashtbl.add t.histos_tbl name h;
       h
 

@@ -16,9 +16,8 @@ val counter : t -> string -> counter
 
 val add : counter -> int -> unit
 
-val histogram : t -> ?min_value:float -> ?per_decade:int -> string -> Histogram.t
-(** Intern a histogram.  The optional parameters apply only on first
-    creation; later lookups return the existing instrument as is. *)
+val histogram : t -> string -> Histogram.t
+(** Intern a histogram; later lookups return the existing instrument. *)
 
 val find_counter : t -> string -> int option
 val find_histogram : t -> string -> Histogram.t option

@@ -8,8 +8,9 @@ type 'a t = {
   mutable next_seq : int;
 }
 
-let create ?(capacity = 256) () =
-  if capacity <= 0 then invalid_arg "Heap.create: capacity <= 0";
+let capacity = 256
+
+let create () =
   {
     times = Array.make capacity 0.;
     ranks = Array.make capacity 0;
@@ -102,8 +103,6 @@ let pop_timed t =
     else t.vals.(0) <- None;
     Some (time, v)
   end
-
-let pop t = match pop_timed t with None -> None | Some (_, v) -> Some v
 
 let rec drain_until t ~time ~f =
   if t.len > 0 && Float.compare t.times.(0) time <= 0 then

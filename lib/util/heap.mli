@@ -16,16 +16,12 @@
 
 type 'a t
 
-val create : ?capacity:int -> unit -> 'a t
-(** Empty heap.  [capacity] pre-sizes the backing arrays (default 256).
-    @raise Invalid_argument when [capacity <= 0]. *)
+val create : unit -> 'a t
+(** Empty heap, its backing arrays sized for 256 entries. *)
 
 val add : 'a t -> time:float -> ?rank:int -> 'a -> unit
 (** Push an entry.  [rank] breaks ties among equal times (default 0);
     insertion order breaks ties among equal [(time, rank)]. *)
-
-val pop : 'a t -> 'a option
-(** Remove and return the minimum entry's payload. *)
 
 val pop_timed : 'a t -> (float * 'a) option
 (** Remove and return the minimum entry as [(time, payload)]. *)

@@ -3,23 +3,25 @@
 module Policy = Cdbs_autoscale.Policy
 module Autoscaler = Cdbs_autoscale.Autoscaler
 
+(* The policy's thresholds: scale up above 18 ms (two steps above 108 ms),
+   down below 11.8 ms at low utilization, within 1-6 nodes, one window of
+   cooldown after each action. *)
+
 let test_policy_scale_up () =
-  let p = Policy.create ~up_threshold:0.02 ~cooldown_windows:0 () in
+  let p = Policy.create () in
   match Policy.decide p ~current:2 ~avg_response:0.05 ~utilization:0.9 with
   | Policy.Scale_to 3 -> ()
   | Policy.Scale_to n -> Alcotest.failf "scaled to %d" n
   | Policy.Stay -> Alcotest.fail "should scale up"
 
 let test_policy_double_step_on_meltdown () =
-  let p = Policy.create ~up_threshold:0.02 ~cooldown_windows:0 () in
+  let p = Policy.create () in
   match Policy.decide p ~current:2 ~avg_response:1.0 ~utilization:1.0 with
   | Policy.Scale_to 4 -> ()
   | _ -> Alcotest.fail "meltdown should jump two nodes"
 
 let test_policy_scale_down_needs_low_utilization () =
-  let p =
-    Policy.create ~up_threshold:0.05 ~down_threshold:0.01 ~cooldown_windows:0 ()
-  in
+  let p = Policy.create () in
   (match Policy.decide p ~current:3 ~avg_response:0.005 ~utilization:0.8 with
   | Policy.Stay -> ()
   | _ -> Alcotest.fail "busy cluster must not scale down");
@@ -28,28 +30,27 @@ let test_policy_scale_down_needs_low_utilization () =
   | _ -> Alcotest.fail "idle cluster should scale down"
 
 let test_policy_respects_bounds () =
-  let p =
-    Policy.create ~min_nodes:2 ~max_nodes:4 ~up_threshold:0.02
-      ~down_threshold:0.01 ~cooldown_windows:0 ()
-  in
-  (match Policy.decide p ~current:4 ~avg_response:0.5 ~utilization:1.0 with
+  let p = Policy.create () in
+  (match Policy.decide p ~current:6 ~avg_response:0.5 ~utilization:1.0 with
   | Policy.Stay -> ()
   | _ -> Alcotest.fail "must not exceed max");
-  match Policy.decide p ~current:2 ~avg_response:0.001 ~utilization:0.01 with
+  (match Policy.decide p ~current:5 ~avg_response:0.5 ~utilization:1.0 with
+  | Policy.Scale_to 6 -> ()
+  | _ -> Alcotest.fail "a double step stops at the max");
+  let p = Policy.create () in
+  match Policy.decide p ~current:1 ~avg_response:0.001 ~utilization:0.01 with
   | Policy.Stay -> ()
   | _ -> Alcotest.fail "must not go below min"
 
 let test_policy_cooldown () =
-  let p = Policy.create ~up_threshold:0.02 ~cooldown_windows:2 () in
+  let p = Policy.create () in
   (match Policy.decide p ~current:1 ~avg_response:0.05 ~utilization:1.0 with
   | Policy.Scale_to _ -> ()
   | Policy.Stay -> Alcotest.fail "first decision should scale");
-  (* Next two windows are cooled down regardless of load. *)
-  for _ = 1 to 2 do
-    match Policy.decide p ~current:2 ~avg_response:0.5 ~utilization:1.0 with
-    | Policy.Stay -> ()
-    | _ -> Alcotest.fail "cooldown violated"
-  done;
+  (* The next window is cooled down regardless of load. *)
+  (match Policy.decide p ~current:2 ~avg_response:0.5 ~utilization:1.0 with
+  | Policy.Stay -> ()
+  | _ -> Alcotest.fail "cooldown violated");
   match Policy.decide p ~current:2 ~avg_response:0.5 ~utilization:1.0 with
   | Policy.Scale_to _ -> ()
   | Policy.Stay -> Alcotest.fail "cooldown should have expired"

@@ -279,7 +279,7 @@ let test_controller_reallocate () =
   for _ = 1 to 10 do
     ignore (Controller.submit c "SELECT id FROM u WHERE w > 10")
   done;
-  (match Controller.reallocate c ~iterations:10 () with
+  (match Controller.reallocate c () with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   (match Controller.allocation c with

@@ -19,7 +19,8 @@ let test_fragment_identity () =
 let test_fragment_names () =
   Alcotest.(check string) "table" "t" (Fragment.name (fr "t"));
   Alcotest.(check string) "column" "t.c"
-    (Fragment.name (Fragment.column "t" "c" ~size:1.));
+    (Fragment.name
+       { Fragment.kind = Column { table = "t"; column = "c" }; size = 1. });
   Alcotest.(check string) "range" "t.c[0,10)"
     (Fragment.name (Fragment.range "t" "c" ~lo:0. ~hi:10. ~size:1.))
 

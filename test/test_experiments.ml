@@ -1,12 +1,10 @@
-(* Sanity checks of the experiment harness at reduced scale: the paper's
-   qualitative shapes must hold even with few requests and runs. *)
+(* Sanity checks of the experiment harness: the paper's qualitative
+   shapes must hold on the figures as `cdbs experiment` prints them. *)
 
 module E = Cdbs_experiments
 
 let test_fig4a_shapes () =
-  let data =
-    E.Fig_tpch.fig4a ~backend_counts:[ 1; 4 ] ~requests:400 ~runs:1 ()
-  in
+  let data = E.Fig_tpch.fig4a () in
   let speedup strategy n =
     let rows = List.assoc strategy data in
     let r = List.find (fun r -> r.E.Fig_tpch.backends = n) rows in
@@ -24,9 +22,8 @@ let test_fig4a_shapes () =
     <= speedup E.Common.Column_based 4 +. 0.1)
 
 let test_fig4c_ordering () =
-  let deg = E.Fig_tpch.fig4c ~backend_counts:[ 4 ] ~optimal_up_to:0 () in
-  match deg with
-  | [ (4, full, table, column, _) ] ->
+  match List.find_opt (fun (n, _, _, _) -> n = 4) (E.Fig_tpch.fig4c ()) with
+  | Some (_, full, table, column) ->
       Alcotest.(check (float 1e-9)) "full = n" 4. full;
       Alcotest.(check bool) "table < full" true (table < full);
       Alcotest.(check bool) "column < table" true (column < table);
@@ -34,16 +31,14 @@ let test_fig4c_ordering () =
   | _ -> Alcotest.fail "unexpected shape"
 
 let test_fig4d_column_cheaper_at_scale () =
-  match E.Fig_tpch.fig4d ~backend_counts:[ 1; 4 ] () with
-  | [ (1, _, _); (4, full4, col4) ] ->
+  match List.find_opt (fun (n, _, _) -> n = 4) (E.Fig_tpch.fig4d ()) with
+  | Some (_, full4, col4) ->
       Alcotest.(check bool) "column reallocation cheaper at 4 nodes" true
         (col4 < full4)
   | _ -> Alcotest.fail "unexpected shape"
 
 let test_fig4f_amdahl_cap () =
-  let data =
-    E.Fig_tpcapp.fig4f_4g ~backend_counts:[ 1; 8 ] ~requests:3000 ~runs:1 ()
-  in
+  let data = E.Fig_tpcapp.fig4f_4g () in
   let speedup strategy n =
     let rows = List.assoc strategy data in
     let _, _, s = List.find (fun (b, _, _) -> b = n) rows in
@@ -60,8 +55,10 @@ let test_fig4j_readwrite_less_balanced () =
   (* Single-point comparisons are noisy; assert the robust trend: the
      read-only deviation stays small everywhere, and the read-write
      deviation grows with the cluster. *)
-  match E.Fig_balance.fig4j ~backend_counts:[ 2; 9 ] ~runs:2 () with
-  | [ (2, tpch2, tpcapp2); (9, tpch9, tpcapp9) ] ->
+  let dev = E.Fig_balance.fig4j () in
+  let at n = List.find_opt (fun (m, _, _) -> m = n) dev in
+  match (at 2, at 9) with
+  | Some (_, tpch2, tpcapp2), Some (_, tpch9, tpcapp9) ->
       Alcotest.(check bool) "TPC-H well balanced" true
         (tpch2 < 0.15 && tpch9 < 0.15);
       Alcotest.(check bool) "TPC-App deviation grows" true
@@ -69,7 +66,7 @@ let test_fig4j_readwrite_less_balanced () =
   | _ -> Alcotest.fail "unexpected shape"
 
 let test_fig4k_histograms () =
-  let hist = E.Fig_balance.fig4k ~nodes:6 ~runs:1 () in
+  let hist = E.Fig_balance.fig4k () in
   let tpch_total =
     List.fold_left (fun acc (_, h, _) -> acc +. h) 0. hist
   in

@@ -24,8 +24,8 @@ let test_fault_sort_and_validate () =
   Alcotest.(check (list (float 1e-9)))
     "sorted by time, stable at ties" [ 3.; 3.; 9. ]
     (List.map (fun t -> t.Fault.at) sorted);
-  (match List.concat_map (fun t -> Fault.backends t.Fault.event) sorted with
-  | [ 0; 1; 0 ] -> ()
+  (match List.map (fun t -> t.Fault.event) sorted with
+  | [ Fault.Crash 0; Fault.Crash 1; Fault.Recover 0 ] -> ()
   | _ -> Alcotest.fail "tie order not stable");
   Alcotest.(check bool) "valid alternation" true
     (Fault.validate ~num_backends:2 sorted = Ok ());
@@ -444,9 +444,10 @@ let test_zero_length_booking_catch_up () =
     @ [ Request.update ~arrival:0.5 ~cost_mb:2. "u" ]
   in
   let config =
-    Simulator.homogeneous_config
-      ~protocol:(Cdbs_cluster.Protocol.Lazy { apply_factor = 0. })
-      2
+    {
+      (Simulator.homogeneous_config 2) with
+      protocol = Cdbs_cluster.Protocol.Lazy { apply_factor = 0. };
+    }
   in
   let fo =
     Simulator.run_open_with_faults config alloc requests

@@ -28,7 +28,6 @@ module Slo = Cdbs_telemetry.Slo_report
 module Monitor = Cdbs_analysis.Monitor
 module Diagnostic = Cdbs_analysis.Diagnostic
 module Loop = Cdbs_control.Loop
-module Autoscaler = Cdbs_autoscale.Autoscaler
 module Tpch = Cdbs_workloads.Tpch
 module Tpch_queries = Cdbs_workloads.Tpch_queries
 module Rng = Cdbs_util.Rng
@@ -283,10 +282,9 @@ let migration_run b =
 let fig_migration b =
   let r = Fig_migration.scenario () in
   List.iter
-    (fun (p : Fig_migration.point) ->
-      Printf.bprintf b "bucket %h %h %h %d %s\n" p.Fig_migration.t0
-        p.Fig_migration.t1 p.Fig_migration.avg_ms p.Fig_migration.n
-        p.Fig_migration.phase)
+    (fun p ->
+      Printf.bprintf b "bucket %h %h %h %d %s\n" p.Common.t0 p.Common.t1
+        p.Common.avg_ms p.Common.n p.Common.phase)
     r.Fig_migration.timeline;
   Printf.bprintf b
     "copy %h-%h copied %h rebuild %h replayed %h before %h during %h after \
@@ -311,27 +309,6 @@ let fig_migration b =
     (Sim.run_open_with_migration
        (Sim.homogeneous_config plan.Cdbs_migration.Planner.num_physical)
        ~target ~schedule requests)
-
-(* One live-deployment day at a tenth of the paper's trace scale: one
-   scale decision is deployed by a rebalance while serving. *)
-let live_day b =
-  let days =
-    Autoscaler.simulate_days ~days:1 ~live:true ~bandwidth_mb_s:10. ~scale:4.
-      ~rng:(Rng.create 5) ()
-  in
-  List.iter
-    (fun (s : Autoscaler.summary) ->
-      List.iter
-        (fun (w : Autoscaler.window_report) ->
-          Printf.bprintf b "window %h %h %d %h %h %h %b\n" w.Autoscaler.hour
-            w.Autoscaler.rate w.Autoscaler.nodes
-            w.Autoscaler.avg_response_scaled w.Autoscaler.avg_response_static
-            w.Autoscaler.transfer_mb w.Autoscaler.migrating)
-        s.Autoscaler.windows;
-      Printf.bprintf b "day %h %h %d %h\n" s.Autoscaler.avg_response
-        s.Autoscaler.max_response_window s.Autoscaler.reallocations
-        s.Autoscaler.total_transfer_mb)
-    days
 
 (* Allocator placements: every assignment, each backend's fragment names
    in sorted order, the scale and the total stored size.  Numbers are exact
@@ -1591,8 +1568,6 @@ let suite =
       "fd42e82a752ffa6d361e069eac9800ca" migration_run;
     pinned "run_open_with_migration: Fig_migration scenario"
       "a3aa60f909a8d538801de1fe4b79f715" fig_migration;
-    pinned "Autoscaler.simulate_days: one live day"
-      "c6469abbb8ab6d6833bfcf7ef55b303b" live_day;
     pinned "run_open_with_faults: chaos with zones and partitions"
       "d8bb8ae4b50e7d4e397d3a5197a08bf7" chaos;
     pinned "run_open_with_faults: overload arms"

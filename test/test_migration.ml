@@ -1,6 +1,5 @@
 (* Live migration subsystem: planner, schedule, delta journal, open-mode
-   simulation during a rebalance, controller live reallocation, autoscaler
-   live deployment. *)
+   simulation during a rebalance, controller live reallocation. *)
 
 open Cdbs_core
 module Planner = Cdbs_migration.Planner
@@ -381,34 +380,14 @@ let test_controller_live_noop () =
       Alcotest.(check bool) "not migrating" false (Controller.is_migrating c)
   | Error e -> Alcotest.fail e
 
-(* ---------------- autoscaler + experiment ---------------- *)
-
-(* The unscaled trace (scale 1) already scales the cluster down once at
-   night, so the live path runs; the golden suite pins a scale-4 live day
-   window by window. *)
-let test_autoscaler_live () =
-  let rng = Cdbs_util.Rng.create 5 in
-  let summary =
-    match
-      Cdbs_autoscale.Autoscaler.simulate_days ~days:1 ~live:true ~scale:1.
-        ~bandwidth_mb_s:10. ~rng ()
-    with
-    | [ s ] -> s
-    | _ -> Alcotest.fail "expected one day"
-  in
-  Alcotest.(check bool) "scale events deployed live" true
-    (List.exists
-       (fun (w : Cdbs_autoscale.Autoscaler.window_report) -> w.migrating)
-       summary.Cdbs_autoscale.Autoscaler.windows);
-  Alcotest.(check bool) "day served" true
-    (summary.Cdbs_autoscale.Autoscaler.avg_response > 0.)
+(* ---------------- experiment ---------------- *)
 
 let test_fig_migration () =
   let r =
     Cdbs_experiments.Fig_migration.scenario ~nodes:3 ~bandwidth:8.
-      ~rate_per_s:5. ~duration:240. ~migrate_at:60. ~buckets:8 ()
+      ~rate_per_s:5. ~duration:240. ~migrate_at:60. ()
   in
-  Alcotest.(check int) "timeline buckets" 8
+  Alcotest.(check int) "timeline buckets" 20
     (List.length r.Cdbs_experiments.Fig_migration.timeline);
   Alcotest.(check int) "zero errors" 0 r.Cdbs_experiments.Fig_migration.errors;
   Alcotest.(check bool) "target deployed" true
@@ -439,7 +418,6 @@ let suite =
       test_controller_live_end_to_end;
     Alcotest.test_case "controller: noop live reallocation" `Quick
       test_controller_live_noop;
-    Alcotest.test_case "autoscaler: live deployment" `Quick test_autoscaler_live;
     Alcotest.test_case "experiment: migration timeline" `Quick
       test_fig_migration;
     Alcotest.test_case "simulator: same-instant migration events" `Quick

@@ -384,8 +384,7 @@ let test_overload_runs_clean () =
 let test_faults_scenario_clean () =
   let monitor = Mon.create () in
   let r =
-    Cdbs_experiments.Fig_faults.scenario ~nodes:4 ~rate_per_s:20.
-      ~duration:120. ~monitor ()
+    Cdbs_experiments.Fig_faults.scenario ~monitor ()
   in
   Alcotest.(check bool) "lifecycle completed" true
     (r.Cdbs_experiments.Fig_faults.availability > 0.9);

@@ -21,7 +21,7 @@ let run protocol n_backends =
   let alloc =
     Baselines.full_replication (workload ()) (Backend.homogeneous n_backends)
   in
-  let config = Simulator.homogeneous_config ~protocol n_backends in
+  let config = { (Simulator.homogeneous_config n_backends) with protocol } in
   Simulator.run_batch config alloc (requests 100)
 
 let test_plan_rowa () =
@@ -76,8 +76,8 @@ let test_reads_unaffected () =
     Baselines.full_replication (workload ()) (Backend.homogeneous 3)
   in
   let tp p =
-    (Simulator.run_batch (Simulator.homogeneous_config ~protocol:p 3) alloc reads)
-      .Simulator.throughput
+    let config = { (Simulator.homogeneous_config 3) with protocol = p } in
+    (Simulator.run_batch config alloc reads).Simulator.throughput
   in
   let a = tp Protocol.Rowa and b = tp Protocol.Primary_copy in
   Alcotest.(check (float 1e-9)) "identical" a b

@@ -36,7 +36,6 @@ let expr s = Cdbs_sql.Parser.parse_expr s
 let test_collect () =
   let _, tbl = mk_table () in
   let st = Table_stats.collect tbl in
-  Alcotest.(check int) "rows" 100 (Table_stats.rows st);
   let grp = Option.get (Table_stats.column st "grp") in
   Alcotest.(check int) "grp distinct" 10 grp.Table_stats.distinct;
   let id = Option.get (Table_stats.column st "id") in
@@ -88,7 +87,7 @@ let test_scan_bytes_monotone () =
   let filtered = Table_stats.estimate_scan_bytes st (Some (expr "grp = 7")) in
   Alcotest.(check bool) "filter cheaper" true (filtered < full);
   Alcotest.(check bool) "but still reads the table" true
-    (filtered > float_of_int (Table_stats.bytes st) -. 1.)
+    (filtered > float_of_int (Table.byte_size tbl) -. 1.)
 
 (* Property: for random predicates over the generated table, the estimated
    selectivity brackets the true one within a loose factor. *)
