@@ -23,7 +23,7 @@ let app_cost =
 
 (* Per backend count, for greedy / memetic / optimal (small instances):
    (name, scale, stored MB) on the TPC-App table workload. *)
-let solver_comparison ?(backend_counts = [ 2; 3; 4 ]) () =
+let solver_comparison () =
   let workload = Tpcapp.workload ~granularity:`Table ~eb in
   List.map
     (fun n ->
@@ -53,7 +53,7 @@ let solver_comparison ?(backend_counts = [ 2; 3; 4 ]) () =
         | Error _ -> entries
       in
       (n, entries))
-    backend_counts
+    [ 2; 3; 4 ]
 
 let local_search_contribution () =
   let workload = Tpcapp.workload ~granularity:`Column ~eb in
@@ -74,7 +74,7 @@ let local_search_contribution () =
 
 (* For k = 0, 1, 2 on TPC-App with 6 backends: (k, scale, degree of
    replication, simulated throughput q/s). *)
-let ksafety_overhead ?(ks = [ 0; 1; 2 ]) () =
+let ksafety_overhead () =
   let workload = Tpcapp.workload ~granularity:`Table ~eb in
   let backends = Backend.homogeneous 6 in
   List.map
@@ -87,7 +87,7 @@ let ksafety_overhead ?(ks = [ 0; 1; 2 ]) () =
         Allocation.scale alloc,
         Replication.degree alloc,
         outcome.Simulator.throughput ))
-    ks
+    [ 0; 1; 2 ]
 
 let protocol_comparison () =
   let table_workload = Tpcapp.workload ~granularity:`Table ~eb in

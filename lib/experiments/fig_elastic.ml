@@ -7,10 +7,10 @@ module Backend = Cdbs_core.Backend
 module Allocation = Cdbs_core.Allocation
 module Rng = Cdbs_util.Rng
 
-(* Run the autonomic day; defaults follow the paper (trace scaled 40x,
-   10-minute windows). *)
-let elastic_day ?(scale = 40.) ?(window_minutes = 10.) () =
-  Autoscaler.simulate_day ~window_minutes ~scale ~rng:(Rng.create 5) ()
+(* Run the autonomic day as the paper does (trace scaled 40x, 10-minute
+   windows). *)
+let elastic_day () =
+  Autoscaler.simulate_day ~window_minutes:10. ~scale:40. ~rng:(Rng.create 5) ()
 
 let fig6 ?(step_minutes = 60.) () =
   let steps = int_of_float (24. *. 60. /. step_minutes) in
