@@ -1008,7 +1008,7 @@ let fault_run_alloc ?topology r =
 
 (* Arrivals uniform over the run, drawn after the fault timeline. *)
 let fault_run_requests ~rng r =
-  Cdbs_experiments.Common.uniform_requests ~rng
+  Cdbs_workloads.Spec.uniform_requests ~rng
     ~n:(int_of_float (r.rate *. r.duration))
     ~t0:0. ~span:r.duration
     (Cdbs_workloads.Trace.specs_at ~hour:14.)

@@ -1,7 +1,6 @@
 module Trace = Cdbs_workloads.Trace
 module Spec = Cdbs_workloads.Spec
 module Simulator = Cdbs_cluster.Simulator
-module Request = Cdbs_cluster.Request
 module Greedy = Cdbs_core.Greedy
 module Backend = Cdbs_core.Backend
 module Allocation = Cdbs_core.Allocation
@@ -60,22 +59,10 @@ let simulate_days ?(window_minutes = 10.) ?(scale = 40.) ?(predictive = false)
     let hour = float_of_int w *. window_minutes /. 60. in
     let rate = Trace.rate_per_10min ~hour *. scale in
     let n_requests = int_of_float (rate *. window_minutes /. 10.) in
-    let specs = Spec.requests ~rng ~n:n_requests (Trace.specs_at ~hour) in
     let window_seconds = window_minutes *. 60. in
-    (* Arrivals are drawn in list order, then the requests are stably
-       sorted by arrival.  Sorting positions by an unboxed key array and
-       building the records in arrival order keeps the sort off the
-       records and lays them out in the order the simulator walks. *)
     let requests =
-      let specs = Array.of_list specs in
-      let n = Array.length specs in
-      let arrival =
-        Float.Array.init n (fun _ -> Cdbs_util.Rng.float rng window_seconds)
-      in
-      let order = Cdbs_util.Stats.stable_order arrival in
-      List.init n (fun k ->
-          let i = order.(k) in
-          { (specs.(i) : Request.t) with arrival = Float.Array.get arrival i })
+      Spec.uniform_requests ~rng ~n:n_requests ~t0:0. ~span:window_seconds
+        (Trace.specs_at ~hour)
     in
     let run alloc_now count =
       let config = Simulator.homogeneous_config count in

@@ -44,8 +44,9 @@ let percentiles_of rs =
 
 (* Open-mode runs trust arrival order; a caller handing over an unsorted
    list would silently simulate time running backwards (requests "arriving"
-   before the clock reached them never queue).  Detect and stably sort
-   instead. *)
+   before the clock reached them never queue).  A stream already in order
+   (every [Spec.uniform_requests] stream) passes an allocation-free check;
+   any other is stably ordered on its unboxed arrival keys. *)
 let sorted_by_arrival requests =
   let rec is_sorted = function
     | (a : Request.t) :: (b :: _ as rest) ->
@@ -53,10 +54,16 @@ let sorted_by_arrival requests =
     | _ -> true
   in
   if is_sorted requests then requests
-  else
-    List.stable_sort
-      (fun (a : Request.t) b -> Float.compare a.Request.arrival b.Request.arrival)
-      requests
+  else begin
+    let drawn = Array.of_list requests in
+    let order =
+      Cdbs_util.Stats.stable_order
+        (Float.Array.map_from_array
+           (fun (r : Request.t) -> r.Request.arrival)
+           drawn)
+    in
+    Array.fold_right (fun i stream -> drawn.(i) :: stream) order []
+  end
 
 (* The megabytes a request of class [c] scans: its own estimate, else the
    class's fragment footprint. *)

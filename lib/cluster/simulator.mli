@@ -60,11 +60,19 @@ val run_batch :
   config -> Cdbs_core.Allocation.t -> Request.t list -> outcome
 (** All requests offered at time 0, dispatched in list order. *)
 
+val sorted_by_arrival : Request.t list -> Request.t list
+(** The stream every open-mode entry point below replays: the stable sort
+    of the requests by [Float.compare] on arrival.  A stream already in
+    arrival order, as {!Cdbs_workloads.Spec.uniform_requests} draws every
+    timed stream, is returned as is after one O(n) pass that allocates
+    nothing.  Any other stream is ordered in every run, through
+    {!Cdbs_util.Stats.stable_order} on its unboxed arrival keys. *)
+
 val run_open :
   config -> Cdbs_core.Allocation.t -> Request.t list -> outcome
-(** Requests dispatched at their [arrival] timestamps.  An unsorted list is
-    detected and stably sorted by arrival first — open-mode time never runs
-    backwards regardless of caller ordering. *)
+(** Requests dispatched at their [arrival] timestamps, in the order of
+    {!sorted_by_arrival}: open-mode time never runs backwards regardless
+    of caller ordering. *)
 
 (** {1 Fault injection} *)
 
@@ -132,7 +140,8 @@ val run_open_with_faults :
 (** Open-mode replay under a fault timeline, on a true event clock: fault
     events interleave with arrivals, retries, hedges and catch-up
     completions, and keep being applied after the last arrival (a late
-    crash still cancels queued work).
+    crash still cancels queued work).  Requests arrive in the order of
+    {!sorted_by_arrival}.
 
     [Crash b] takes the backend out of service immediately: its in-flight
     and queued work is cancelled; cancelled reads are retried on surviving
@@ -246,7 +255,8 @@ val run_open_with_migration :
     background.  Routing follows the live fragment sets: nodes start with
     the plan's old placement, gain fragments at each copy's cutover (after
     replaying the deltas captured while the copy was on the wire) and shed
-    the no-longer-needed copies at the final drop barrier.  Each node's
+    the no-longer-needed copies at the final drop barrier.  Requests
+    arrive in the order of {!sorted_by_arrival}.  Each node's
     resident volume, which the cost model's cache factor reads, follows
     its live set.  Foreground service on a node actively copying (as
     source or destination) is inflated by a quarter.

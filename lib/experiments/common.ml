@@ -57,12 +57,6 @@ let simulate ?(cost = Cdbs_cluster.Cost_model.default)
   let config = { Simulator.cost; speeds = Array.make n 1.; protocol } in
   Simulator.run_batch config alloc requests
 
-let uniform_requests ~rng ~n ~t0 ~span specs =
-  Cdbs_workloads.Spec.requests ~rng ~n specs
-  |> List.map (fun (r : Cdbs_cluster.Request.t) ->
-         let arrival = t0 +. Cdbs_util.Rng.float rng span in
-         { r with Cdbs_cluster.Request.arrival })
-
 (* Tail latency via the telemetry histogram (2.6 % bucket width at the
    default resolution) instead of a full sort of the response list. *)
 let p99_of responses =

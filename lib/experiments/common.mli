@@ -41,16 +41,6 @@ val simulate :
   Cdbs_cluster.Simulator.outcome
 (** Batch-mode simulation with homogeneous unit-speed backends. *)
 
-val uniform_requests :
-  rng:Cdbs_util.Rng.t ->
-  n:int ->
-  t0:float ->
-  span:float ->
-  Cdbs_workloads.Spec.class_spec list ->
-  Cdbs_cluster.Request.t list
-(** [n] requests of the class specs ({!Cdbs_workloads.Spec.requests}),
-    each arriving uniformly at random in [\[t0, t0 + span)]. *)
-
 val p99_of : (float * float) list -> float
 (** The 99th-percentile response time (seconds) of a run's
     [(arrival, response)] pairs, read off a telemetry histogram. *)

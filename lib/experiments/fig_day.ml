@@ -125,7 +125,7 @@ let run ?(params = default) ?monitor () =
     in
     let wrng = Rng.split rng in
     let requests =
-      Common.uniform_requests ~rng:wrng
+      Cdbs_workloads.Spec.uniform_requests ~rng:wrng
         ~n:(int_of_float (rate10 *. p.window_minutes /. 10.))
         ~t0 ~span:window_s (Trace.specs_at ~hour)
     in

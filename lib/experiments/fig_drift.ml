@@ -198,7 +198,7 @@ let run ?(params = default) ?monitor () =
   let n_req = int_of_float (p.rate_per_10min *. p.window_minutes /. 10.) in
   let streams =
     Array.init p.windows (fun w ->
-        Common.uniform_requests ~rng:(Rng.split rng) ~n:n_req
+        Cdbs_workloads.Spec.uniform_requests ~rng:(Rng.split rng) ~n:n_req
           ~t0:(float_of_int w *. window_s) ~span:window_s
           (Trace.specs_of_mix ~mix:truth.(w)))
   in

@@ -74,7 +74,7 @@ let scenario ?(nodes = 4) ?(bandwidth = 2.) ?(rate_per_s = 40.)
       (Schedule.make ~start:migrate_at ~bandwidth plan)
   in
   let requests =
-    Common.uniform_requests ~rng:(Rng.create seed)
+    Cdbs_workloads.Spec.uniform_requests ~rng:(Rng.create seed)
       ~n:(int_of_float (rate_per_s *. duration))
       ~t0:0. ~span:duration (Trace.specs_at ~hour:to_hour)
   in

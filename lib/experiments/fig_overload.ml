@@ -39,7 +39,7 @@ type report = {
 (* Same seeded workload as the fault experiments: the midday e-learning
    mix, arrivals uniform over [0, duration). *)
 let requests ~seed ~rate_per_s ~duration =
-  Common.uniform_requests ~rng:(Rng.create seed)
+  Cdbs_workloads.Spec.uniform_requests ~rng:(Rng.create seed)
     ~n:(int_of_float (rate_per_s *. duration))
     ~t0:0. ~span:duration (Trace.specs_at ~hour:14.)
 

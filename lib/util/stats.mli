@@ -20,8 +20,8 @@ val nearest_rank : float array -> float -> float
 val stable_order : Float.Array.t -> int array
 (** The positions [0 .. n-1] of [keys] in ascending key order, equal keys
     in position order: the permutation a stable sort with [Float.compare]
-    gives.  A merge sort on the unboxed keys, with no comparison
-    closure. *)
+    gives.  Insertion-sorted runs of 16 positions, then bottom-up merges,
+    comparing the unboxed keys in place with no comparison closure. *)
 
 val percentile : float -> float list -> float
 (** [percentile p xs] is [nearest_rank (Array.of_list xs) p].

@@ -49,5 +49,21 @@ val requests :
     [weight / request_mb] (largest-remainder rounding), shuffled, each
     carrying its class's [request_mb] as the cost override. *)
 
+val uniform_requests :
+  rng:Cdbs_util.Rng.t ->
+  n:int ->
+  t0:float ->
+  span:float ->
+  class_spec list ->
+  Cdbs_cluster.Request.t list
+(** The one generator of timed request streams.  It draws the shuffled
+    requests of {!requests}, then one [t0 +. Rng.float rng span] per
+    request in that shuffled order, so each arrival is uniform in
+    [\[t0, t0 + span)] and the generator ends where that draw leaves it.
+    The stream comes back in arrival order: the stable sort of the drawn
+    requests by [Float.compare] on arrival (ties keep the shuffled order),
+    built through {!Cdbs_util.Stats.stable_order} on the unboxed keys.
+    The simulator's open mode takes such a stream without re-sorting it. *)
+
 val class_counts : n:int -> class_spec list -> (string * int) list
 (** The deterministic per-class request counts used by {!requests}. *)

@@ -175,6 +175,74 @@ let test_simulator_unsorted_arrivals () =
     b.Simulator.makespan;
   Alcotest.(check int) "same errors" a.Simulator.errors b.Simulator.errors
 
+(* The engine's own ordering of an unsorted stream against [List.stable_sort]
+   by arrival, on a saturating run where every defense acts: shed, hedge
+   and breaker decisions depend on the order requests are offered in. *)
+let test_fallback_order_matches_stable_sort () =
+  let n = 4 in
+  let alloc =
+    Ksafety.allocate ~k:1
+      (Cdbs_workloads.Trace.workload_at ~hour:14.)
+      (Backend.homogeneous n)
+  in
+  let scrambled =
+    (* Arrivals cut to tenths of a second tie about 35 requests each. *)
+    Cdbs_experiments.Fig_overload.requests ~seed:42 ~rate_per_s:350.
+      ~duration:60.
+    |> List.map (fun (r : Request.t) ->
+           let tenths = Float.round (r.Request.arrival *. 10.) in
+           { r with Request.arrival = tenths /. 10. })
+    |> Array.of_list
+  in
+  Cdbs_util.Rng.shuffle (Cdbs_util.Rng.create 3) scrambled;
+  let unsorted = Array.to_list scrambled in
+  let sorted =
+    List.stable_sort
+      (fun (a : Request.t) b ->
+        Float.compare a.Request.arrival b.Request.arrival)
+      unsorted
+  in
+  let run requests =
+    Simulator.run_open_with_faults ~rng:(Cdbs_util.Rng.create 43)
+      ~resilience:(Cdbs_experiments.Fig_overload.defenses ~deadline_s:1.)
+      (Simulator.homogeneous_config n) alloc requests
+      ~faults:
+        [ Cdbs_faults.Fault.slowdown ~at:15. ~backend:0 ~factor:3. ~duration:30. ]
+  in
+  let got = run unsorted and want = run sorted in
+  let counts (fo : Simulator.fault_outcome) =
+    [
+      fo.Simulator.offered; fo.Simulator.run.Simulator.completed;
+      fo.Simulator.run.Simulator.errors; fo.Simulator.retried_requests;
+      fo.Simulator.retries; fo.Simulator.aborted; fo.Simulator.timeouts;
+      fo.Simulator.shed; fo.Simulator.shed_updates; fo.Simulator.hedged;
+      fo.Simulator.hedge_wins; fo.Simulator.breaker_trips;
+      fo.Simulator.offered_updates; fo.Simulator.completed_updates;
+      fo.Simulator.max_concurrent_down; fo.Simulator.events;
+      List.length fo.Simulator.recoveries;
+    ]
+  in
+  let floats (fo : Simulator.fault_outcome) =
+    let r = fo.Simulator.run in
+    List.map Int64.bits_of_float
+      ([
+         r.Simulator.makespan; r.Simulator.throughput; r.Simulator.avg_response;
+         r.Simulator.max_response; r.Simulator.p50_response;
+         r.Simulator.p95_response; r.Simulator.p99_response;
+         fo.Simulator.availability; fo.Simulator.wasted_work;
+         fo.Simulator.cancelled_work; fo.Simulator.catch_up_mb;
+       ]
+      @ Array.to_list r.Simulator.busy
+      @ Array.to_list r.Simulator.utilization
+      @ Array.to_list fo.Simulator.downtime
+      @ List.concat_map (fun (a, s) -> [ a; s ]) fo.Simulator.responses)
+  in
+  Alcotest.(check (list int)) "counts" (counts want) (counts got);
+  Alcotest.(check (list int64)) "float bits" (floats want) (floats got);
+  Alcotest.(check bool) "shed, hedged and tripped" true
+    (got.Simulator.shed > 0 && got.Simulator.hedged > 0
+    && got.Simulator.breaker_trips > 0)
+
 (* ---------------- response percentiles ---------------- *)
 
 module Stats = Cdbs_util.Stats
@@ -309,29 +377,30 @@ let same_bits a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 (* Floats that [Float.compare] ties although their bits differ (both zeros,
    NaNs with different payloads and signs), infinities, and lattice values
    that repeat. *)
-let tied_samples =
+let tied_value =
   let nan_with payload ~negative =
     Int64.float_of_bits
       (Int64.logor
          (if negative then 0xFFF0000000000000L else 0x7FF0000000000000L)
          (Int64.of_int (1 + payload)))
   in
-  let value =
-    QCheck.Gen.(
-      frequency
-        [
-          (6, map (fun k -> float_of_int k /. 2.) (int_range (-6) 6));
-          (2, float);
-          (2, oneofl [ 0.; -0.; infinity; neg_infinity ]);
-          ( 1,
-            map2
-              (fun payload negative -> nan_with payload ~negative)
-              (int_range 0 0xFFFF) bool );
-        ])
-  in
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map (fun k -> float_of_int k /. 2.) (int_range (-6) 6));
+        (2, float);
+        (2, oneofl [ 0.; -0.; infinity; neg_infinity ]);
+        ( 1,
+          map2
+            (fun payload negative -> nan_with payload ~negative)
+            (int_range 0 0xFFFF) bool );
+      ])
+
+let tied_samples =
   QCheck.make
     ~print:QCheck.Print.(pair (list float) float)
-    QCheck.Gen.(pair (list_size (int_range 1 400) value) (float_range 0. 100.))
+    QCheck.Gen.(
+      pair (list_size (int_range 1 400) tied_value) (float_range 0. 100.))
 
 let prop_nearest_rank_bits =
   QCheck.Test.make ~count:500
@@ -350,10 +419,26 @@ let prop_nearest_rank_bits =
       (* Each query reorders the working copy; ask twice, in both orders. *)
       List.for_all (fun p -> same_bits (q p) (want p)) (ps @ List.rev ps))
 
+(* Short inputs, long ones that span many insertion-sorted runs and merge
+   passes, and 10^4 to 2 * 10^4 keys that all tie. *)
+let stable_order_keys =
+  QCheck.make
+    ~print:QCheck.Print.(list float)
+    QCheck.Gen.(
+      frequency
+        [
+          (16, list_size (int_range 1 400) tied_value);
+          (2, list_size (int_range 401 20_000) tied_value);
+          ( 1,
+            map2
+              (fun n x -> List.init n (fun _ -> x))
+              (int_range 10_000 20_000) tied_value );
+        ])
+
 let prop_stable_order =
   QCheck.Test.make ~count:500
     ~name:"stable_order = stable sort of positions by Float.compare"
-    tied_samples (fun (xs, _) ->
+    stable_order_keys (fun xs ->
       let keys = Float.Array.of_list xs in
       let want = Array.init (Float.Array.length keys) Fun.id in
       Array.stable_sort
@@ -520,6 +605,8 @@ let suite =
       test_simulator_open_arrivals;
     Alcotest.test_case "simulator: unsorted arrivals" `Quick
       test_simulator_unsorted_arrivals;
+    Alcotest.test_case "simulator: unsorted stream = its stable sort" `Quick
+      test_fallback_order_matches_stable_sort;
     QCheck_alcotest.to_alcotest prop_nearest_rank_matches_naive;
     Alcotest.test_case "percentiles: empty samples" `Quick
       test_percentiles_empty;

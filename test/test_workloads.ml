@@ -7,6 +7,7 @@ module Tpcapp = Cdbs_workloads.Tpcapp
 module Trace = Cdbs_workloads.Trace
 module Spec = Cdbs_workloads.Spec
 module Request = Cdbs_cluster.Request
+module Rng = Cdbs_util.Rng
 
 let valid w =
   Cdbs_analysis.(Diagnostic.errors (Check_workload.check w)) = []
@@ -214,9 +215,45 @@ let test_trace_journal_classifies () =
   Alcotest.(check bool) "several classes" true
     (List.length (Workload.all_classes w) >= 5)
 
+(* [Spec.uniform_requests] against a reference draw: arrivals in shuffled
+   order, then [List.stable_sort] of the records by arrival.  A zero
+   span ties every arrival, and a tiny one past a large [t0] ties many.
+   The generator must end in the same state, since callers go on drawing
+   from it. *)
+let prop_uniform_requests_order =
+  let bits = Int64.bits_of_float in
+  let same (a : Request.t) (b : Request.t) =
+    a.Request.class_id = b.Request.class_id
+    && a.Request.is_update = b.Request.is_update
+    && Option.equal (fun x y -> bits x = bits y) a.Request.cost_mb
+         b.Request.cost_mb
+    && bits a.Request.arrival = bits b.Request.arrival
+  in
+  QCheck.Test.make ~count:200
+    ~name:"spec: uniform_requests = its draw, stably sorted"
+    QCheck.(
+      pair bool
+        (quad int (int_range 0 3000)
+           (oneof [ always 0.; float_range (-100.) 86_400. ])
+           (oneof [ always 0.; always 1e-12; float_range 0. 3600. ])))
+    (fun (small, (seed, n, t0, span)) ->
+      let mix = if small then specs else Trace.specs_at ~hour:14. in
+      let rng = Rng.create seed and ref_rng = Rng.create seed in
+      let got = Spec.uniform_requests ~rng ~n ~t0 ~span mix in
+      let want =
+        Spec.requests ~rng:ref_rng ~n mix
+        |> List.map (fun (r : Request.t) ->
+               { r with Request.arrival = t0 +. Rng.float ref_rng span })
+        |> List.stable_sort (fun (a : Request.t) b ->
+               Float.compare a.Request.arrival b.Request.arrival)
+      in
+      List.equal same got want
+      && bits (Rng.float rng 1.) = bits (Rng.float ref_rng 1.))
+
 let suite =
   [
     Alcotest.test_case "spec: class counts" `Quick test_class_counts_weighted;
+    QCheck_alcotest.to_alcotest prop_uniform_requests_order;
     Alcotest.test_case "spec: requests carry cost" `Quick
       test_requests_carry_cost;
     Alcotest.test_case "spec: to_workload" `Quick test_spec_to_workload_valid;
