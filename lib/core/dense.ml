@@ -245,11 +245,6 @@ let create inst =
     scratch_stack = Vec.create ();
   }
 
-let copy_vec v =
-  let v' = Vec.create () in
-  Vec.iter (Vec.push v') v;
-  v'
-
 let copy t =
   {
     inst = t.inst;
@@ -260,8 +255,8 @@ let copy t =
     load = Array.copy t.load;
     stored = Array.copy t.stored;
     upd_pins = Array.copy t.upd_pins;
-    active = Array.map copy_vec t.active;
-    pinned = Array.map copy_vec t.pinned;
+    active = Array.map Vec.copy t.active;
+    pinned = Array.map Vec.copy t.pinned;
     scratch_bits = Bits.create t.inst.n_frags;
     scratch_stack = Vec.create ();
   }

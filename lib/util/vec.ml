@@ -52,6 +52,7 @@ let fold_left f init t =
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
 let to_array t = Array.sub t.data 0 t.len
+let copy t = { data = to_array t; len = t.len }
 
 let clear t = t.len <- 0
 

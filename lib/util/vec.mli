@@ -16,6 +16,10 @@ val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold_left : ('b -> 'a -> 'b) -> 'b -> 'a t -> 'b
 val to_list : 'a t -> 'a list
 val to_array : 'a t -> 'a array
+
+val copy : 'a t -> 'a t
+(** An independent vector of the same elements, sized to them. *)
+
 val clear : 'a t -> unit
 
 val truncate : 'a t -> int -> unit
