@@ -204,28 +204,11 @@ let check_replica_floors ~workload (plan : Planner.plan) =
   List.concat
     (List.mapi
        (fun i (c : Query_class.t) ->
-         let subject = "class " ^ c.Query_class.id in
          let init = List.nth initial i in
          let final = replicas plan.Planner.target_sets c in
-         let floor = min 1 (min init final) in
-         let m = mins.(i) in
-         (if m < floor then
-            [
-              D.error ~code:"MIG008" ~subject
-                ~data:
-                  [
-                    ("min_live", D.Int m); ("floor", D.Int floor);
-                    ("initial", D.Int init); ("final", D.Int final);
-                  ]
-                "sinks to %d live replicas during the migration, below its \
-                 floor of %d"
-                m floor;
-            ]
-          else [])
-         @
-         if m < 1 && init >= 1 && final >= 1 then
+         if mins.(i) < 1 && init >= 1 && final >= 1 then
            [
-             D.error ~code:"MIG009" ~subject
+             D.error ~code:"MIG009" ~subject:("class " ^ c.Query_class.id)
                ~data:[ ("initial", D.Int init); ("final", D.Int final) ]
                "loses its last live replica mid-move although it is served \
                 before and after";

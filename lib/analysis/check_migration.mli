@@ -16,8 +16,6 @@
                          [(old ∪ copies) \ drops ≠ target] on some backend
     - [MIG007] (error)   bookkeeping drift: [copy_mb] differs from the sum
                          of move sizes
-    - [MIG008] (error)   a class sinks below its replica floor
-                         [min 1 (initial) (final)] at some step boundary
     - [MIG009] (error)   a class served before and after the migration
                          loses its last live replica mid-move
     - [MIG010] (warning) duplicate move (same fragment copied twice to the
