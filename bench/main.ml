@@ -98,6 +98,46 @@ let executor_benchmark () =
         (words /. 1e6)
   | _ -> assert false
 
+(* Arrival ordering at the sizes the benchmark replays: a [day] window
+   (8,000 requests over half an hour) and the [overload] stream (180,000
+   over 600 s).  [Stats.stable_order] orders unboxed keys drawn as the
+   generator draws them; [List.stable_sort] of the same requests by arrival
+   is what the engine ran on every open-mode call before streams came
+   sorted; the sorted-list check is all it runs on a generated stream, and
+   its row also reports the minor-heap words a check allocates. *)
+let arrival_order_benchmarks () =
+  let module Spec = Cdbs_workloads.Spec in
+  let module Request = Cdbs_cluster.Request in
+  let specs = Cdbs_workloads.Trace.specs_at ~hour:14. in
+  List.iter
+    (fun (n, span) ->
+      let rng = Cdbs_util.Rng.create 42 in
+      let drawn =
+        Spec.requests ~rng ~n specs
+        |> List.map (fun (r : Request.t) ->
+               { r with Request.arrival = Cdbs_util.Rng.float rng span })
+      in
+      let keys =
+        Float.Array.of_list
+          (List.map (fun (r : Request.t) -> r.Request.arrival) drawn)
+      in
+      let by_arrival (a : Request.t) (b : Request.t) =
+        Float.compare a.Request.arrival b.Request.arrival
+      in
+      microbenchmark (Fmt.str "Stats.stable_order, %d arrival keys" n)
+        (fun () -> ignore (Cdbs_util.Stats.stable_order keys));
+      microbenchmark (Fmt.str "List.stable_sort by arrival, %d requests" n)
+        (fun () -> ignore (List.stable_sort by_arrival drawn));
+      let sorted = List.stable_sort by_arrival drawn in
+      let name = Fmt.str "sorted-list check, %d requests in order" n in
+      let check () = ignore (Cdbs_cluster.Simulator.sorted_by_arrival sorted) in
+      let open Bechamel.Toolkit.Instance in
+      match estimates [ monotonic_clock; minor_allocated ] name check with
+      | [ ns; words ] ->
+          Fmt.pr "  %-52s %12.1f us %8.1f words /run@." name (ns /. 1e3) words
+      | _ -> assert false)
+    [ (8_000, 1800.); (180_000, 600.) ]
+
 let microbenchmarks () =
   E.Common.header "Micro-benchmarks (Bechamel, one Test.make per row)";
   let column_workload = Cdbs_workloads.Tpch.workload ~granularity:`Column ~sf:1. in
@@ -163,6 +203,7 @@ let microbenchmarks () =
           ~n:2000
       in
       ignore (E.Common.simulate alloc reqs));
+  arrival_order_benchmarks ();
   trace_benchmark ();
   executor_benchmark ()
 
