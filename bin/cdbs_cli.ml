@@ -1094,9 +1094,9 @@ let chaos_cmd =
       count (function Faults.Fault.ZoneOutage _ -> true | _ -> false)
     in
     let trace_dropped = Tel.Trace.dropped sink.Tel.Sink.trace in
-    let p50_ms = 1000. *. fo.Sim.run.Sim.p50_response in
-    let p95_ms = 1000. *. fo.Sim.run.Sim.p95_response in
-    let p99_ms = 1000. *. fo.Sim.run.Sim.p99_response in
+    let p50_ms = 1000. *. Lazy.force fo.Sim.run.Sim.p50_response in
+    let p95_ms = 1000. *. Lazy.force fo.Sim.run.Sim.p95_response in
+    let p99_ms = 1000. *. Lazy.force fo.Sim.run.Sim.p99_response in
     let total_downtime = Array.fold_left ( +. ) 0. fo.Sim.downtime in
     let utilization = fo.Sim.run.Sim.utilization in
     (* The control-loop triple is structurally zero here (no loop runs in
@@ -1159,7 +1159,7 @@ let chaos_cmd =
           trace_dropped);
     fail_on "chaos"
       (Slo.check gate ~availability:fo.Sim.availability
-         ~p99_s:fo.Sim.run.Sim.p99_response ~shed_rate:0.);
+         ~p99_s:(Lazy.force fo.Sim.run.Sim.p99_response) ~shed_rate:0.);
     if gate_monitor then monitor_gate "chaos" monitor
   in
   Cmd.v

@@ -8,7 +8,6 @@ module Fault = Cdbs_faults.Fault
 module Retry = Cdbs_faults.Retry
 module Resilience = Cdbs_resilience
 module Heap = Cdbs_util.Heap
-module Vec = Cdbs_util.Vec
 module Tel = Cdbs_telemetry
 
 type config = {
@@ -27,20 +26,23 @@ type outcome = {
   throughput : float;
   avg_response : float;
   max_response : float;
-  p50_response : float;
-  p95_response : float;
-  p99_response : float;
+  p50_response : float Lazy.t;
+  p95_response : float Lazy.t;
+  p99_response : float Lazy.t;
   busy : float array;
   utilization : float array;
   errors : int;
 }
 
-(* (p50, p95, p99) of response times, sorted once; zeros when empty. *)
+(* Nearest-rank percentiles of response times, each selected on its first
+   read from one shared copy of the sample; zeros when empty. *)
 let percentiles_of rs =
-  if Array.length rs = 0 then (0., 0., 0.)
-  else
-    let p = Cdbs_util.Stats.nearest_rank rs in
-    (p 50., p 95., p 99.)
+  let ranked =
+    lazy
+      (if Array.length rs = 0 then fun _ -> 0.
+       else Cdbs_util.Stats.nearest_rank rs)
+  in
+  fun p -> lazy (Lazy.force ranked p)
 
 (* Open-mode runs trust arrival order; a caller handing over an unsorted
    list would silently simulate time running backwards (requests "arriving"
@@ -131,24 +133,11 @@ type read_ctx = {
   rc_uid : int;
   rc_class : int;  (* position in the allocation's classes; -1 when it has
                       no class of the request's id *)
-  rc_cost_mb : float option;
+  rc_mb : float;  (* megabytes each attempt scans; 0 without a class *)
   rc_arrival : float;  (* original arrival: responses measure from here *)
   rc_attempt : int;  (* 0 = first attempt *)
   rc_deadline : float;  (* absolute client give-up instant; [infinity]
                            when no deadline policy is active *)
-}
-
-(* Work booked on a backend's queue, kept so a crash can cancel it.  Each
-   backend's bookings are kept oldest first; every walk that picks one
-   (shed victim, hedged leg, crash cancellation) goes newest first. *)
-type booked_kind = Bk_read of read_ctx | Bk_update | Bk_catchup
-
-type booked = {
-  bk_start : float;
-  bk_finish : float;
-  bk_service : float;
-  bk_mb : float;
-  bk_kind : booked_kind;
 }
 
 (* Internal events; each fires at its heap instant. *)
@@ -223,11 +212,10 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
   | Error e -> invalid_arg (context ^ ": " ^ e));
   (* A monitor needs an event stream even when the caller brought no sink
      of its own: give it a small private ring (only the subscription
-     matters; nobody reads the ring). *)
+     matters; nobody reads the ring or its metrics). *)
+  let private_sink = Option.is_none telemetry && Option.is_some monitor in
   let telemetry =
-    match (telemetry, monitor) with
-    | None, Some _ -> Some (Tel.Sink.create ~capacity:64 ())
-    | _ -> telemetry
+    if private_sink then Some (Tel.Sink.create ~capacity:64 ()) else telemetry
   in
   let monitor_owns_attach =
     match (monitor, telemetry) with
@@ -239,7 +227,9 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
   Tel.Sink.push telemetry (Run_start { at = 0.; backends = n; offered });
   let delta : unit Delta.t = Delta.create () in
   let busy = Array.make n 0. in
-  let inflight = Array.init n (fun _ -> Vec.create ()) in
+  (* Each backend's bookings; every walk that picks one (shed victim,
+     hedged leg, crash cancellation) goes newest first. *)
+  let inflight = Array.init n (fun _ -> Bookings.create ()) in
   (* Per-backend lifecycle generation: bumped at every crash and recover so
      stale [Catchup_done] events from a superseded epoch are ignored. *)
   let gen = Array.make n 0 in
@@ -402,29 +392,44 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
   in
   (* Per-request events are built only when a sink is on. *)
   let traced = Option.is_some telemetry in
-  let serve_event ~at ~kind b ~start ~finish =
+  let serve_event ~at ~owner ~cls b ~start ~finish =
     if traced then
       (* Reads carry their query-class id so online estimators can harvest
          measured per-class service times straight off the trace. *)
       let kind : Tel.Trace.serve_kind =
-        match kind with
-        | Bk_read rc ->
-            Read (Scheduler.class_at sched rc.rc_class).Query_class.id
-        | Bk_update -> Update
-        | Bk_catchup -> Catchup
+        if owner >= 0 then Read (Scheduler.class_at sched cls).Query_class.id
+        else if owner = Bookings.update then Update
+        else Catchup
       in
       Tel.Sink.push telemetry
         (Backend_serve { at; backend = b; kind; start; finish })
   in
-  let commit ~mb ~kind b (start, finish, service) =
+  (* [owner] is a read's uid, {!Bookings.update} or {!Bookings.catchup};
+     [attempt] and [cls] matter for reads only. *)
+  let commit ~mb ~owner ~attempt ~cls b (start, finish, service) =
     Scheduler.book sched ~backend:b ~finish;
     busy.(b) <- busy.(b) +. service;
     if track then
-      Vec.push inflight.(b)
-        { bk_start = start; bk_finish = finish; bk_service = service;
-          bk_mb = mb; bk_kind = kind };
-    serve_event ~at:!now_ref ~kind b ~start ~finish;
+      Bookings.push inflight.(b) ~now:!now_ref ~start ~finish ~service ~mb
+        ~owner ~attempt ~cls;
+    serve_event ~at:!now_ref ~owner ~cls b ~start ~finish;
     finish
+  in
+  let commit_read rc b q =
+    commit ~mb:rc.rc_mb ~owner:rc.rc_uid ~attempt:rc.rc_attempt
+      ~cls:rc.rc_class b q
+  in
+  (* The context of the read booked in slot [i] of [q]. *)
+  let read_ctx_of q i =
+    let u = Bookings.owner q i in
+    {
+      rc_uid = u;
+      rc_class = Bookings.cls q i;
+      rc_mb = Bookings.mb q i;
+      rc_arrival = arrival.(u);
+      rc_attempt = Bookings.attempt q i;
+      rc_deadline = deadline_of ~arrival:arrival.(u);
+    }
   in
   (* Replay [mb] of missed update volume on [b] through the delta-journal
      cost model: foreground work that later arrivals queue behind. *)
@@ -433,23 +438,16 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
       mb *. config.cost.Cost_model.scan_seconds_per_mb /. config.speeds.(b)
     in
     let start = max now (Scheduler.free_at sched ~backend:b) in
-    commit ~mb ~kind:Bk_catchup b (start, start +. replay, replay)
+    commit ~mb ~owner:Bookings.catchup ~attempt:0 ~cls:(-1) b
+      (start, start +. replay, replay)
   in
-  (* Queue depth for admission control.  Completed bookings are pruned in
-     place on the way (they are kept only so a crash can cancel in-flight
-     work). *)
-  let depth_of b ~now =
-    let v = inflight.(b) in
-    Vec.filter_in_place (fun it -> it.bk_finish > now) v;
-    Vec.length v
-  in
-  (* Remove a booking and refund its not-yet-served tail after [from_].
-     The backend's queue drains earlier by that amount — an approximation
-     (bookings made between the victim and now keep their recorded finish
-     times), matching the spirit of crash cancellation. *)
-  let cancel_booking b it ~from_ =
-    Vec.filter_in_place (fun x -> x != it) inflight.(b);
-    let refund = max 0. (it.bk_finish -. max it.bk_start from_) in
+  (* Cancel the booking in slot [i] of [b]'s queue and refund its
+     not-yet-served tail after [from_].  The backend's queue drains earlier
+     by that amount — an approximation (bookings made between the victim
+     and now keep their recorded finish times), matching the spirit of
+     crash cancellation. *)
+  let cancel_booking b i ~from_ =
+    let refund = Bookings.cancel inflight.(b) i ~from_ in
     busy.(b) <- busy.(b) -. refund;
     Scheduler.book sched ~backend:b
       ~finish:(Scheduler.free_at sched ~backend:b -. refund);
@@ -459,42 +457,20 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
      waited longest; it is the one most likely already past its deadline.
      Returns [true] when a victim was found and evicted. *)
   let shed_oldest_queued b ~now =
-    let v = inflight.(b) in
-    (* Newest first, so ties on arrival keep the newest. *)
-    let victim = ref None in
-    for i = Vec.length v - 1 downto 0 do
-      let it = Vec.get v i in
-      match it.bk_kind with
-      | Bk_read rc when it.bk_start > now -> (
-          match !victim with
-          | Some (best_rc, _) when best_rc.rc_arrival <= rc.rc_arrival -> ()
-          | _ -> victim := Some (rc, it))
-      | Bk_read _ | Bk_update | Bk_catchup -> ()
-    done;
-    match !victim with
-    | None -> false
-    | Some (rc, it) ->
-        ignore (cancel_booking b it ~from_:now);
-        present.(rc.rc_uid) <- false;
-        incr shed;
-        incr aborted;
-        if traced then
-          Tel.Sink.push telemetry
-            (Request_shed
-               { at = now; uid = rc.rc_uid; reason = Evicted_oldest });
-        true
-  in
-  let find_read_booking b u =
-    let v = inflight.(b) in
-    let rec newest_first i =
-      if i < 0 then None
-      else
-        let it = Vec.get v i in
-        match it.bk_kind with
-        | Bk_read rc when rc.rc_uid = u -> Some it
-        | _ -> newest_first (i - 1)
-    in
-    newest_first (Vec.length v - 1)
+    let q = inflight.(b) in
+    let victim = Bookings.oldest_queued_read q ~now ~arrival in
+    if victim < 0 then false
+    else begin
+      let u = Bookings.owner q victim in
+      ignore (cancel_booking b victim ~from_:now);
+      present.(u) <- false;
+      incr shed;
+      incr aborted;
+      if traced then
+        Tel.Sink.push telemetry
+          (Request_shed { at = now; uid = u; reason = Evicted_oldest });
+      true
+    end
   in
   (* An attempt of read [rc] failed at [now]: try again after backoff,
      unless the retry budget is spent.  With a deadline policy active the
@@ -574,15 +550,12 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
       with
       | None -> schedule_retry ~now rc
       | Some b -> (
-          let mb =
-            scan_mb rc.rc_cost_mb (Scheduler.class_at sched rc.rc_class)
-          in
           (* The quote is pure, so an admission check and the booking it
              admits share one; only a shed (which reshapes the queue)
              forces a re-quote. *)
           let book q =
             let _, finish, service = q in
-            ignore (commit ~mb ~kind:(Bk_read rc) b q);
+            ignore (commit_read rc b q);
             breaker_success ~now b ~latency:(finish -. now);
             if deadline_on && finish > rc.rc_deadline then begin
               (* Without admission control this work is booked anyway and
@@ -597,7 +570,7 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
             end
           in
           let fresh_quote () =
-            quote ~now ~mb ~replicas:1 ~is_update:false b ~factor:1.
+            quote ~now ~mb:rc.rc_mb ~replicas:1 ~is_update:false b ~factor:1.
           in
           match admission with
           | None -> book (fresh_quote ())
@@ -610,7 +583,7 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
                 incr aborted
               end
               else
-                let depth = depth_of b ~now in
+                let depth = Bookings.depth inflight.(b) ~now in
                 let pending = Scheduler.pending sched ~backend:b ~now in
                 (match
                    Resilience.Admission.decide pol ~depth ~pending
@@ -662,7 +635,7 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
         let split = Protocol.plan config.protocol ~targets in
         let replicas = List.length split.Protocol.sync in
         let apply b ~factor =
-          commit ~mb ~kind:Bk_update b
+          commit ~mb ~owner:Bookings.update ~attempt:0 ~cls:(-1) b
             (quote ~now ~mb ~replicas ~is_update:true b ~factor)
         in
         let finish_all = ref now in
@@ -700,36 +673,39 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
       if !cur_down > !max_down then max_down := !cur_down;
       gen.(b) <- gen.(b) + 1;
       Hashtbl.remove pending_catchup b;
-      let items = inflight.(b) in
-      for i = Vec.length items - 1 downto 0 do
-        let it = Vec.get items i in
-          if it.bk_finish > now then begin
-            let lost = it.bk_finish -. max it.bk_start now in
-            cancelled_work := !cancelled_work +. lost;
-            busy.(b) <- busy.(b) -. lost;
-            match it.bk_kind with
-            | Bk_read rc ->
-                (* The client notices the broken connection at the crash
-                   instant and re-issues against a surviving replica; under
-                   a partition nothing resets, so it waits out the network
-                   timeout first (slow failure). *)
-                present.(rc.rc_uid) <- false;
-                schedule_retry
-                  ~extra_delay:(if cut then partition_timeout else 0.)
-                  ~now rc
-            | Bk_update | Bk_catchup ->
-                (* Un-applied fraction of the replica write (the update
-                   itself committed on the survivors): owed at rejoin.  A
-                   zero-length booking is still queued and has applied
-                   nothing. *)
-                let owed =
-                  if it.bk_service = 0. then it.bk_mb
-                  else it.bk_mb *. lost /. it.bk_service
-                in
-                lost_mb.(b) <- lost_mb.(b) +. owed
+      let q = inflight.(b) in
+      Bookings.iter_live q ~now (fun i ->
+          let finish = Bookings.finish q i in
+          let lost = finish -. max (Bookings.start q i) now in
+          cancelled_work := !cancelled_work +. lost;
+          busy.(b) <- busy.(b) -. lost;
+          if Bookings.owner q i >= 0 then begin
+            let rc = read_ctx_of q i in
+            if deadline_on && finish > rc.rc_deadline then
+              (* Booked past its deadline: the read already counted as
+                 timed out and aborted, and its client is gone.  Only the
+                 served prefix was wasted. *)
+              wasted_work := !wasted_work -. lost
+            else begin
+              (* The client notices the broken connection at the crash
+                 instant and re-issues against a surviving replica; under
+                 a partition nothing resets, so it waits out the network
+                 timeout first (slow failure). *)
+              present.(rc.rc_uid) <- false;
+              schedule_retry
+                ~extra_delay:(if cut then partition_timeout else 0.)
+                ~now rc
+            end
           end
-      done;
-      Vec.clear items;
+          else begin
+            (* Un-applied fraction of the replica write (the update itself
+               committed on the survivors): owed at rejoin.  A zero-length
+               booking is still queued and has applied nothing. *)
+            let service = Bookings.service q i and mb = Bookings.mb q i in
+            let owed = if service = 0. then mb else mb *. lost /. service in
+            lost_mb.(b) <- lost_mb.(b) +. owed
+          end);
+      Bookings.clear q;
       Scheduler.book sched ~backend:b ~finish:now;
       Fragment.Set.iter
         (fun f -> Delta.open_capture delta ~dest:b ~fragment:f)
@@ -911,12 +887,13 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
         let f1 = arrival.(u) +. response.(u) in
         (* Nothing to hedge once the read completed before the hedge fired,
            or while it is mid-retry. *)
+        let q1 = inflight.(primary) in
         if present.(u) && f1 > now then (
-            match find_read_booking primary rc.rc_uid with
-            | None -> () (* crash-cancelled or shed since it was armed *)
-            | Some it1 -> (
-                (* A booked read's class is known. *)
-                let c = Scheduler.class_at sched rc.rc_class in
+            match
+              Bookings.find_live q1 ~now (fun i -> Bookings.owner q1 i = u)
+            with
+            | -1 -> () (* crash-cancelled or shed since it was armed *)
+            | i1 -> (
                 let best =
                   Scheduler.best_read_target
                     ?healthy:(healthy_at now) ~exclude:primary sched ~now
@@ -925,9 +902,8 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
                 match best with
                 | None -> () (* no second replica to hedge on *)
                 | Some b2 ->
-                    let mb = scan_mb rc.rc_cost_mb c in
                     let ((s2, f2, sv2) as q2) =
-                      quote ~now ~mb ~replicas:1 ~is_update:false b2
+                      quote ~now ~mb:rc.rc_mb ~replicas:1 ~is_update:false b2
                         ~factor:1.
                     in
                     let pointless =
@@ -940,7 +916,7 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
                       | Some pol ->
                           (* A hedge never sheds foreground work. *)
                           Resilience.Admission.decide pol
-                            ~depth:(depth_of b2 ~now)
+                            ~depth:(Bookings.depth inflight.(b2) ~now)
                             ~pending:
                               (Scheduler.pending sched ~backend:b2 ~now)
                             ~is_update:false
@@ -954,12 +930,12 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
                           Tel.Sink.push telemetry
                             (Request_hedge_win
                                { at = now; uid = rc.rc_uid; backend = b2 });
-                        ignore (commit ~mb ~kind:(Bk_read rc) b2 q2);
+                        ignore (commit_read rc b2 q2);
                         (* Cancel the losing primary leg: its already-
                            served prefix is sunk cost. *)
-                        let refund = cancel_booking primary it1 ~from_:f2 in
+                        let refund = cancel_booking primary i1 ~from_:f2 in
                         wasted_work :=
-                          !wasted_work +. (it1.bk_service -. refund);
+                          !wasted_work +. (Bookings.service q1 i1 -. refund);
                         record rc.rc_uid (f2 -. rc.rc_arrival);
                         breaker_success ~now b2 ~latency:(f2 -. now)
                       end
@@ -1015,7 +991,9 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
           {
             rc_uid = u;
             rc_class = k;
-            rc_cost_mb = r.Request.cost_mb;
+            rc_mb =
+              (if k < 0 then 0.
+               else scan_mb r.Request.cost_mb (Scheduler.class_at sched k));
             rc_arrival = now;
             rc_attempt = 0;
             rc_deadline = deadline_of ~arrival:now;
@@ -1043,10 +1021,9 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
     done;
   let response_sum = Array.fold_left ( +. ) 0. rs in
   let response_max = Array.fold_left max 0. rs in
-  let p50, p95, p99 = percentiles_of rs in
+  let percentile = percentiles_of rs in
   (match telemetry with
-  | None -> ()
-  | Some sink ->
+  | Some sink when not private_sink ->
       let h = Tel.Metrics.histogram sink.Tel.Sink.metrics "sim.response_s" in
       Array.iter (Tel.Histogram.record h) rs;
       let cn = Tel.Sink.cn telemetry in
@@ -1058,7 +1035,8 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
       cn "sim.timeouts" !timeouts;
       cn "sim.shed" !shed;
       cn "sim.hedged" !hedged;
-      cn "sim.hedge_wins" !hedge_wins);
+      cn "sim.hedge_wins" !hedge_wins
+  | _ -> ());
   Tel.Sink.push telemetry
     (Run_summary
        {
@@ -1093,9 +1071,9 @@ let engine ~context ?(policy = Retry.no_retry) ?rng ?resilience ?telemetry
           (if completed > 0 then response_sum /. float_of_int completed
            else 0.);
         max_response = response_max;
-        p50_response = p50;
-        p95_response = p95;
-        p99_response = p99;
+        p50_response = percentile 50.;
+        p95_response = percentile 95.;
+        p99_response = percentile 99.;
         busy;
         utilization =
           Array.map (fun b -> if makespan > 0. then b /. makespan else 0.) busy;

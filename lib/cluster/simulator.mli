@@ -28,7 +28,14 @@
     a [Crash], [Partition] or [ZoneOutage] in the fault timeline (which
     cancels queued work), admission control (which counts and evicts it)
     or hedging (which cancels the losing leg).  Outcomes never depend on
-    whether the record is kept. *)
+    whether the record is kept.  The record is one {!Bookings} queue per
+    backend, flat arrays that a booking allocates nothing in; a read's
+    booking holds its uid, attempt and class position, and a crash
+    rebuilds the read's retry context from them and the arrival.
+
+    No run pays for a percentile nobody reads: the outcome's
+    [p50_response], [p95_response] and [p99_response] are selected from
+    the completed responses when first forced. *)
 
 type config = {
   cost : Cost_model.params;
@@ -48,9 +55,13 @@ type outcome = {
   throughput : float;  (** completed / makespan *)
   avg_response : float;  (** mean request response time (completion - arrival) *)
   max_response : float;
-  p50_response : float;  (** median response time (0 when none completed) *)
-  p95_response : float;
-  p99_response : float;  (** tail latency — what overload defenses target *)
+  p50_response : float Lazy.t;
+      (** median response time (0 when none completed); like the two
+          fields below, the nearest rank of the completed responses,
+          selected on the first [Lazy.force] *)
+  p95_response : float Lazy.t;
+  p99_response : float Lazy.t;
+      (** tail latency — what overload defenses target *)
   busy : float array;  (** per-backend busy seconds *)
   utilization : float array;  (** busy / makespan *)
   errors : int;  (** requests that could not be routed *)
@@ -146,8 +157,10 @@ val run_open_with_faults :
     [Crash b] takes the backend out of service immediately: its in-flight
     and queued work is cancelled; cancelled reads are retried on surviving
     replicas under {!Cdbs_faults.Retry.default} (bounded attempts,
-    exponential backoff, a deadline measured from the original arrival);
-    cancelled replica writes are owed at rejoin.  While down, the update
+    exponential backoff, a deadline measured from the original arrival),
+    except a read booked past its deadline, which its client has already
+    abandoned and the run has already counted as timed out; cancelled
+    replica writes are owed at rejoin.  While down, the update
     volume touching its replicas accrues in a {!Cdbs_migration.Delta}
     journal (ROWA keeps committing on the survivors).  [Recover b] brings
     it back {e stale}: it takes updates but serves no reads until the

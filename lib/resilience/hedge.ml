@@ -31,8 +31,7 @@ let create policy =
   }
 
 let observe t latency =
-  Histogram.record t.cur latency;
-  Histogram.record t.merged latency;
+  Histogram.record_both t.cur t.merged latency;
   if Histogram.count t.cur >= t.policy.window then begin
     let old = t.prev in
     Histogram.reset old;

@@ -28,6 +28,11 @@ val record_n : t -> float -> n:int -> unit
 (** Record the same value [n] times ([n >= 0]).
     @raise Invalid_argument on a NaN. *)
 
+val record_both : t -> t -> float -> unit
+(** [record_both a b v] is [record a v; record b v], bit for bit, with the
+    bucket of [v] found once.
+    @raise Invalid_argument on a NaN. *)
+
 val count : t -> int
 (** Total observations recorded. *)
 
@@ -46,8 +51,9 @@ val quantile : t -> float -> float
     smallest observation, clamped to the exact observed min/max.  A rank
     among the [infinity] observations reports {!max_recorded}, that is
     [infinity].  0 when empty.  The bucket search starts where the
-    previous one ended, so repeated quantiles of a slowly changing
-    histogram cost a few buckets each.
+    previous one ended, and the last bucket's midpoint is kept, so
+    repeated quantiles of a slowly changing histogram cost a few buckets
+    each and no power of ten while the answer stays in one bucket.
     @raise Invalid_argument when [q] is outside [[0, 1]]. *)
 
 val percentile : t -> float -> float

@@ -227,8 +227,9 @@ let test_fallback_order_matches_stable_sort () =
     List.map Int64.bits_of_float
       ([
          r.Simulator.makespan; r.Simulator.throughput; r.Simulator.avg_response;
-         r.Simulator.max_response; r.Simulator.p50_response;
-         r.Simulator.p95_response; r.Simulator.p99_response;
+         r.Simulator.max_response; Lazy.force r.Simulator.p50_response;
+         Lazy.force r.Simulator.p95_response;
+         Lazy.force r.Simulator.p99_response;
          fo.Simulator.availability; fo.Simulator.wasted_work;
          fo.Simulator.cancelled_work; fo.Simulator.catch_up_mb;
        ]
@@ -295,12 +296,196 @@ let test_percentiles_empty () =
   let config = Simulator.homogeneous_config 2 in
   let zeros (o : Simulator.outcome) =
     Alcotest.(check (list (float 0.))) "p50/p95/p99" [ 0.; 0.; 0. ]
-      [ o.Simulator.p50_response; o.Simulator.p95_response;
-        o.Simulator.p99_response ]
+      (List.map Lazy.force
+         [ o.Simulator.p50_response; o.Simulator.p95_response;
+           o.Simulator.p99_response ])
   in
   zeros (Simulator.run_open config alloc []);
   zeros (Simulator.run_batch config alloc []);
   zeros (Simulator.run_open_with_faults config alloc [] ~faults:[]).Simulator.run
+
+(* The fields on demand are the nearest ranks of the completed responses,
+   whichever is read first. *)
+let test_percentiles_on_demand () =
+  let n = 4 in
+  let alloc =
+    Ksafety.allocate ~k:1
+      (Cdbs_workloads.Trace.workload_at ~hour:14.)
+      (Backend.homogeneous n)
+  in
+  let fo =
+    Simulator.run_open_with_faults
+      (Simulator.homogeneous_config n)
+      alloc
+      (Cdbs_experiments.Fig_overload.requests ~seed:7 ~rate_per_s:300.
+         ~duration:20.)
+      ~faults:
+        [ Cdbs_faults.Fault.slowdown ~at:5. ~backend:0 ~factor:3.
+            ~duration:10. ]
+  in
+  let r = fo.Simulator.run in
+  let want =
+    Stats.nearest_rank
+      (Array.of_list (List.map snd fo.Simulator.responses))
+  in
+  List.iter
+    (fun (label, p, field) ->
+      Alcotest.(check int64) label
+        (Int64.bits_of_float (want p))
+        (Int64.bits_of_float (Lazy.force field)))
+    [ ("p99", 99., r.Simulator.p99_response);
+      ("p50", 50., r.Simulator.p50_response);
+      ("p95", 95., r.Simulator.p95_response) ]
+
+(* ---------------- booking queue ---------------- *)
+
+module Bookings = Cdbs_cluster.Bookings
+
+(* A push starts [after] the current instant and lasts [len]; its owner
+   is a uid or one of the two write owners. *)
+type booking_op =
+  | Push of { after : float; len : float; owner : int }
+  | Cancel of int  (* the n-th live booking, newest first *)
+  | Tick of float
+  | Find of int  (* the newest live booking of an owner *)
+  | Shed  (* the queued read that arrived first *)
+  | Clear
+
+let booking_ops =
+  (* Half-second steps tie starts and finishes, and give zero-length
+     bookings and bookings that end before older ones. *)
+  let step = QCheck.Gen.(map (fun k -> float_of_int k /. 2.) (int_range 0 6)) in
+  let owner = QCheck.Gen.int_range (-2) 5 in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          ( 10,
+            map3
+              (fun after len owner -> Push { after; len; owner })
+              step step owner );
+          (3, map (fun k -> Cancel k) (int_range 0 8));
+          (4, map (fun d -> Tick d) step);
+          (2, map (fun o -> Find o) owner);
+          (2, return Shed);
+          (1, return Clear);
+        ])
+  in
+  let print = function
+    | Push { after; len; owner } ->
+        Printf.sprintf "push +%g %g %d" after len owner
+    | Cancel k -> Printf.sprintf "cancel %d" k
+    | Tick d -> Printf.sprintf "tick %g" d
+    | Find o -> Printf.sprintf "find %d" o
+    | Shed -> "shed"
+    | Clear -> "clear"
+  in
+  QCheck.make ~print:QCheck.Print.(list print)
+    QCheck.Gen.(list_size (int_range 1 300) op)
+
+type model_booking = {
+  m_start : float;
+  m_finish : float;
+  m_owner : int;
+  m_id : int;  (* pushed as the attempt; the class is its negation *)
+}
+
+(* The queue against a list of the bookings not cancelled, oldest first,
+   of which those finishing after [now] are live.  Uids 0 to 5 arrive at
+   instants that tie in pairs. *)
+let prop_bookings_match_model =
+  QCheck.Test.make ~count:300 ~name:"booking queue = list of live bookings"
+    booking_ops (fun ops ->
+      let q = Bookings.create () in
+      let arrival = [| 0.; 1.; 0.; 2.; 1.; 2. |] in
+      let now = ref 0. and model = ref [] and next_id = ref 0 in
+      let live_newest_first () =
+        List.rev (List.filter (fun m -> m.m_finish > !now) !model)
+      in
+      let slot_of i =
+        {
+          m_start = Bookings.start q i;
+          m_finish = Bookings.finish q i;
+          m_owner = Bookings.owner q i;
+          m_id = Bookings.attempt q i;
+        }
+      in
+      let walk () =
+        let slots = ref [] in
+        Bookings.iter_live q ~now:!now (fun i -> slots := i :: !slots);
+        List.rev !slots
+      in
+      let agrees () =
+        let slots = walk () in
+        Bookings.depth q ~now:!now = List.length (live_newest_first ())
+        && List.map slot_of slots = live_newest_first ()
+        && List.for_all
+             (fun i ->
+               let service = Bookings.service q i in
+               Bookings.cls q i = -Bookings.attempt q i
+               && service = Bookings.finish q i -. Bookings.start q i
+               && Bookings.mb q i = 2. *. service)
+             slots
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Push { after; len; owner } ->
+              let start = !now +. after in
+              let id = !next_id in
+              incr next_id;
+              Bookings.push q ~now:!now ~start ~finish:(start +. len)
+                ~service:len ~mb:(2. *. len) ~owner ~attempt:id ~cls:(-id);
+              model :=
+                !model
+                @ [ { m_start = start; m_finish = start +. len;
+                      m_owner = owner; m_id = id } ];
+              true
+          | Cancel k -> (
+              match List.nth_opt (walk ()) k with
+              | None -> true
+              | Some i ->
+                  let id = Bookings.attempt q i in
+                  let m = List.find (fun m -> m.m_id = id) !model in
+                  let refund = Bookings.cancel q i ~from_:!now in
+                  model := List.filter (fun m -> m.m_id <> id) !model;
+                  refund = max 0. (m.m_finish -. max m.m_start !now)
+                  && Bookings.finish q i = neg_infinity)
+          | Tick d ->
+              now := !now +. d;
+              true
+          | Find o -> (
+              let i =
+                Bookings.find_live q ~now:!now (fun i -> Bookings.owner q i = o)
+              in
+              match
+                List.find_opt (fun m -> m.m_owner = o) (live_newest_first ())
+              with
+              | None -> i = -1
+              | Some m -> i >= 0 && Bookings.attempt q i = m.m_id)
+          | Shed -> (
+              let i = Bookings.oldest_queued_read q ~now:!now ~arrival in
+              let first =
+                List.fold_left
+                  (fun best m ->
+                    if m.m_owner < 0 || m.m_start <= !now then best
+                    else
+                      match best with
+                      | Some b when arrival.(b.m_owner) <= arrival.(m.m_owner)
+                        ->
+                          best
+                      | _ -> Some m)
+                  None (live_newest_first ())
+              in
+              match first with
+              | None -> i = -1
+              | Some m -> i >= 0 && Bookings.attempt q i = m.m_id)
+          | Clear ->
+              Bookings.clear q;
+              model := [];
+              true)
+          && agrees ())
+        ops)
 
 (* ---------------- controller ---------------- *)
 
@@ -610,6 +795,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_nearest_rank_matches_naive;
     Alcotest.test_case "percentiles: empty samples" `Quick
       test_percentiles_empty;
+    Alcotest.test_case "percentiles: selected when read" `Quick
+      test_percentiles_on_demand;
+    QCheck_alcotest.to_alcotest prop_bookings_match_model;
     Alcotest.test_case "controller: end to end" `Quick
       test_controller_end_to_end;
     Alcotest.test_case "controller: reallocation" `Quick

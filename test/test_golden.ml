@@ -45,8 +45,11 @@ let outcome b (o : Sim.outcome) =
     "completed %d makespan %h throughput %h avg %h max %h p50 %h p95 %h \
      p99 %h errors %d\n"
     o.Sim.completed o.Sim.makespan o.Sim.throughput o.Sim.avg_response
-    o.Sim.max_response o.Sim.p50_response o.Sim.p95_response
-    o.Sim.p99_response o.Sim.errors;
+    o.Sim.max_response
+    (Lazy.force o.Sim.p50_response)
+    (Lazy.force o.Sim.p95_response)
+    (Lazy.force o.Sim.p99_response)
+    o.Sim.errors;
   floats b "busy" o.Sim.busy;
   floats b "utilization" o.Sim.utilization
 

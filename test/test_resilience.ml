@@ -366,6 +366,34 @@ let test_shed_victim_tie () =
   Alcotest.(check (list int)) "the newest of the tied queued reads" [ 2 ]
     shed_uids
 
+(* Without admission control a read quoted past its deadline is booked
+   anyway and counted as timed out and aborted at once.  A crash that
+   cancels that booking must not re-issue the read and count it a second
+   time. *)
+let test_crash_skips_abandoned_reads () =
+  let requests = Fo.requests ~seed:42 ~rate_per_s:300. ~duration:60. in
+  let alloc =
+    Ksafety.allocate ~k:1
+      (Cdbs_workloads.Trace.workload_at ~hour:14.)
+      (Backend.homogeneous 4)
+  in
+  List.iter
+    (fun victim ->
+      let monitor = Cdbs_analysis.Monitor.create () in
+      let fo =
+        Simulator.run_open_with_faults ~monitor
+          ~resilience:(Fo.clients_only ~deadline_s:1.)
+          (Simulator.homogeneous_config 4) alloc requests
+          ~faults:[ Fault.crash ~at:30. victim; Fault.recover ~at:40. victim ]
+      in
+      let label = Printf.sprintf "crash of backend %d: " victim in
+      Alcotest.(check int) (label ^ "completed + aborted = offered")
+        fo.Simulator.offered
+        (fo.Simulator.run.Simulator.completed + fo.Simulator.aborted);
+      Alcotest.(check int) (label ^ "monitor violations") 0
+        (Cdbs_analysis.Monitor.violations monitor))
+    [ 0; 3 ]
+
 (* ---------------- properties ---------------- *)
 
 let requests_for (w : Workload.t) rng =
@@ -476,6 +504,8 @@ let suite =
       test_shedding_preserves_updates;
     Alcotest.test_case "deadline budgets refuse doomed work" `Quick
       test_deadline_refuses_doomed_work;
+    Alcotest.test_case "a crash never re-issues an abandoned read" `Quick
+      test_crash_skips_abandoned_reads;
     QCheck_alcotest.to_alcotest prop_hedging_preserves_outcomes;
     QCheck_alcotest.to_alcotest prop_shedding_never_touches_updates;
     QCheck_alcotest.to_alcotest prop_overload_deterministic;

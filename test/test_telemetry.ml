@@ -299,6 +299,54 @@ let prop_histogram_cursor_matches_walk =
         ops
       && List.for_all agrees [ 0.; 0.01; 0.5; 0.95; 0.99; 1. ])
 
+(* One value into two histograms, bucket found once, against two
+   [record] calls.  The histograms start apart (different contents and
+   cursors), and the values include 0, values below the 1e-6 floor and
+   both infinities. *)
+let prop_histogram_record_both =
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (8, map (fun k -> 1e-4 *. float_of_int (k + 1)) (int_range 0 200));
+          (2, map (fun e -> 10. ** float_of_int e) (int_range (-9) 12));
+          (2, oneofl [ 0.; -1.; 1e-7; neg_infinity; infinity ]);
+        ])
+  in
+  QCheck.Test.make ~count:300
+    ~name:"histogram record_both = record into each, bit for bit"
+    (QCheck.make
+       ~print:QCheck.Print.(pair (list float) (list float))
+       QCheck.Gen.(pair (list_size (int_range 0 30) value)
+                     (list_size (int_range 1 100) value)))
+    (fun (prior, vs) ->
+      let pair () =
+        let a = Histogram.create () and b = Histogram.create () in
+        List.iter (Histogram.record b) prior;
+        ignore (Histogram.quantile b 0.9);
+        (a, b)
+      in
+      let a, b = pair () and a', b' = pair () in
+      List.iter
+        (fun v ->
+          Histogram.record_both a b v;
+          Histogram.record a' v;
+          Histogram.record b' v)
+        vs;
+      let bits x = Int64.bits_of_float x in
+      let same h h' =
+        Histogram.buckets h = Histogram.buckets h'
+        && Histogram.count h = Histogram.count h'
+        && bits (Histogram.mean h) = bits (Histogram.mean h')
+        && bits (Histogram.min_recorded h) = bits (Histogram.min_recorded h')
+        && bits (Histogram.max_recorded h) = bits (Histogram.max_recorded h')
+        && List.for_all
+             (fun q ->
+               bits (Histogram.quantile h q) = bits (Histogram.quantile h' q))
+             [ 0.; 0.3; 0.95; 0.5; 1. ]
+      in
+      same a a' && same b b')
+
 (* ---------------- metrics registry ---------------- *)
 
 let contains ~needle haystack =
@@ -500,8 +548,18 @@ let prop_sink_is_invisible =
           ()
       in
       let go telemetry =
-        Simulator.run_open_with_faults ~rng:(Rng.create 7) ~resilience
-          ?telemetry config alloc requests ~faults
+        let fo =
+          Simulator.run_open_with_faults ~rng:(Rng.create 7) ~resilience
+            ?telemetry config alloc requests ~faults
+        in
+        (* Structural equality cannot compare a lazy value until it is
+           forced; forcing the percentiles compares them too. *)
+        let r = fo.Simulator.run in
+        List.iter
+          (fun p -> ignore (Lazy.force p))
+          [ r.Simulator.p50_response; r.Simulator.p95_response;
+            r.Simulator.p99_response ];
+        fo
       in
       let sink = Tel.Sink.create () in
       go None = go (Some sink))
@@ -547,4 +605,5 @@ let suite =
     Alcotest.test_case "histogram: +infinity ranks last, NaN is rejected"
       `Quick test_histogram_non_finite;
     QCheck_alcotest.to_alcotest prop_histogram_cursor_matches_walk;
+    QCheck_alcotest.to_alcotest prop_histogram_record_both;
   ]
