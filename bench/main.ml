@@ -67,6 +67,49 @@ let trace_benchmark () =
         failwith "trace benchmark: the monitor found violations"
   | _ -> assert false
 
+(* The defended arm of the [overload] benchmark at a tenth of its length:
+   300 requests/s for 60 s on four k = 1 backends, the busiest of a clean
+   probe run slowed threefold for the middle half, every defense on and a
+   protocol monitor attached.  Reports wall time, minor-heap words
+   allocated and words promoted to the major heap, per simulator event. *)
+let defended_arm_benchmark () =
+  let open Bechamel.Toolkit.Instance in
+  let module Sim = Cdbs_cluster.Simulator in
+  let nodes = 4 and duration = 60. in
+  let requests = E.Fig_overload.requests ~seed:42 ~rate_per_s:300. ~duration in
+  let alloc =
+    Cdbs_core.Ksafety.allocate ~k:1
+      (Cdbs_workloads.Trace.workload_at ~hour:14.)
+      (Cdbs_core.Backend.homogeneous nodes)
+  in
+  let config = Sim.homogeneous_config nodes in
+  let probe = Sim.run_open config alloc requests in
+  let victim = ref 0 in
+  Array.iteri
+    (fun b u -> if u > probe.Sim.utilization.(!victim) then victim := b)
+    probe.Sim.utilization;
+  let faults =
+    [ Cdbs_faults.Fault.slowdown ~at:(duration /. 4.) ~backend:!victim
+        ~factor:3. ~duration:(duration /. 2.) ]
+  in
+  let run () =
+    Sim.run_open_with_faults ~rng:(Cdbs_util.Rng.create 43)
+      ~resilience:(E.Fig_overload.defenses ~deadline_s:1.)
+      ~monitor:(Cdbs_analysis.Monitor.create ())
+      config alloc requests ~faults
+  in
+  let events = (run ()).Sim.events in
+  let name = "defended overload arm, 18,000 requests, monitored" in
+  match
+    estimates ~quota:2. [ monotonic_clock; minor_allocated; promoted ] name
+      (fun () -> ignore (run ()))
+  with
+  | [ ns; words; promoted ] ->
+      let per x = x /. float_of_int events in
+      Fmt.pr "  %-52s %8.1f ns %6.1f words %6.1f promoted /event@." name
+        (per ns) (per words) (per promoted)
+  | _ -> assert false
+
 (* The executor on joins that produce rows: the 19 TPC-H queries, parsed
    once, on a linked database at sf-0.001 row counts (every foreign key
    names a row; Datagen's data leaves nearly every join empty).  Reports
@@ -205,6 +248,7 @@ let microbenchmarks () =
       ignore (E.Common.simulate alloc reqs));
   arrival_order_benchmarks ();
   trace_benchmark ();
+  defended_arm_benchmark ();
   executor_benchmark ()
 
 let () =
